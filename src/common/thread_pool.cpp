@@ -167,7 +167,8 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       const std::size_t chunk_end = begin + (j + 1) * count / lanes;
       queue_.push_back(QueuedTask{[run_chunk, chunk_begin, chunk_end, &region] {
                                     run_chunk(chunk_begin, chunk_end);
-                                    const std::lock_guard<std::mutex> lock(region.mutex);
+                                    const std::lock_guard<std::mutex> region_lock(
+                                        region.mutex);
                                     --region.pending;
                                     region.done.notify_one();
                                   },

@@ -13,6 +13,26 @@ namespace gp::control {
 
 using linalg::Vector;
 
+namespace {
+
+/// The controller's window-solver configuration. Consecutive windows share
+/// their sparsity pattern and differ only in forecasts, so warm-starting from
+/// the previous solution is always safe here and typically cuts iterations
+/// severalfold; the structure cache turns the per-step setup into a
+/// refactorization (or skips it outright when the KKT data is unchanged).
+dspp::BlockWindowSettings window_settings(const MpcSettings& settings) {
+  dspp::BlockWindowSettings window;
+  window.num_blocks = std::max<std::size_t>(settings.qp_blocks, 1);
+  window.max_lanes = settings.qp_block_lanes;
+  window.reuse_solver_state = settings.reuse_solver_state;
+  window.solver = settings.solver;
+  window.solver.auto_warm_start = settings.reuse_solver_state;
+  window.solver.cache_structure = settings.reuse_solver_state;
+  return window;
+}
+
+}  // namespace
+
 MpcController::MpcController(dspp::DsppModel model, MpcSettings settings,
                              std::unique_ptr<SeriesPredictor> demand_predictor,
                              std::unique_ptr<SeriesPredictor> price_predictor)
@@ -21,30 +41,12 @@ MpcController::MpcController(dspp::DsppModel model, MpcSettings settings,
       settings_(settings),
       demand_predictor_(std::move(demand_predictor)),
       price_predictor_(std::move(price_predictor)),
-      solver_([&settings] {
-        // Consecutive windows share their sparsity pattern and differ only
-        // in forecasts, so warm-starting from the previous solution is
-        // always safe here and typically cuts iterations severalfold; the
-        // structure cache turns the per-step setup into a refactorization
-        // (or skips it outright when the KKT data is unchanged).
-        qp::AdmmSettings solver_settings = settings.solver;
-        solver_settings.auto_warm_start = settings.reuse_solver_state;
-        solver_settings.cache_structure = settings.reuse_solver_state;
-        return solver_settings;
-      }()) {
+      window_solver_(model_, pairs_, window_settings(settings_)) {
   require(settings_.horizon >= 1, "MpcController: horizon must be >= 1");
   require(demand_predictor_ != nullptr, "MpcController: null demand predictor");
   require(price_predictor_ != nullptr, "MpcController: null price predictor");
-  if (settings_.qp_blocks > 1) {
-    require(settings_.soft_demand_penalty == 0.0,
-            "MpcController: qp_blocks > 1 requires hard demand constraints");
-    dspp::BlockWindowSettings block_settings;
-    block_settings.num_blocks = settings_.qp_blocks;
-    block_settings.max_lanes = settings_.qp_block_lanes;
-    block_settings.reuse_solver_state = settings_.reuse_solver_state;
-    block_settings.solver = settings_.solver;
-    block_solver_.emplace(model_, pairs_, block_settings);
-  }
+  require(settings_.qp_blocks <= 1 || settings_.soft_demand_penalty == 0.0,
+          "MpcController: qp_blocks > 1 requires hard demand constraints");
 }
 
 void MpcController::set_capacity_quota(std::optional<Vector> quota) {
@@ -98,20 +100,10 @@ MpcStepResult MpcController::step(const Vector& state, const Vector& demand,
     last_demand_forecast_ = inputs.demand.front();
   }
 
-  // Fast path: the window shape is fixed for the controller's lifetime, so
-  // after the first step only the parameters (forecasts, initial state,
-  // quota) change — rewrite them in place instead of re-assembling the QP.
-  dspp::WindowSolution solution;
-  if (block_solver_) {
-    solution = block_solver_->solve(std::move(inputs));
-  } else {
-    if (settings_.reuse_solver_state && program_) {
-      program_->update(model_, pairs_, inputs);
-    } else {
-      program_.emplace(model_, pairs_, std::move(inputs));
-    }
-    solution = program_->solve(solver_);
-  }
+  // The window shape is fixed for the controller's lifetime, so after the
+  // first step the solver only rewrites the parameters (forecasts, initial
+  // state, quota) in place instead of re-assembling the QP.
+  const dspp::WindowSolution solution = window_solver_.solve(std::move(inputs));
 
   MpcStepResult result;
   result.status = solution.status;
@@ -154,7 +146,8 @@ Vector MpcController::provision_for(const Vector& demand, const Vector& price) {
   require(price.size() == model_.num_datacenters(), "provision_for: price size != L");
   dspp::DsppModel scoped = model_;
   if (quota_) scoped.capacity = *quota_;
-  return dspp::min_cost_placement(scoped, pairs_, demand, price, solver_);
+  qp::AdmmSolver solver(settings_.solver);
+  return dspp::min_cost_placement(scoped, pairs_, demand, price, solver);
 }
 
 }  // namespace gp::control

@@ -11,7 +11,6 @@
 
 #include "control/predictor.hpp"
 #include "dspp/block_window.hpp"
-#include "dspp/window_program.hpp"
 #include "qp/admm_solver.hpp"
 
 namespace gp::control {
@@ -28,10 +27,10 @@ struct MpcSettings {
   /// warm-started, refactorization-only (often factorization-free) solve.
   /// Disable only for benchmarking cold solves.
   bool reuse_solver_state = true;
-  /// > 1 solves the window program by per-DC block decomposition
-  /// (dspp::BlockWindowSolver, sharing-ADMM consensus over the demand rows)
-  /// instead of the dense program. 1 keeps the historical exact path
-  /// bit-for-bit. Requires soft_demand_penalty == 0 when > 1.
+  /// Block count of the dspp::BlockWindowSolver that solves every window.
+  /// 1 (or 0) solves the exact dense program; > 1 solves it by per-DC block
+  /// decomposition (sharing-ADMM consensus over the demand rows) and
+  /// requires soft_demand_penalty == 0.
   std::size_t qp_blocks = 1;
   /// Lane cap for concurrent block solves (0 = all pool lanes); results are
   /// bit-identical at any value.
@@ -62,6 +61,12 @@ class MpcController {
                 std::unique_ptr<SeriesPredictor> demand_predictor,
                 std::unique_ptr<SeriesPredictor> price_predictor);
 
+  /// Pinned in place: the window solver points into model_ / pairs_.
+  MpcController(const MpcController&) = delete;
+  MpcController(MpcController&&) = delete;
+  MpcController& operator=(const MpcController&) = delete;
+  MpcController& operator=(MpcController&&) = delete;
+
   /// One iteration of Algorithm 1. `state` is x_k per pair, `demand` the
   /// observed D_k (size V), `price` the observed p_k (size L).
   MpcStepResult step(const linalg::Vector& state, const linalg::Vector& demand,
@@ -75,11 +80,12 @@ class MpcController {
   const dspp::DsppModel& model() const { return model_; }
   const MpcSettings& settings() const { return settings_; }
 
-  /// Setup-reuse counters of the underlying ADMM solver (how many steps
-  /// reused the cached KKT structure / skipped factorization outright).
-  /// Under block decomposition this reports block 0's inner solver.
+  /// Setup-reuse counters of the window solver's ADMM solver (how many
+  /// steps reused the cached KKT structure / skipped factorization
+  /// outright). Under block decomposition this reports block 0's inner
+  /// solver. provision_for's one-shot solve is not counted.
   const qp::AdmmCacheStats& solver_cache_stats() const {
-    return block_solver_ ? block_solver_->cache_stats() : solver_.cache_stats();
+    return window_solver_.cache_stats();
   }
 
   /// Minimal feasible allocation for a demand vector (cheapest placement
@@ -93,13 +99,10 @@ class MpcController {
   std::unique_ptr<SeriesPredictor> demand_predictor_;
   std::unique_ptr<SeriesPredictor> price_predictor_;
   std::optional<linalg::Vector> quota_;
-  qp::AdmmSolver solver_;
-  /// Persistent window program (reuse_solver_state): built on the first
-  /// step, parameter-updated on every later one. Unused when qp_blocks > 1.
-  std::optional<dspp::WindowProgram> program_;
-  /// Block-decomposed window solver (qp_blocks > 1). Holds pointers into
-  /// model_ / pairs_, which never move for the controller's lifetime.
-  std::optional<dspp::BlockWindowSolver> block_solver_;
+  /// Solves every step's window program and keeps it warm across steps.
+  /// Holds pointers into model_ / pairs_, which never move (the controller
+  /// is neither copyable nor movable).
+  dspp::BlockWindowSolver window_solver_;
   /// One-step-ahead demand forecast from the previous step (empty before the
   /// first step); compared against the observed demand to measure predictor
   /// error when metrics are enabled.

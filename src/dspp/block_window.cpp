@@ -18,14 +18,7 @@ BlockWindowSolver::BlockWindowSolver(const DsppModel& model, const PairIndex& pa
     : model_(&model),
       pairs_(&pairs),
       settings_(settings),
-      exact_solver_([&settings] {
-        // The exact path mirrors MpcController's historical solver setup so
-        // num_blocks == 1 is bit-identical to the pre-decomposition code.
-        qp::AdmmSettings solver_settings = settings.solver;
-        solver_settings.auto_warm_start = settings.reuse_solver_state;
-        solver_settings.cache_structure = settings.reuse_solver_state;
-        return solver_settings;
-      }()) {
+      exact_solver_(settings.solver) {
   require(settings_.num_blocks >= 1, "BlockWindowSolver: num_blocks must be >= 1");
   require(settings_.max_consensus_iterations >= 1,
           "BlockWindowSolver: max_consensus_iterations must be >= 1");

@@ -18,11 +18,12 @@
 // iterations — every inner solve after the first reuses the cached
 // factorization outright.
 //
-// num_blocks = 1 is special-cased to the exact dense path: the same
-// WindowProgram + AdmmSolver sequence MpcController has always run,
-// bit-for-bit. Block solves run on the deterministic thread pool with
-// results written to per-block slots, so solutions are bit-identical at any
-// GEOPLACE_THREADS / max_lanes setting.
+// num_blocks = 1 is the exact path, and the one every repeated window solve
+// in the library takes (MpcController, the game's best responses): a
+// persistent WindowProgram, parameter-updated in place, solved by one
+// AdmmSolver configured by `solver` as given. Block solves run on the
+// deterministic thread pool with results written to per-block slots, so
+// solutions are bit-identical at any GEOPLACE_THREADS / max_lanes setting.
 #pragma once
 
 #include <memory>
@@ -41,17 +42,24 @@ struct BlockWindowSettings {
   /// yields bit-identical results; this only bounds parallelism.
   std::size_t max_lanes = 0;
   /// Sharing-ADMM outer loop controls. The penalty acts on demand rows
-  /// normalized by max(D, 1), so rho is scale-free; 0.05 converges within
-  /// ~0.1% of the exact objective in 40-60 outer iterations on the
-  /// continental scenarios (larger rho over-damps the cross-block load
-  /// shifts and stalls the cost descent).
+  /// normalized by max(D, 1), so rho is scale-free (larger rho over-damps
+  /// the cross-block load shifts and stalls the cost descent). The loop
+  /// stops on feasibility and cost stationarity, not on an optimality gap:
+  /// tests bound the receding-horizon cost at 15% above the exact
+  /// controller's, and scale_smoke measured a 9% gap. A certified stopping
+  /// rule is an open ROADMAP item ("Certified consensus").
   int max_consensus_iterations = 120;
   double consensus_rho = 0.05;
   /// Stop when the worst normalized demand shortfall falls below this.
   double consensus_tolerance = 1e-3;
-  /// Keep programs/solvers warm across solve() calls (receding horizon).
+  /// Keep the window program (exact path) or the block programs and
+  /// consensus state (block path) across solve() calls, updating their
+  /// parameters in place. Exact-path warm starts and structure caching come
+  /// from `solver`; block solvers always use both.
   bool reuse_solver_state = true;
-  qp::AdmmSettings solver;  ///< inner per-block solver settings
+  /// Exact-path solver settings, used unchanged; also the per-block inner
+  /// solver settings (with warm start and structure cache forced on).
+  qp::AdmmSettings solver;
 };
 
 /// Solves window programs by block decomposition (see file comment).
@@ -63,9 +71,10 @@ class BlockWindowSolver {
                     BlockWindowSettings settings);
 
   /// Solves the window program for these inputs. In reuse mode, programs
-  /// are parameter-updated in place and inner solvers warm-start from the
-  /// previous call. Soft demand (soft_demand_penalty > 0) requires
-  /// num_blocks == 1 (consensus mode already relaxes demand).
+  /// are parameter-updated in place; solvers warm-start from the previous
+  /// call when their settings ask for it (always, for block solvers). Soft
+  /// demand (soft_demand_penalty > 0) requires num_blocks == 1 (consensus
+  /// mode already relaxes demand).
   WindowSolution solve(WindowInputs inputs);
 
   std::size_t num_blocks() const { return num_blocks_; }

@@ -30,8 +30,6 @@ qp::AdmmSettings best_response_settings(const GameSettings& settings) {
 CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector capacity,
                                  GameSettings settings)
     : providers_(std::move(providers)), capacity_(std::move(capacity)), settings_(settings),
-      solvers_(providers_.size(), qp::AdmmSolver(best_response_settings(settings))),
-      programs_(providers_.size()),
       welfare_solver_(best_response_settings(settings)) {
   require(!providers_.empty(), "CompetitionGame: need at least one provider");
   require(settings_.epsilon > 0.0, "CompetitionGame: epsilon must be > 0");
@@ -52,6 +50,12 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
     require(provider.initial_state.size() == pair_index_.back().num_pairs(),
             "CompetitionGame: initial state size mismatch");
   }
+  dspp::BlockWindowSettings response_settings;
+  response_settings.solver = best_response_settings(settings_);
+  responders_.reserve(providers_.size());
+  for (std::size_t i = 0; i < providers_.size(); ++i) {
+    responders_.emplace_back(providers_[i].model, pair_index_[i], response_settings);
+  }
 }
 
 dspp::WindowSolution CompetitionGame::best_response(std::size_t i, const Vector& quota) {
@@ -68,12 +72,7 @@ dspp::WindowSolution CompetitionGame::best_response(std::size_t i, const Vector&
   // Across game iterations only the quota changes, so after the first build
   // each call is a parameter update; with the solver's structure cache the
   // per-iteration setup cost (scaling, ordering, factorization) disappears.
-  if (programs_[i]) {
-    programs_[i]->update(provider.model, pair_index_[i], inputs);
-  } else {
-    programs_[i].emplace(provider.model, pair_index_[i], std::move(inputs));
-  }
-  dspp::WindowSolution solution = programs_[i]->solve(solvers_[i]);
+  dspp::WindowSolution solution = responders_[i].solve(std::move(inputs));
   if (obs::metrics_enabled()) {
     obs::Registry::global().histogram("game.best_response_ms").record(span.elapsed_ms());
   }

@@ -22,6 +22,7 @@
 
 #include <optional>
 
+#include "dspp/block_window.hpp"
 #include "game/provider.hpp"
 #include "qp/admm_solver.hpp"
 
@@ -110,10 +111,9 @@ class CompetitionGame {
 
  private:
   /// Best response of provider i under its quota; returns the solution.
-  /// Thread-safe across DISTINCT i: each provider has its own persistent
-  /// program and solver, so Jacobi rounds run concurrently and each solver
-  /// keeps its own warm-start iterate and cached KKT structure across game
-  /// iterations.
+  /// Thread-safe across DISTINCT i: each provider has its own window
+  /// solver, so Jacobi rounds run concurrently and each keeps its own
+  /// program and cached KKT structure across game iterations.
   dspp::WindowSolution best_response(std::size_t i, const linalg::Vector& quota);
 
   std::vector<ProviderConfig> providers_;
@@ -121,12 +121,12 @@ class CompetitionGame {
   linalg::Vector capacity_;
   GameSettings settings_;
   std::size_t horizon_ = 0;
-  /// One solver per provider: consecutive solves on a shared solver would
-  /// belong to different providers' problems, which both poisons warm
-  /// starts and defeats the structure cache.
-  std::vector<qp::AdmmSolver> solvers_;
-  /// Persistent best-response programs; quota changes are parameter updates.
-  std::vector<std::optional<dspp::WindowProgram>> programs_;
+  /// One exact window solver per provider, pointing into providers_ and
+  /// pair_index_ (never resized after construction). A shared solver would
+  /// see different providers' problems back to back, which defeats the
+  /// structure cache; per provider, a quota change is a parameter update.
+  std::vector<dspp::BlockWindowSolver> responders_;
+  /// Solves the joint social-welfare QP.
   qp::AdmmSolver welfare_solver_;
 };
 

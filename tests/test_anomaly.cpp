@@ -1,124 +1,16 @@
-// Tests for the conjugate-gradient solver and the flash-crowd anomaly
-// detector (including the guard's effect inside a simulated flash crowd).
+// Tests for the flash-crowd anomaly detector (including the guard's effect
+// inside a simulated flash crowd).
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "control/anomaly.hpp"
-#include "linalg/cg.hpp"
-#include "linalg/sparse_ldlt.hpp"
 #include "sim/engine.hpp"
 
 namespace gp {
 namespace {
 
-using linalg::SparseMatrix;
-using linalg::Triplet;
 using linalg::Vector;
-
-/// Symmetric positive-definite test matrix: tridiagonal Laplacian + shift.
-SparseMatrix spd_tridiagonal(std::int32_t n, double diagonal = 4.0) {
-  std::vector<Triplet> triplets;
-  for (std::int32_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, diagonal});
-    if (i + 1 < n) {
-      triplets.push_back({i, i + 1, -1.0});
-      triplets.push_back({i + 1, i, -1.0});
-    }
-  }
-  return SparseMatrix::from_triplets(n, n, triplets);
-}
-
-TEST(ConjugateGradient, SolvesSpdSystem) {
-  const auto a = spd_tridiagonal(50);
-  Rng rng(3);
-  Vector b(50);
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  Vector x(50, 0.0);
-  const auto result = linalg::conjugate_gradient(a, b, x);
-  ASSERT_TRUE(result.converged);
-  const Vector ax = a.multiply(x);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(ax[i], b[i], 1e-7);
-}
-
-TEST(ConjugateGradient, MatchesDirectSolver) {
-  const auto a = spd_tridiagonal(40);
-  Rng rng(5);
-  Vector b(40);
-  for (double& v : b) v = rng.uniform(-2.0, 2.0);
-  Vector x(40, 0.0);
-  ASSERT_TRUE(linalg::conjugate_gradient(a, b, x).converged);
-  linalg::SparseLdlt direct;
-  ASSERT_EQ(direct.factor(a.upper_triangle()), linalg::SparseLdlt::Status::kOk);
-  const Vector reference = direct.solve(b);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(x[i], reference[i], 1e-7);
-}
-
-TEST(ConjugateGradient, JacobiPreconditionerHelpsOnSkewedDiagonal) {
-  // Wildly varying diagonal: Jacobi should cut iterations substantially.
-  const std::int32_t n = 120;
-  std::vector<Triplet> triplets;
-  Rng rng(7);
-  for (std::int32_t i = 0; i < n; ++i) {
-    triplets.push_back({i, i, std::pow(10.0, rng.uniform(0.0, 4.0))});
-    if (i + 1 < n) {
-      triplets.push_back({i, i + 1, 0.3});
-      triplets.push_back({i + 1, i, 0.3});
-    }
-  }
-  const auto a = SparseMatrix::from_triplets(n, n, triplets);
-  Vector b(n, 1.0);
-  linalg::CgSettings with_jacobi;
-  linalg::CgSettings without = with_jacobi;
-  without.jacobi_preconditioner = false;
-  Vector x1(n, 0.0), x2(n, 0.0);
-  const auto preconditioned = linalg::conjugate_gradient(a, b, x1, with_jacobi);
-  const auto plain = linalg::conjugate_gradient(a, b, x2, without);
-  ASSERT_TRUE(preconditioned.converged);
-  EXPECT_LT(preconditioned.iterations, plain.converged ? plain.iterations : 1000);
-}
-
-TEST(ConjugateGradient, WarmStartFinishesFaster) {
-  const auto a = spd_tridiagonal(60);
-  Vector b(60, 1.0);
-  Vector cold(60, 0.0);
-  const auto cold_result = linalg::conjugate_gradient(a, b, cold);
-  ASSERT_TRUE(cold_result.converged);
-  Vector warm = cold;  // exact solution as the start
-  const auto warm_result = linalg::conjugate_gradient(a, b, warm);
-  ASSERT_TRUE(warm_result.converged);
-  EXPECT_LE(warm_result.iterations, 2);
-}
-
-TEST(ConjugateGradient, ReportsNonConvergenceOnIndefiniteMatrix) {
-  // Indefinite: [[1, 2], [2, 1]].
-  const auto a = SparseMatrix::from_triplets(
-      2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 2.0}, {1, 1, 1.0}});
-  Vector b{1.0, -1.0};
-  Vector x(2, 0.0);
-  const auto result = linalg::conjugate_gradient(a, b, x);
-  EXPECT_FALSE(result.converged);
-}
-
-TEST(ConjugateGradient, ZeroRhsGivesZeroSolution) {
-  const auto a = spd_tridiagonal(10);
-  Vector b(10, 0.0);
-  Vector x(10, 5.0);
-  const auto result = linalg::conjugate_gradient(a, b, x);
-  EXPECT_TRUE(result.converged);
-  for (double v : x) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(ConjugateGradient, ValidatesInputs) {
-  const auto a = spd_tridiagonal(4);
-  Vector b(3, 1.0);
-  Vector x(4, 0.0);
-  EXPECT_THROW(linalg::conjugate_gradient(a, b, x), PreconditionError);
-}
-
-// --- anomaly detector ---
 
 TEST(AnomalyDetector, FlagsSpikeAfterWarmup) {
   control::AnomalyDetector detector(0.25, 4.0, 4);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -18,6 +19,11 @@ namespace {
 
 using dspp::DsppModel;
 using linalg::Vector;
+
+// The controller's window solver points into its own model and pair index,
+// so a copied or moved controller would dangle: both must not compile.
+static_assert(!std::is_copy_constructible_v<MpcController>);
+static_assert(!std::is_move_constructible_v<MpcController>);
 
 DsppModel single_model(double reconfig_cost = 1.0) {
   DsppModel model;

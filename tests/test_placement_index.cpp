@@ -252,6 +252,7 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
 
   dspp::BlockWindowSettings settings;
   settings.num_blocks = 1;
+  settings.solver.auto_warm_start = true;
   dspp::BlockWindowSolver block_solver(model, pairs, settings);
 
   // The exact sequence MpcController historically ran.
