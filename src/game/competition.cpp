@@ -41,14 +41,12 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
   require(capacity_.size() == num_l, "CompetitionGame: capacity size != L");
   for (double c : capacity_) require(c > 0.0, "CompetitionGame: capacity must be > 0");
   pair_index_.reserve(providers_.size());
-  for (const auto& provider : providers_) {
-    require(provider.demand.size() == horizon_, "CompetitionGame: providers disagree on W");
-    require(provider.price.size() == horizon_, "CompetitionGame: price horizon mismatch");
+  for (std::size_t i = 0; i < providers_.size(); ++i) {
+    const auto& provider = providers_[i];
     require(provider.model.num_datacenters() == num_l,
             "CompetitionGame: providers disagree on the data-center set");
     pair_index_.emplace_back(provider.model);
-    require(provider.initial_state.size() == pair_index_.back().num_pairs(),
-            "CompetitionGame: initial state size mismatch");
+    check_window(i, provider.initial_state, provider.demand, provider.price);
   }
   dspp::BlockWindowSettings response_settings;
   response_settings.solver = best_response_settings(settings_);
@@ -56,6 +54,25 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
   for (std::size_t i = 0; i < providers_.size(); ++i) {
     responders_.emplace_back(providers_[i].model, pair_index_[i], response_settings);
   }
+}
+
+void CompetitionGame::check_window(std::size_t i, const Vector& initial_state,
+                                   const std::vector<Vector>& demand,
+                                   const std::vector<Vector>& price) const {
+  require(demand.size() == horizon_, "CompetitionGame: providers disagree on W");
+  require(price.size() == horizon_, "CompetitionGame: price horizon mismatch");
+  require(initial_state.size() == pair_index_[i].num_pairs(),
+          "CompetitionGame: initial state size mismatch");
+}
+
+void CompetitionGame::set_window(std::size_t i, Vector initial_state, std::vector<Vector> demand,
+                                 std::vector<Vector> price) {
+  require(i < providers_.size(), "CompetitionGame::set_window: provider out of range");
+  check_window(i, initial_state, demand, price);
+  auto& provider = providers_[i];
+  provider.initial_state = std::move(initial_state);
+  provider.demand = std::move(demand);
+  provider.price = std::move(price);
 }
 
 dspp::WindowSolution CompetitionGame::best_response(std::size_t i, const Vector& quota) {
@@ -69,9 +86,11 @@ dspp::WindowSolution CompetitionGame::best_response(std::size_t i, const Vector&
   inputs.price = provider.price;
   inputs.capacity_override = quota;
   inputs.soft_demand_penalty = settings_.soft_demand_penalty;
-  // Across game iterations only the quota changes, so after the first build
-  // each call is a parameter update; with the solver's structure cache the
-  // per-iteration setup cost (scaling, ordering, factorization) disappears.
+  // Across game iterations only the quota changes (across set_window() calls
+  // only the window inputs), so after the first build each call is a
+  // parameter update: the structure cache removes the setup cost (scaling,
+  // ordering, factorization), and the default warm start begins ADMM at
+  // this provider's previous solution instead of at zero.
   dspp::WindowSolution solution = responders_[i].solve(std::move(inputs));
   if (obs::metrics_enabled()) {
     obs::Registry::global().histogram("game.best_response_ms").record(span.elapsed_ms());

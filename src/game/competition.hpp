@@ -65,7 +65,13 @@ struct GameSettings {
   /// bit-identical at any setting — each provider has its own solver and
   /// results land by provider index.
   std::size_t num_threads = 0;
-  qp::AdmmSettings solver;
+  /// Best-response solver settings (polish is always forced on). Warm
+  /// starting is on by default: between Jacobi rounds only a provider's
+  /// quota moves, and between periods of a persistent game only its window
+  /// inputs, so each best response starts from that provider's previous
+  /// solution. Each provider has its own solver, so no provider ever starts
+  /// from another's iterate.
+  qp::AdmmSettings solver{.auto_warm_start = true};
 };
 
 /// Outcome of the iterative equilibrium computation.
@@ -102,9 +108,19 @@ class CompetitionGame {
   /// split C/N otherwise.
   GameResult run(std::optional<std::vector<linalg::Vector>> initial_quotas = std::nullopt);
 
+  /// Replaces provider i's window inputs (same shapes as at construction)
+  /// for the next run(). The provider's solver keeps its structure cache,
+  /// adapted rho and last iterate, so a receding-horizon caller re-runs the
+  /// same game every period instead of rebuilding it.
+  void set_window(std::size_t i, linalg::Vector initial_state,
+                  std::vector<linalg::Vector> demand, std::vector<linalg::Vector> price);
+
   /// Solves the SWP as a single joint QP (soft demand with the same penalty,
   /// so costs are comparable with run()).
   SocialWelfareResult solve_social_welfare();
+
+  /// Caps the lanes of later run() calls (GameSettings::num_threads).
+  void set_num_threads(std::size_t num_threads) { settings_.num_threads = num_threads; }
 
   std::size_t num_providers() const { return providers_.size(); }
   const dspp::PairIndex& pairs(std::size_t i) const { return pair_index_[i]; }
@@ -113,8 +129,15 @@ class CompetitionGame {
   /// Best response of provider i under its quota; returns the solution.
   /// Thread-safe across DISTINCT i: each provider has its own window
   /// solver, so Jacobi rounds run concurrently and each keeps its own
-  /// program and cached KKT structure across game iterations.
+  /// program, cached KKT structure, polish factorization and (by default)
+  /// warm-start iterate across game iterations and set_window() calls.
   dspp::WindowSolution best_response(std::size_t i, const linalg::Vector& quota);
+
+  /// Shape checks on provider i's window inputs, shared by the constructor
+  /// and set_window().
+  void check_window(std::size_t i, const linalg::Vector& initial_state,
+                    const std::vector<linalg::Vector>& demand,
+                    const std::vector<linalg::Vector>& price) const;
 
   std::vector<ProviderConfig> providers_;
   std::vector<dspp::PairIndex> pair_index_;
@@ -124,7 +147,9 @@ class CompetitionGame {
   /// One exact window solver per provider, pointing into providers_ and
   /// pair_index_ (never resized after construction). A shared solver would
   /// see different providers' problems back to back, which defeats the
-  /// structure cache; per provider, a quota change is a parameter update.
+  /// structure cache and the warm start; per provider, a quota change (or
+  /// a set_window() call) is a parameter update that starts from the
+  /// provider's own previous solution.
   std::vector<dspp::BlockWindowSolver> responders_;
   /// Solves the joint social-welfare QP.
   qp::AdmmSolver welfare_solver_;

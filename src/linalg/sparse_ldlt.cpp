@@ -21,7 +21,6 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
           "SparseLdlt: permutation size mismatch");
   n_ = upper.rows();
   perm_ = std::move(perm);
-  inv_perm_ = invert_permutation(perm_);
 
   const SparseMatrix permuted = symmetric_permute_upper(upper, perm_);
   pattern_col_ptr_.assign(permuted.col_ptr().begin(), permuted.col_ptr().end());

@@ -59,7 +59,6 @@ class SparseLdlt {
 
   std::int32_t n_ = 0;
   Permutation perm_;
-  Permutation inv_perm_;
   // Symbolic data.
   std::vector<std::int32_t> parent_;
   std::vector<std::int32_t> l_col_ptr_;

@@ -70,81 +70,89 @@ std::pair<double, double> kkt_residuals(const QpProblem& problem, const Vector& 
   return {primal, dual};
 }
 
-/// OSQP-style polish: equality-constrained QP on the active rows (see
-/// AdmmSettings::polish). `a_mirror` is the solver's CSR mirror of the
-/// UNSCALED constraint matrix: its rows are the columns of A^T, which is
-/// exactly what the active-set assembly below walks — so the per-polish
-/// problem.a.transposed() materialization is gone. Returns true and
-/// overwrites (x, y) on success.
-bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
-                     const linalg::RowMajorMirror& a_mirror, Vector& x, Vector& y) {
+}  // namespace
+
+bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& settings, Vector& x,
+                               Vector& y) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
-  Vector ax(m, 0.0);
-  a_mirror.multiply_accumulate(1.0, x, ax);
+  const SparseMatrix& a = problem.a;
+  const auto a_col_ptr = a.col_ptr();
+  const auto a_row_idx = a.row_idx();
+  const auto a_values = a.values();
+  const Vector ax = a.multiply(x);
 
   // Detect the active set from the duals (sign convention: y > 0 pushes on
-  // the upper bound) with a primal confirmation.
+  // the upper bound) with a primal confirmation. slot[i] is row i's position
+  // in the reduced system, -1 when inactive.
   std::vector<std::int32_t> active_rows;
+  std::vector<std::int32_t> slot(m, -1);
   std::vector<double> active_rhs;
+  const auto activate = [&](std::size_t i, double rhs) {
+    slot[i] = static_cast<std::int32_t>(active_rows.size());
+    active_rows.push_back(static_cast<std::int32_t>(i));
+    active_rhs.push_back(rhs);
+  };
   for (std::size_t i = 0; i < m; ++i) {
     const bool equality = problem.lower[i] == problem.upper[i];
     const double span_tol =
         1e-6 * (1.0 + std::max(std::abs(problem.lower[i]), std::abs(problem.upper[i])));
     if (equality) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.upper[i]);
+      activate(i, problem.upper[i]);
     } else if (y[i] > 1e-10 && problem.upper[i] < kInfinity &&
                ax[i] > problem.upper[i] - 1e3 * span_tol) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.upper[i]);
+      activate(i, problem.upper[i]);
     } else if (y[i] < -1e-10 && problem.lower[i] > -kInfinity &&
                ax[i] < problem.lower[i] + 1e3 * span_tol) {
-      active_rows.push_back(static_cast<std::int32_t>(i));
-      active_rhs.push_back(problem.lower[i]);
+      activate(i, problem.lower[i]);
     }
   }
   const std::size_t k = active_rows.size();
 
-  // Assemble the reduced KKT upper triangle [[P + dI, A_act^T], [A_act, -dI]].
   const double reg = settings.polish_regularization;
-  std::vector<Triplet> triplets;
-  const auto pu = problem.p.upper_triangle();
-  for (std::int32_t c = 0; c < pu.cols(); ++c) {
-    for (std::int32_t e = pu.col_ptr()[c]; e < pu.col_ptr()[c + 1]; ++e) {
-      triplets.push_back({pu.row_idx()[e], c, pu.values()[e]});
+  if (factored_ && active_rows == factored_rows_ && reg == factored_regularization_) {
+    ++reuses_;  // identical reduced KKT matrix: keep its factorization
+  } else {
+    // Assemble the reduced KKT upper triangle [[P + dI, A_act^T], [A_act, -dI]]:
+    // active row i of A becomes column n + slot[i].
+    std::vector<Triplet> triplets;
+    triplets.reserve(static_cast<std::size_t>(problem.p.nnz() + a.nnz()) + n + k);
+    const auto p_col_ptr = problem.p.col_ptr();
+    const auto p_row_idx = problem.p.row_idx();
+    const auto p_values = problem.p.values();
+    for (std::int32_t c = 0; c < problem.p.cols(); ++c) {
+      for (std::int32_t e = p_col_ptr[c]; e < p_col_ptr[c + 1]; ++e) {
+        if (p_row_idx[e] <= c) triplets.push_back({p_row_idx[e], c, p_values[e]});
+      }
     }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j), reg});
-  }
-  // Rows of A restricted to the active set, as columns n..n+k-1 (row r of
-  // the CSR mirror = column r of A^T, entries already sorted by variable).
-  const auto row_ptr = a_mirror.row_ptr();
-  const auto col_idx = a_mirror.col_idx();
-  const auto a_values = a_mirror.values();
-  for (std::size_t r = 0; r < k; ++r) {
-    const std::int32_t row = active_rows[r];
-    for (std::int32_t e = row_ptr[static_cast<std::size_t>(row)];
-         e < row_ptr[static_cast<std::size_t>(row) + 1]; ++e) {
-      triplets.push_back({col_idx[static_cast<std::size_t>(e)],
-                          static_cast<std::int32_t>(n + r),
-                          a_values[static_cast<std::size_t>(e)]});
+    for (std::size_t j = 0; j < n; ++j) {
+      triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j), reg});
     }
-    triplets.push_back({static_cast<std::int32_t>(n + r), static_cast<std::int32_t>(n + r),
-                        -reg});
+    for (std::int32_t c = 0; c < a.cols(); ++c) {
+      for (std::int32_t e = a_col_ptr[c]; e < a_col_ptr[c + 1]; ++e) {
+        const std::int32_t r = slot[static_cast<std::size_t>(a_row_idx[e])];
+        if (r >= 0) triplets.push_back({c, static_cast<std::int32_t>(n) + r, a_values[e]});
+      }
+    }
+    for (std::size_t r = 0; r < k; ++r) {
+      triplets.push_back({static_cast<std::int32_t>(n + r), static_cast<std::int32_t>(n + r),
+                          -reg});
+    }
+    const auto kkt = SparseMatrix::from_triplets(static_cast<std::int32_t>(n + k),
+                                                 static_cast<std::int32_t>(n + k), triplets);
+    ++factorizations_;
+    factored_ = ldlt_.factor(kkt) == SparseLdlt::Status::kOk;
+    if (!factored_) return false;
+    factored_rows_ = active_rows;
+    factored_regularization_ = reg;
   }
-  const auto kkt = SparseMatrix::from_triplets(static_cast<std::int32_t>(n + k),
-                                               static_cast<std::int32_t>(n + k), triplets);
-  SparseLdlt ldlt;
-  if (ldlt.factor(kkt) != SparseLdlt::Status::kOk) return false;
 
   // Solve with a few steps of iterative refinement against the UNregularized
   // system (the standard trick to cancel the d-perturbation).
   Vector rhs(n + k, 0.0);
   for (std::size_t j = 0; j < n; ++j) rhs[j] = -problem.q[j];
   for (std::size_t r = 0; r < k; ++r) rhs[n + r] = active_rhs[r];
-  Vector solution = ldlt.solve(rhs);
+  Vector solution = ldlt_.solve(rhs);
   for (int step = 0; step < settings.polish_refinement_steps; ++step) {
     // residual = rhs - K_exact * solution, where K_exact has no +/-d terms.
     Vector residual = rhs;
@@ -153,16 +161,15 @@ bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
     const Vector pxs = problem.p.multiply(xs);
     for (std::size_t j = 0; j < n; ++j) residual[j] -= pxs[j];
     // A_act^T nu contribution on the first block; A_act xs on the second.
-    for (std::size_t r = 0; r < k; ++r) {
-      const std::int32_t row = active_rows[r];
-      for (std::int32_t e = row_ptr[static_cast<std::size_t>(row)];
-           e < row_ptr[static_cast<std::size_t>(row) + 1]; ++e) {
-        const auto var = static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)]);
-        residual[var] -= a_values[static_cast<std::size_t>(e)] * nu[r];
-        residual[n + r] -= a_values[static_cast<std::size_t>(e)] * xs[var];
+    for (std::size_t c = 0; c < n; ++c) {
+      for (std::int32_t e = a_col_ptr[c]; e < a_col_ptr[c + 1]; ++e) {
+        const std::int32_t r = slot[static_cast<std::size_t>(a_row_idx[e])];
+        if (r < 0) continue;
+        residual[c] -= a_values[e] * nu[static_cast<std::size_t>(r)];
+        residual[n + static_cast<std::size_t>(r)] -= a_values[e] * xs[c];
       }
     }
-    const Vector correction = ldlt.solve(residual);
+    const Vector correction = ldlt_.solve(residual);
     for (std::size_t i = 0; i < solution.size(); ++i) solution[i] += correction[i];
   }
 
@@ -181,8 +188,6 @@ bool polish_solution(const QpProblem& problem, const AdmmSettings& settings,
   }
   return false;
 }
-
-}  // namespace
 
 void AdmmWorkspace::resize(std::size_t n, std::size_t m) {
   x.assign(n, 0.0);
@@ -393,14 +398,18 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   result.status = SolveStatus::kMaxIterations;
   result.info.cache_hits = use_cache ? 1 : 0;
 
+  // (P, A) equal to those of the cached solve. The cached scaling is in use,
+  // so the scaled matrices are equal too.
+  const bool matrices_unchanged = use_cache &&
+                                  std::ranges::equal(original.p.values(), cached_p_values_) &&
+                                  std::ranges::equal(original.a.values(), cached_a_values_);
+  // The polish factorization is valid only for the matrices it was built
+  // from, which are the cached ones while it is kept.
+  if (!matrices_unchanged) polisher_.forget();
+
   SparseLdlt& kkt = kkt_;
-  const bool values_unchanged = reuse_rho && kkt.status() == SparseLdlt::Status::kOk &&
-                                problem.p.values().size() == cached_p_values_.size() &&
-                                std::equal(problem.p.values().begin(), problem.p.values().end(),
-                                           cached_p_values_.begin()) &&
-                                problem.a.values().size() == cached_a_values_.size() &&
-                                std::equal(problem.a.values().begin(), problem.a.values().end(),
-                                           cached_a_values_.begin());
+  const bool values_unchanged =
+      matrices_unchanged && reuse_rho && kkt.status() == SparseLdlt::Status::kOk;
   if (values_unchanged) {
     // Same scaled (P, A) and rho as the cached factorization: a pure
     // (q, lower, upper) parameter update. Reuse the factor outright.
@@ -680,18 +689,13 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   for (std::size_t i = 0; i < m; ++i) result.y[i] = scaling.e[i] * y[i] / scaling.cost_scale;
   if (settings_.polish && result.status == SolveStatus::kOptimal) {
     obs::Span polish_span("admm.polish");
-    // Mirror of the UNSCALED constraint matrix (the polish works on the
-    // original problem); built once per structure, values refreshed here.
-    if (polish_mirror_.pattern_matches(original.a)) {
-      polish_mirror_.update_values(original.a);
-    } else {
-      polish_mirror_.build(original.a);
-    }
-    if (polish_solution(original, settings_, polish_mirror_, result.x, result.y)) {
+    if (polisher_.polish(original, settings_, result.x, result.y)) {
       const auto [primal, dual] = kkt_residuals(original, result.x, result.y);
       result.primal_residual = primal;
       result.dual_residual = dual;
     }
+    cache_stats_.polish_factorizations = polisher_.factorizations();
+    cache_stats_.polish_reuses = polisher_.reuses();
   }
   result.objective = original.objective(result.x);
   if (settings_.auto_warm_start &&
@@ -700,8 +704,8 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     warm_y_ = result.y;
   }
 
-  // Refresh the structure cache: patterns of the (unscaled) input, the
-  // scaled values backing kkt_'s current factorization, the equilibration,
+  // Refresh the structure cache: patterns and values of the (unscaled)
+  // input, which with the equilibration back kkt_'s current factorization,
   // and the final (possibly adapted) rho.
   if (settings_.cache_structure && kkt.status() == SparseLdlt::Status::kOk &&
       result.status != SolveStatus::kNumericalError) {
@@ -710,8 +714,8 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     cached_p_row_idx_.assign(original.p.row_idx().begin(), original.p.row_idx().end());
     cached_a_col_ptr_.assign(original.a.col_ptr().begin(), original.a.col_ptr().end());
     cached_a_row_idx_.assign(original.a.row_idx().begin(), original.a.row_idx().end());
-    cached_p_values_.assign(problem.p.values().begin(), problem.p.values().end());
-    cached_a_values_.assign(problem.a.values().begin(), problem.a.values().end());
+    cached_p_values_.assign(original.p.values().begin(), original.p.values().end());
+    cached_a_values_.assign(original.a.values().begin(), original.a.values().end());
     cached_scaling_ = std::move(scaling);
     cached_rho_.assign(rho.begin(), rho.end());  // rho aliases workspace_.rho
     cached_row_class_ = std::move(row_class);

@@ -46,6 +46,8 @@ struct AdmmSettings {
   /// turns the first-order 1e-6-ish iterate into a near-exact KKT point,
   /// which sharpens the capacity duals the competition game consumes. The
   /// polish is accepted only when it actually reduces the KKT residuals.
+  /// With cache_structure, its reduced-KKT factorization is reused across
+  /// solves while the active set and (P, A) repeat (see ActiveSetPolisher).
   bool polish = false;
   double polish_regularization = 1e-9;
   int polish_refinement_steps = 3;
@@ -88,6 +90,37 @@ struct AdmmCacheStats {
   long long full_factorizations = 0;   ///< fresh ordering + symbolic + numeric factors
   long long refactorizations = 0;      ///< numeric-only factors (incl. in-solve rho updates)
   long long factorizations_skipped = 0;///< solves that reused the cached factor unchanged
+  long long polish_factorizations = 0; ///< reduced-KKT factorizations in the polish step
+  long long polish_reuses = 0;         ///< polishes that reused the previous one's factor
+};
+
+/// OSQP's polish step (see AdmmSettings::polish): solves the equality-
+/// constrained QP on the active set detected from (x, y). The reduced KKT
+/// factorization is kept and reused while the active rows and the
+/// regularization repeat; the caller must forget() it whenever P or A
+/// changes. The reduced KKT matrix is then identical, so a reused polish is
+/// bitwise equal to a fresh one. One instance per solver (not thread-safe).
+class ActiveSetPolisher {
+ public:
+  /// Polishes (x, y) for `problem` (unscaled). Returns true and overwrites
+  /// (x, y) when the polished point is a strictly better KKT point.
+  bool polish(const QpProblem& problem, const AdmmSettings& settings, linalg::Vector& x,
+              linalg::Vector& y);
+
+  /// Drops the kept factorization: P or A differ from the last polish's.
+  void forget() { factored_ = false; }
+
+  /// Reduced-KKT factorizations run, and polishes that reused the kept one.
+  long long factorizations() const { return factorizations_; }
+  long long reuses() const { return reuses_; }
+
+ private:
+  linalg::SparseLdlt ldlt_;
+  std::vector<std::int32_t> factored_rows_;  // active rows ldlt_ was built for
+  double factored_regularization_ = 0.0;
+  bool factored_ = false;
+  long long factorizations_ = 0;
+  long long reuses_ = 0;
 };
 
 /// Sparse first-order QP solver (see file comment).
@@ -127,8 +160,9 @@ class AdmmSolver final : public QpSolver {
   // Sparsity patterns of the LAST problem solved (scaling preserves them).
   std::vector<std::int32_t> cached_p_col_ptr_, cached_p_row_idx_;
   std::vector<std::int32_t> cached_a_col_ptr_, cached_a_row_idx_;
-  // Scaled matrix values backing kkt_'s current factorization, for the
-  // values-unchanged fast path.
+  // Unscaled matrix values behind kkt_'s current factorization (with
+  // cached_scaling_), for the values-unchanged fast path and the polish
+  // factorization reuse.
   linalg::Vector cached_p_values_, cached_a_values_;
   Scaling cached_scaling_;
   linalg::Vector cached_rho_;               // per-row rho kkt_ was factored with
@@ -150,9 +184,10 @@ class AdmmSolver final : public QpSolver {
   // results. Built lazily — a scalar-pinned run never pays for them.
   linalg::SellMirror a_sell_;
   linalg::SellMirror at_sell_;
-  // CSR mirror of the UNSCALED constraint matrix, built only when polish is
-  // enabled (replaces the per-polish problem.a.transposed()).
-  linalg::RowMajorMirror polish_mirror_;
+  // Polish step and its kept reduced-KKT factorization (used only when
+  // settings_.polish is on; reuse needs cache_structure, which detects
+  // unchanged matrices).
+  ActiveSetPolisher polisher_;
   AdmmWorkspace workspace_;
   AdmmCacheStats cache_stats_;
 };

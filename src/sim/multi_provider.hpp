@@ -8,6 +8,13 @@
 // Quotas are warm-started from the previous period's equilibrium, which is
 // both realistic (allocations persist between negotiation rounds) and what
 // keeps the per-period iteration count low once the system settles.
+//
+// One CompetitionGame serves the whole run: it is built on the first period
+// and every later period only replaces each tenant's window (initial state,
+// forecast, prices) through set_window(). Each tenant's best-response solver
+// therefore keeps its structure cache, adapted rho, polish factorization and
+// last iterate across periods, and its first solve of a period starts from
+// the previous period's equilibrium response (unshifted).
 #pragma once
 
 #include <memory>

@@ -1,8 +1,10 @@
 // Integration tests for the dynamic multi-tenant simulation: Algorithm 2
-// inside the receding-horizon loop, with quota warm starting.
+// inside the receding-horizon loop, with quota and best-response warm
+// starting.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "sim/multi_provider.hpp"
 
 namespace gp::sim {
@@ -102,10 +104,10 @@ TEST(MultiTenant, WarmStartedQuotasSettle) {
   MultiTenantConfig config = default_config(10);
   config.utc_start_hour = 10.0;  // inside the busy plateau: stable demand
   config.warm_start_quotas = true;
+  const int floor_iterations = 1 + config.game.stable_iterations_required;
   MultiTenantSimulation simulation(std::move(tenants), shared_prices(),
                                    Vector{60.0, 60.0}, std::move(config));
   const auto summary = simulation.run();
-  const int floor_iterations = 1 + config.game.stable_iterations_required;
   // The tail periods should sit at (or very near) the floor.
   int tail_sum = 0;
   for (std::size_t k = summary.game_iterations.size() - 3;
@@ -113,6 +115,71 @@ TEST(MultiTenant, WarmStartedQuotasSettle) {
     tail_sum += summary.game_iterations[k];
   }
   EXPECT_LE(tail_sum, 3 * (floor_iterations + 2));
+}
+
+/// Three tenants with noisy demand sharing capacity that binds: some demand
+/// goes unserved, so every period negotiates contested quotas.
+MultiTenantSimulation contended_simulation(MultiTenantConfig config) {
+  std::vector<TenantConfig> tenants;
+  tenants.push_back(make_tenant(500.0, 1.0, -5));
+  tenants.push_back(make_tenant(400.0, 2.0, -6));
+  tenants.push_back(make_tenant(300.0, 1.0, -8));
+  config.utc_start_hour = 8.0;
+  config.noisy_demand = true;
+  config.seed = 7;
+  config.game.epsilon = 0.01;
+  return MultiTenantSimulation(std::move(tenants), shared_prices(), Vector{40.0, 40.0},
+                               std::move(config));
+}
+
+TEST(MultiTenant, BitIdenticalAcrossLanes) {
+  // One persistent game serves every period, so each tenant's solver state
+  // (iterate, rho, factorizations) crosses periods; results must still not
+  // depend on which pool lane ran which best response.
+  MultiTenantConfig one_lane = default_config(10);
+  one_lane.game.num_threads = 1;
+  MultiTenantConfig four_lanes = default_config(10);
+  four_lanes.game.num_threads = 4;
+  const auto a = contended_simulation(one_lane).run();
+  const auto b = contended_simulation(four_lanes).run();
+
+  EXPECT_GT(a.total_unserved, 0.0);  // capacity binds
+  EXPECT_EQ(a.game_iterations, b.game_iterations);
+  EXPECT_EQ(a.game_converged, b.game_converged);
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+    ASSERT_EQ(a.tenants[i].size(), b.tenants[i].size());
+    for (std::size_t k = 0; k < a.tenants[i].size(); ++k) {
+      EXPECT_EQ(a.tenants[i][k].demand, b.tenants[i][k].demand) << i << "," << k;
+      EXPECT_EQ(a.tenants[i][k].servers, b.tenants[i][k].servers) << i << "," << k;
+      EXPECT_EQ(a.tenants[i][k].cost, b.tenants[i][k].cost) << i << "," << k;
+      EXPECT_EQ(a.tenants[i][k].unserved, b.tenants[i][k].unserved) << i << "," << k;
+    }
+  }
+  EXPECT_EQ(a.total_cost, b.total_cost);
+}
+
+TEST(MultiTenant, WarmStartedBestResponsesCutIterations) {
+  // Best responses warm-start by default: each starts from its tenant's
+  // previous solution (previous round, or previous period). Turning that
+  // off restarts every solve from zero.
+  auto& registry = obs::Registry::global();
+  const bool metrics_were_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto& iterations = registry.counter("admm.iterations");
+  const auto admm_iterations = [&](MultiTenantConfig config) {
+    const long long before = iterations.value();
+    (void)contended_simulation(std::move(config)).run();
+    return iterations.value() - before;
+  };
+  MultiTenantConfig cold = default_config(10);
+  cold.game.solver.auto_warm_start = false;
+  const long long cold_iterations = admm_iterations(cold);
+  const long long warm_iterations = admm_iterations(default_config(10));
+  registry.set_enabled(metrics_were_enabled);
+
+  EXPECT_GT(cold_iterations, 0);
+  EXPECT_LE(static_cast<double>(warm_iterations), 0.5 * static_cast<double>(cold_iterations));
 }
 
 TEST(MultiTenant, ValidatesConstruction) {

@@ -418,6 +418,76 @@ TEST(Admm, PolishMatchesIpmDuals) {
   }
 }
 
+TEST(Admm, ReusedPolishFactorIsExact) {
+  // Polishing the same (problem, x, y) with a kept factorization and with a
+  // fresh polisher must agree bit for bit: the reduced KKT matrix is the same.
+  Rng rng(5050);
+  const QpProblem problem = random_feasible_qp(12, 10, rng);
+  AdmmSettings settings;
+  settings.eps_abs = 1e-4;
+  settings.eps_rel = 1e-4;
+  const QpResult rough = AdmmSolver(settings).solve(problem);
+  ASSERT_TRUE(rough.ok());
+
+  ActiveSetPolisher warm;
+  Vector x_warm = rough.x, y_warm = rough.y;
+  ASSERT_TRUE(warm.polish(problem, settings, x_warm, y_warm));
+  x_warm = rough.x;
+  y_warm = rough.y;
+  ASSERT_TRUE(warm.polish(problem, settings, x_warm, y_warm));
+  EXPECT_EQ(warm.factorizations(), 1);
+  EXPECT_EQ(warm.reuses(), 1);
+
+  ActiveSetPolisher cold;
+  Vector x_cold = rough.x, y_cold = rough.y;
+  ASSERT_TRUE(cold.polish(problem, settings, x_cold, y_cold));
+  EXPECT_EQ(cold.reuses(), 0);
+  EXPECT_EQ(x_warm, x_cold);
+  EXPECT_EQ(y_warm, y_cold);
+  EXPECT_EQ(problem.objective(x_warm), problem.objective(x_cold));
+}
+
+TEST(Admm, PolishRefactorsWhenMatrixValuesChange) {
+  // The solver keeps its polish factorization across solves of the same
+  // matrices and must drop it once a P or an A value changes; the result is
+  // then a fresh polish of the (unpolished) iterate.
+  Rng rng(6060);
+  const QpProblem problem = random_feasible_qp(12, 10, rng);
+  AdmmSettings plain;
+  plain.eps_abs = 1e-4;
+  plain.eps_rel = 1e-4;
+  AdmmSettings polished = plain;
+  polished.polish = true;
+
+  QpProblem new_p = problem;
+  new_p.p.mutable_values()[0] += 0.5;  // a diagonal entry: P stays symmetric
+  QpProblem new_a = problem;
+  new_a.a.mutable_values()[0] *= 1.1;
+  for (const QpProblem* changed : {&new_p, &new_a}) {
+    AdmmSolver solver(polished);
+    ASSERT_TRUE(solver.solve(problem).ok());
+    ASSERT_TRUE(solver.solve(problem).ok());
+    EXPECT_EQ(solver.cache_stats().polish_reuses, 1);  // same matrices: kept
+    const QpResult result = solver.solve(*changed);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(solver.cache_stats().polish_reuses, 1);
+    EXPECT_EQ(solver.cache_stats().polish_factorizations, 2);
+
+    // Without polish the same solve history yields the iterate the polish
+    // started from (no warm start, so polishing never feeds back).
+    AdmmSolver reference(plain);
+    ASSERT_TRUE(reference.solve(problem).ok());
+    ASSERT_TRUE(reference.solve(problem).ok());
+    const QpResult unpolished = reference.solve(*changed);
+    ActiveSetPolisher fresh;
+    Vector x = unpolished.x, y = unpolished.y;
+    ASSERT_TRUE(fresh.polish(*changed, polished, x, y));
+    EXPECT_EQ(result.x, x);
+    EXPECT_EQ(result.y, y);
+    EXPECT_EQ(result.objective, changed->objective(x));
+  }
+}
+
 TEST(Ipm, TightToleranceOnEqualityQp) {
   const QpProblem problem = simple_equality();
   IpmSettings settings;

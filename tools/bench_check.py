@@ -43,6 +43,11 @@ gated against the MOST RECENT history line with the ordinary pair rules
 red run can never poison the trajectory baseline. The first entry seeds
 the history and always passes.
 
+Pair mode and --append-history refuse (exit 2) to compare two artifacts
+whose manifests both carry one of COMPARABILITY_FIELDS (spec_hash, simd,
+threads) with different values: a different workload spec, SIMD tier or
+lane count makes the ratio meaningless. The message names the field.
+
 Times below --floor-ms (default 5 ms) are skipped: at that scale the
 scheduler jitter exceeds any real regression.
 """
@@ -67,6 +72,35 @@ def strip_manifest(tree, label=""):
         print(f"bench_check{label}: malformed manifest (no tool/git_sha)",
               file=sys.stderr)
     return {key: value for key, value in tree.items() if key != "manifest"}
+
+
+# Manifest fields that must agree before two artifacts are compared.
+COMPARABILITY_FIELDS = ("spec_hash", "simd", "threads")
+
+
+def incomparable_field(baseline, candidate):
+    """Returns the first COMPARABILITY_FIELDS entry that both manifests
+    carry with different values, or None. A tree without a manifest, or a
+    manifest without the field, cannot be checked and is let through."""
+    base = baseline.get("manifest") if isinstance(baseline, dict) else None
+    cand = candidate.get("manifest") if isinstance(candidate, dict) else None
+    if not isinstance(base, dict) or not isinstance(cand, dict):
+        return None
+    for field in COMPARABILITY_FIELDS:
+        if field in base and field in cand and base[field] != cand[field]:
+            return field
+    return None
+
+
+def refuse_incomparable(baseline, candidate, label):
+    """Prints why a pair cannot be compared and returns 2, or returns 0."""
+    field = incomparable_field(baseline, candidate)
+    if field is None:
+        return 0
+    print(f"bench_check{label}: refusing to compare: manifests differ in "
+          f"{field} ({baseline['manifest'][field]!r} vs "
+          f"{candidate['manifest'][field]!r})", file=sys.stderr)
+    return 2
 
 
 def walk(tree, path=()):
@@ -289,10 +323,13 @@ def append_history(paths, threshold, floor_ms, history_dir=None):
             print(f"bench_check{label}: no prior history, seeding "
                   f"{history_path}")
         else:
-            code = run_check(prior.get("bench", {}), bench, threshold,
-                             floor_ms, label + " vs history")
+            code = refuse_incomparable(prior, tree, label + " vs history")
+            if code == 0:
+                code = run_check(prior.get("bench", {}), bench, threshold,
+                                 floor_ms, label + " vs history")
         if code != 0:
-            print(f"bench_check{label}: regression vs history tail, "
+            reason = "not comparable with" if code == 2 else "regression vs"
+            print(f"bench_check{label}: {reason} history tail, "
                   f"NOT appended to {history_path}", file=sys.stderr)
             worst = max(worst, code)
             continue
@@ -317,7 +354,10 @@ def run_file_pairs(paths, threshold, floor_ms):
             print(f"bench_check: {err}", file=sys.stderr)
             return 2
         label = f" [{os.path.basename(candidate_path)}]"
-        worst = max(worst, run_check(baseline, candidate, threshold, floor_ms, label))
+        code = refuse_incomparable(baseline, candidate, label)
+        if code == 0:
+            code = run_check(baseline, candidate, threshold, floor_ms, label)
+        worst = max(worst, code)
     return worst
 
 
@@ -538,6 +578,38 @@ def self_test():
         expect(append_history([os.path.join(tmp, "BENCH_fake.json")],
                               0.15, 5.0, hist_dir), 0,
                "a corrupt history tail is skipped, not fatal")
+
+        # Comparability: a pair (or a history tail) whose manifests disagree
+        # on the workload spec, SIMD tier or lane count is refused with exit
+        # 2, in both modes; a manifest lacking the field is let through.
+        manifest = {"tool": "bench", "git_sha": "abc123def456",
+                    "spec_hash": "028faa8b", "simd": "avx512", "threads": 4}
+        comparable = dict(baseline, manifest=manifest)
+        base_file = dump("BENCH_cmp_base.json", comparable)
+        expect(run_file_pairs([base_file, base_file], 0.15, 5.0), 0,
+               "matching manifests compare as usual")
+        no_field = dict(baseline, manifest={"tool": "bench", "git_sha": "abc"})
+        expect(run_file_pairs([base_file, dump("BENCH_cmp_old.json", no_field)],
+                              0.15, 5.0), 0,
+               "a manifest without the fields is let through")
+        for field, other in (("spec_hash", "384c786e"), ("simd", "scalar"),
+                             ("threads", 1)):
+            changed = dict(baseline, manifest=dict(manifest, **{field: other}))
+            expect(incomparable_field(comparable, changed), field,
+                   f"a differing {field} is named")
+            changed_file = dump(f"BENCH_cmp_{field}.json", changed)
+            expect(run_file_pairs([base_file, changed_file], 0.15, 5.0), 2,
+                   f"pair mode refuses a differing {field}")
+            cmp_dir = os.path.join(tmp, f"history_{field}")
+            history_file = dump("BENCH_cmp.json", comparable)
+            expect(append_history([history_file], 0.15, 5.0, cmp_dir), 0,
+                   "seeding a comparability history passes")
+            os.replace(changed_file, history_file)
+            expect(append_history([history_file], 0.15, 5.0, cmp_dir), 2,
+                   f"--append-history refuses a differing {field}")
+            with open(os.path.join(cmp_dir, "BENCH_cmp_history.jsonl")) as f:
+                expect(sum(1 for line in f if line.strip()), 1,
+                       f"a refused {field} is not appended")
     if failures == 0:
         print("bench_check self-test OK")
     return 0 if failures == 0 else 1
