@@ -3,17 +3,19 @@
 // One deployment — the Section VII geography with demand scaled to ~2M
 // requests/s across the 24 access networks, every network served by one
 // data-center pair at ~80% per-server utilization — run through
-// sim::simulate_requests three times: single lane, four lanes, and seven
-// lanes. Reports wall time and requests/s for the first two, verifies the
-// determinism contract (the per-pair statistics must be BIT-identical at
-// every lane count — the same contract perf_sweep pins for sweep lanes),
-// and derives the thread scaling ratio.
+// sim::simulate_requests three times on the active SIMD tier: single lane,
+// four lanes, and seven lanes; then once more, single lane, pinned to the
+// scalar tier. Reports wall time and requests/s for the first two, verifies
+// the determinism contract (the per-pair statistics must be BIT-identical at
+// every lane count — the same contract perf_sweep pins for sweep lanes — and
+// on the scalar tier, whose exponential-draw kernel every vector tier must
+// reproduce bit for bit), and derives the thread scaling ratio.
 //
 // Gates, in bench_check.py --internal form (X >= X_min):
-//   * requests_per_s >= 1e7: the single-lane throughput floor of the
+//   * requests_per_s >= 2e7: the single-lane throughput floor of the
 //     million-user request path. This is an absolute floor — the batched
-//     generator must sustain ten million simulated requests per second on
-//     one core.
+//     generator must sustain twenty million simulated requests per second
+//     on one core.
 //   * thread_scaling_ratio >= 2.0 on a >= 4-core host (0.0 = not gated on
 //     smaller boxes, like perf_sweep's honest-reporting rule).
 #include <cmath>
@@ -22,6 +24,7 @@
 #include <thread>
 
 #include "dspp/assignment.hpp"
+#include "linalg/simd_dispatch.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "scenario/spec.hpp"
@@ -104,13 +107,19 @@ int main() {
   const auto report1 = timed_run(1, wall1);
   const auto report4 = timed_run(4, wall4);
   const auto report7 = run_at(7);  // over-subscribed on purpose
+  namespace simd = gp::linalg::simd;
+  const simd::Tier active = simd::active_tier();
+  simd::set_active_tier(simd::Tier::kScalar);
+  const auto report_scalar = run_at(1);
+  simd::set_active_tier(active);
 
   const bool bit_identical = identical(report1, report4) && identical(report1, report7);
+  const bool tiers_identical = identical(report1, report_scalar);
 
   const auto requests = static_cast<double>(report1.simulated_requests);
   const double rps1 = wall1 > 0.0 ? requests / (wall1 / 1000.0) : 0.0;
   const double rps4 = wall4 > 0.0 ? requests / (wall4 / 1000.0) : 0.0;
-  const double rps_min = 1.0e7;
+  const double rps_min = 2.0e7;
   const double ratio = rps1 > 0.0 ? rps4 / rps1 : 0.0;
   const bool scaling_gated = cpus >= 4;
   const double ratio_min = scaling_gated ? 2.0 : 0.0;
@@ -121,6 +130,8 @@ int main() {
   std::printf("lanes=4: %.1f ms, %.3g requests/s\n", wall4, rps4);
   std::printf("bit-identical per-pair statistics across lane counts: %s\n",
               bit_identical ? "yes" : "NO");
+  std::printf("bit-identical per-pair statistics, %s tier vs scalar: %s\n",
+              simd::tier_name(active), tiers_identical ? "yes" : "NO");
   std::printf("single-lane floor: %.3g >= %.3g requests/s: %s\n", rps1, rps_min,
               rps1 >= rps_min ? "yes" : "NO");
   if (scaling_gated) {
@@ -145,15 +156,17 @@ int main() {
     std::fprintf(json, "  \"requests_per_s\": %.0f,\n", rps1);
     std::fprintf(json, "  \"requests_per_s_min\": %.0f,\n", rps_min);
     std::fprintf(json, "  \"bit_identical\": %s,\n", bit_identical ? "true" : "false");
+    std::fprintf(json, "  \"tiers_bit_identical\": %s,\n",
+                 tiers_identical ? "true" : "false");
     std::fprintf(json, "  \"thread_scaling_ratio\": %.3f,\n", ratio);
     std::fprintf(json, "  \"thread_scaling_ratio_min\": %.1f\n}\n", ratio_min);
     std::fclose(json);
   }
 
-  const bool ok =
-      bit_identical && rps1 >= rps_min && (!scaling_gated || ratio >= ratio_min);
+  const bool ok = bit_identical && tiers_identical && rps1 >= rps_min &&
+                  (!scaling_gated || ratio >= ratio_min);
   std::printf("\n# determinism %s, throughput %s, scaling %s -- %s\n",
-              bit_identical ? "holds" : "VIOLATED",
+              bit_identical && tiers_identical ? "holds" : "VIOLATED",
               rps1 >= rps_min ? "meets floor" : "BELOW FLOOR",
               scaling_gated ? (ratio >= ratio_min ? "meets floor" : "BELOW FLOOR") : "n/a",
               ok ? "OK" : "FAILED");

@@ -94,6 +94,14 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
+void Rng::fill_uniform_open(std::span<double> out) {
+  for (double& u : out) {
+    do {
+      u = uniform();
+    } while (u <= 0.0);
+  }
+}
+
 std::int64_t Rng::poisson(double mean) {
   require(mean >= 0.0, "poisson: mean must be >= 0");
   if (mean == 0.0) return 0;

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gp {
@@ -47,6 +48,11 @@ class Rng {
 
   /// Exponential with the given rate (rate > 0).
   double exponential(double rate);
+
+  /// Fills `out` with uniforms in (0, 1): exactly the uniforms successive
+  /// exponential() calls consume, in order, u <= 0 redrawn. A batch of
+  /// exponential draws is then -log(out[i]) / rate (linalg::neg_log_div).
+  void fill_uniform_open(std::span<double> out);
 
   /// Poisson with the given mean (mean >= 0). Uses inversion for small
   /// means and the PTRS transformed-rejection method for large ones.

@@ -47,6 +47,20 @@ struct V4 {
     _mm256_store_pd(lane, v);
     return (lane[0] + lane[1]) + (lane[2] + lane[3]);
   }
+  static vec from_bits(std::uint64_t b) {
+    return _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(b)));
+  }
+  static vec bit_and(vec a, vec b) { return _mm256_and_pd(a, b); }
+  static vec bit_or(vec a, vec b) { return _mm256_or_pd(a, b); }
+  static vec bit_xor(vec a, vec b) { return _mm256_xor_pd(a, b); }
+  static vec int_add(vec a, vec b) {
+    return _mm256_castsi256_pd(
+        _mm256_add_epi64(_mm256_castpd_si256(a), _mm256_castpd_si256(b)));
+  }
+  template <int kShift>
+  static vec shift_right(vec a) {
+    return _mm256_castsi256_pd(_mm256_srli_epi64(_mm256_castpd_si256(a), kShift));
+  }
 };
 
 }  // namespace

@@ -50,6 +50,20 @@ struct V8 {
     const double hi = (lane[4] + lane[5]) + (lane[6] + lane[7]);
     return lo + hi;
   }
+  static vec from_bits(std::uint64_t b) {
+    return _mm512_castsi512_pd(_mm512_set1_epi64(static_cast<long long>(b)));
+  }
+  static vec bit_and(vec a, vec b) { return _mm512_and_pd(a, b); }
+  static vec bit_or(vec a, vec b) { return _mm512_or_pd(a, b); }
+  static vec bit_xor(vec a, vec b) { return _mm512_xor_pd(a, b); }
+  static vec int_add(vec a, vec b) {
+    return _mm512_castsi512_pd(
+        _mm512_add_epi64(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
+  }
+  template <int kShift>
+  static vec shift_right(vec a) {
+    return _mm512_castsi512_pd(_mm512_srli_epi64(_mm512_castpd_si512(a), kShift));
+  }
 };
 
 }  // namespace

@@ -11,8 +11,10 @@
 // exactly as in the single-chain loop — so results are bit-identical, and
 // identical again under any other lane count (the vector tiers use 4 or 8).
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/simd_kernels.hpp"
 
@@ -279,6 +281,37 @@ void s_sell_multiply_into(const SellView& m, double alpha, const double* x, doub
   }
 }
 
+// out[i] = -log(u[i]) / rate for u in [2^-1022, 1] (normal, positive —
+// uniforms from Rng::uniform never leave that range). fdlibm's e_log with
+// its branches folded into one path: the hfsq form (fdlibm's more accurate
+// one) for every f, and k = 0 handled by the k * ln2 terms being exact
+// zeros. -log is formed as ((hfsq - inner) - f) - k * ln2_hi, the exact
+// negation of fdlibm's k * ln2_hi - ((hfsq - inner) - f). The vector tiers
+// run this sequence of IEEE operations verbatim, lane by lane.
+void s_neg_log_div(const double* u, double rate, double* out, std::size_t n) {
+  using namespace logc;
+  const bool unit_rate = rate == 1.0;  // x / 1.0 == x exactly: skip the divide
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(u[i]);
+    const std::uint64_t mantissa = bits & kMantissaMask;
+    const std::uint64_t halved = (mantissa + kSqrt2Carry) & kImplicitBit;
+    const double x = std::bit_cast<double>(mantissa | (halved ^ kOneBits));
+    const std::uint64_t k_field = (((bits & kExponentMask) + halved) >> 52) | kMagicBits;
+    const double k = std::bit_cast<double>(k_field) - kMagicBias;
+    const double f = x - 1.0;
+    const double s = f / (2.0 + f);
+    const double z = s * s;
+    const double w = z * z;
+    const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+    const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+    const double r = t2 + t1;
+    const double hfsq = 0.5 * f * f;
+    const double inner = s * (hfsq + r) + k * kLn2Lo;
+    const double neg_log = ((hfsq - inner) - f) - k * kLn2Hi;
+    out[i] = unit_rate ? neg_log : neg_log / rate;
+  }
+}
+
 }  // namespace
 
 const KernelTable& scalar_table() {
@@ -300,6 +333,7 @@ const KernelTable& scalar_table() {
     t.admm_dual_update_delta = &s_admm_dual_update_delta;
     t.dot_reassoc = &s_dot_reassoc;
     t.sell_multiply_into = &s_sell_multiply_into;
+    t.neg_log_div = &s_neg_log_div;
     return t;
   }();
   return table;

@@ -16,6 +16,12 @@
 //     static vec gather(const double* base, const std::int32_t* idx);
 //     static double reduce_max(vec);         // exact (lanes are never -0)
 //     static double reduce_sum(vec);         // reassociates (dot_reassoc only)
+//     // Integer ops on the lanes' 64-bit patterns (neg_log_div only):
+//     static vec from_bits(std::uint64_t);   // broadcast a bit pattern
+//     static vec bit_and(vec, vec); static vec bit_or(vec, vec);
+//     static vec bit_xor(vec, vec);
+//     static vec int_add(vec, vec);          // 64-bit integer add
+//     template <int kShift> static vec shift_right(vec);  // 64-bit logical
 //   };
 //
 // Bit-identity contract: every kernel here except dot_reassoc_t computes, per
@@ -314,6 +320,57 @@ void sell_multiply_into_t(const SellView& m, double alpha, const double* x, doub
   }
 }
 
+// -log(u) / rate lane by lane: the scalar tier's fdlibm sequence
+// (simd_kernels_scalar.cpp documents it) with the integer reduction done on
+// the lanes' bit patterns. Element-wise, so out may alias u.
+template <class V>
+void neg_log_div_t(const double* u, double rate, double* out, std::size_t n) {
+  using namespace logc;
+  using vec = typename V::vec;
+  const vec mantissa_mask = V::from_bits(kMantissaMask);
+  const vec exponent_mask = V::from_bits(kExponentMask);
+  const vec implicit_bit = V::from_bits(kImplicitBit);
+  const vec sqrt2_carry = V::from_bits(kSqrt2Carry);
+  const vec one_bits = V::from_bits(kOneBits);
+  const vec magic_bits = V::from_bits(kMagicBits);
+  const vec magic_bias = V::broadcast(kMagicBias);
+  const vec one = V::broadcast(1.0);
+  const vec two = V::broadcast(2.0);
+  const vec half = V::broadcast(0.5);
+  const vec vrate = V::broadcast(rate);
+  const bool unit_rate = rate == 1.0;  // x / 1.0 == x exactly: skip the divide
+  std::size_t i = 0;
+  for (; i + V::width <= n; i += V::width) {
+    const vec bits = V::load(u + i);
+    const vec mantissa = V::bit_and(bits, mantissa_mask);
+    const vec halved = V::bit_and(V::int_add(mantissa, sqrt2_carry), implicit_bit);
+    const vec x = V::bit_or(mantissa, V::bit_xor(halved, one_bits));
+    const vec k_field = V::bit_or(
+        V::template shift_right<52>(V::int_add(V::bit_and(bits, exponent_mask), halved)),
+        magic_bits);
+    const vec k = V::sub(k_field, magic_bias);
+    const vec f = V::sub(x, one);
+    const vec s = V::div(f, V::add(two, f));
+    const vec z = V::mul(s, s);
+    const vec w = V::mul(z, z);
+    const vec t1 = V::mul(
+        w, V::add(V::broadcast(kLg2),
+                  V::mul(w, V::add(V::broadcast(kLg4), V::mul(w, V::broadcast(kLg6))))));
+    const vec t2 = V::mul(
+        z, V::add(V::broadcast(kLg1),
+                  V::mul(w, V::add(V::broadcast(kLg3),
+                                   V::mul(w, V::add(V::broadcast(kLg5),
+                                                    V::mul(w, V::broadcast(kLg7))))))));
+    const vec r = V::add(t2, t1);
+    const vec hfsq = V::mul(V::mul(half, f), f);
+    const vec inner = V::add(V::mul(s, V::add(hfsq, r)), V::mul(k, V::broadcast(kLn2Lo)));
+    const vec neg_log =
+        V::sub(V::sub(V::sub(hfsq, inner), f), V::mul(k, V::broadcast(kLn2Hi)));
+    V::store(out + i, unit_rate ? neg_log : V::div(neg_log, vrate));
+  }
+  if (i < n) scalar_table().neg_log_div(u + i, rate, out + i, n - i);
+}
+
 template <class V>
 KernelTable make_table() {
   KernelTable t;
@@ -333,6 +390,7 @@ KernelTable make_table() {
   t.admm_dual_update_delta = &admm_dual_update_delta_t<V>;
   t.dot_reassoc = &dot_reassoc_t<V>;
   t.sell_multiply_into = &sell_multiply_into_t<V>;
+  t.neg_log_div = &neg_log_div_t<V>;
   return t;
 }
 

@@ -185,4 +185,10 @@ double admm_dual_update_delta(std::span<const double> rho, std::span<const doubl
                                                 y.data(), delta.data(), y.size());
 }
 
+void neg_log_div(std::span<const double> u, double rate, std::span<double> out) {
+  require(u.size() == out.size(), "neg_log_div: size mismatch");
+  require(rate > 0.0, "neg_log_div: rate must be > 0");
+  simd::kernels().neg_log_div(u.data(), rate, out.data(), u.size());
+}
+
 }  // namespace gp::linalg

@@ -140,4 +140,14 @@ double admm_dual_update_delta(std::span<const double> rho, std::span<const doubl
                               std::span<const double> z_next, std::span<double> y,
                               std::span<double> delta);
 
+/// out[i] = -log(u[i]) / rate: the exponential draw of Rng::exponential over
+/// a batch of its uniforms. u must lie in [2^-1022, 1] (Rng::uniform with the
+/// u <= 0 redraw never leaves it) and rate must be > 0; out may alias u. The
+/// log is fdlibm's e_log reduction and polynomial, run as one IEEE operation
+/// sequence on every tier, so results are BIT-identical across tiers. The
+/// log is within 1 ulp of std::log (u = 1 gives +0, not -0); one correctly
+/// rounded divide by rate follows, so out[i] is within 2 ulp of
+/// -std::log(u[i]) / rate, and within 1 ulp at rate 1.
+void neg_log_div(std::span<const double> u, double rate, std::span<double> out);
+
 }  // namespace gp::linalg

@@ -49,32 +49,38 @@ std::pair<bool, std::string> metrics_env() {
 
 // ----------------------------------------------------------- LogBucketLayout
 
-LogBucketLayout::LogBucketLayout(HistogramOptions options)
-    : options_(options),
-      log_min_(std::log10(options.min_value)),
-      num_buckets_(static_cast<std::size_t>(
-          2 + static_cast<int>(std::ceil(
-                  (std::log10(options.max_value) - std::log10(options.min_value)) *
-                  static_cast<double>(options.buckets_per_decade))))) {
+LogBucketLayout::LogBucketLayout(HistogramOptions options) : options_(options) {
   require(options.min_value > 0.0, "Histogram: min_value must be > 0");
   require(options.max_value > options.min_value, "Histogram: max_value must be > min_value");
   require(options.buckets_per_decade >= 1, "Histogram: need >= 1 bucket per decade");
-}
+  const double log_min = std::log10(options.min_value);
+  const auto per_decade = static_cast<double>(options.buckets_per_decade);
+  num_buckets_ = static_cast<std::size_t>(
+      2 + static_cast<int>(std::ceil((std::log10(options.max_value) - log_min) * per_decade)));
 
-std::size_t LogBucketLayout::bucket_of(double value) const {
-  if (!(value >= options_.min_value)) return 0;  // underflow (incl. NaN, negatives)
-  if (value >= options_.max_value) return num_buckets_ - 1;
-  const double position = (std::log10(value) - log_min_) *
-                          static_cast<double>(options_.buckets_per_decade);
-  const auto index = static_cast<std::size_t>(position) + 1;
-  return std::min(index, num_buckets_ - 2);
-}
+  edges_.resize(num_buckets_);
+  edges_[0] = options.min_value;
+  for (std::size_t i = 1; i + 1 < num_buckets_; ++i) {
+    edges_[i] = std::pow(10.0, log_min + static_cast<double>(i) / per_decade);
+  }
+  // The ceil above puts the last log edge at or past max_value; pin it there
+  // against pow's rounding so bucket_of's correction loop always stops on a
+  // log bucket for in-range samples.
+  edges_[num_buckets_ - 2] = std::max(edges_[num_buckets_ - 2], options.max_value);
+  edges_[num_buckets_ - 1] = std::numeric_limits<double>::infinity();
 
-double LogBucketLayout::upper_edge(std::size_t i) const {
-  if (i == 0) return options_.min_value;
-  if (i >= num_buckets_ - 1) return std::numeric_limits<double>::infinity();
-  return std::pow(10.0, log_min_ + static_cast<double>(i) /
-                                       static_cast<double>(options_.buckets_per_decade));
+  // One guess per key cell: the bucket of the cell's lowest in-range value.
+  // Buckets only grow with the key, so one forward walk fills the table.
+  guess_base_ = std::bit_cast<std::uint64_t>(options.min_value) >> kGuessShift;
+  const std::uint64_t last_key = std::bit_cast<std::uint64_t>(options.max_value) >> kGuessShift;
+  guess_.resize(last_key - guess_base_ + 1);
+  std::size_t index = 1;
+  for (std::uint64_t key = guess_base_; key <= last_key; ++key) {
+    const double low =
+        std::max(std::bit_cast<double>(key << kGuessShift), options.min_value);
+    while (low >= edges_[index]) ++index;
+    guess_[key - guess_base_] = static_cast<std::uint32_t>(index);
+  }
 }
 
 double LogBucketLayout::percentile(std::span<const long long> buckets, long long total,

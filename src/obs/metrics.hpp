@@ -28,7 +28,9 @@
 // dumped as JSONL to that path at process exit.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -89,11 +91,25 @@ class LogBucketLayout {
   std::size_t num_buckets() const { return num_buckets_; }
 
   /// Bucket index for a sample (0 = underflow incl. NaN/negatives,
-  /// num_buckets()-1 = overflow).
-  std::size_t bucket_of(double value) const;
+  /// num_buckets()-1 = overflow). A sample in [min_value, max_value) lands in
+  /// the bucket i with upper_edge(i-1) <= value < upper_edge(i). No
+  /// transcendental call: the bucket is guessed from a table indexed by the
+  /// sample's exponent and top mantissa bits (a cell no wider than 2^-8
+  /// relative, so it spans at most one edge at <= 590 buckets per decade)
+  /// and corrected by comparisons against the edge table.
+  std::size_t bucket_of(double value) const {
+    if (!(value >= options_.min_value)) return 0;  // underflow (incl. NaN, negatives)
+    if (value >= options_.max_value) return num_buckets_ - 1;
+    std::size_t index =
+        guess_[(std::bit_cast<std::uint64_t>(value) >> kGuessShift) - guess_base_];
+    while (value >= edges_[index]) ++index;
+    return index;
+  }
 
-  /// Upper edge of bucket i (underflow edge = min_value; overflow = +inf).
-  double upper_edge(std::size_t i) const;
+  /// Upper edge of bucket i (underflow edge = min_value; overflow = +inf):
+  /// 10^(log10(min_value) + i / buckets_per_decade), precomputed. The last
+  /// log bucket's edge is at least max_value.
+  double upper_edge(std::size_t i) const { return edges_[std::min(i, num_buckets_ - 1)]; }
 
   /// Interpolated percentile over `buckets` (sized num_buckets()) holding
   /// `total` samples, p in [0, 100]; 0 when empty. The estimate is clamped
@@ -106,9 +122,14 @@ class LogBucketLayout {
   const HistogramOptions& options() const { return options_; }
 
  private:
+  /// A guess-table key is the sample's sign, exponent and top 8 mantissa bits.
+  static constexpr int kGuessShift = 44;
+
   HistogramOptions options_;
-  double log_min_ = 0.0;  // log10(min_value), cached
   std::size_t num_buckets_ = 0;
+  std::vector<double> edges_;          // upper_edge(i), i < num_buckets_
+  std::vector<std::uint32_t> guess_;   // bucket of each key cell's lowest in-range value
+  std::uint64_t guess_base_ = 0;       // key of min_value
 };
 
 /// One consistent-enough read of a histogram (buckets are read without a

@@ -1,9 +1,11 @@
 #include "sim/request_path.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/vector_ops.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "workload/demand.hpp"
@@ -26,6 +28,14 @@ struct LaneScratch {
   std::vector<double> services;
 };
 
+/// Fills `out` with Exp(rate) draws: the uniforms successive
+/// Rng::exponential(rate) calls would consume, in the same order, mapped
+/// through linalg::neg_log_div (see the drift bound in request_path.hpp).
+void draw_exponentials(Rng& rng, double rate, std::vector<double>& out) {
+  rng.fill_uniform_open(out);
+  linalg::neg_log_div(out, rate, out);
+}
+
 /// One M/M/1 server stream of exactly `n` pre-counted arrivals at `rate`
 /// over `duration_s`, feeding the Lindley kernel. The sink sees every
 /// request in arrival order (warm-up skipping is the caller's concern).
@@ -37,15 +47,13 @@ void run_server_stream(std::size_t n, double rate, double mu, double duration_s,
     // Conditioned on N arrivals in [0, T], the gaps are N+1 iid Exp(1)
     // spacings normalized to sum T (order-statistics identity, no sort).
     scratch.gaps.resize(n + 1);
+    draw_exponentials(rng, 1.0, scratch.gaps);
     double sum = 0.0;
-    for (double& gap : scratch.gaps) {
-      gap = rng.exponential(1.0);
-      sum += gap;
-    }
+    for (const double gap : scratch.gaps) sum += gap;
     const double scale = duration_s / sum;
     for (double& gap : scratch.gaps) gap *= scale;
     scratch.services.resize(n);
-    for (double& service : scratch.services) service = rng.exponential(mu);
+    draw_exponentials(rng, mu, scratch.services);
     // The Lindley recursion needs the gap AFTER each request: gaps[1..n].
     lindley_kernel(scratch.services, std::span<const double>(scratch.gaps).subspan(1), 0.0,
                    sink);
@@ -59,9 +67,9 @@ void run_server_stream(std::size_t n, double rate, double mu, double duration_s,
   while (done < n) {
     const std::size_t m = std::min(kBatchCap, n - done);
     scratch.gaps.resize(m);
-    for (double& gap : scratch.gaps) gap = rng.exponential(rate);
+    draw_exponentials(rng, rate, scratch.gaps);
     scratch.services.resize(m);
-    for (double& service : scratch.services) service = rng.exponential(mu);
+    draw_exponentials(rng, mu, scratch.services);
     wait = lindley_kernel(scratch.services, scratch.gaps, wait, sink);
     done += m;
   }
@@ -144,26 +152,39 @@ RequestSimReport simulate_requests(const dspp::DsppModel& model, const dspp::Pai
       options.max_lanes > 0 ? options.max_lanes : ThreadPool::global().max_lanes();
   const obs::LogBucketLayout layout(options.sketch);
 
-  // Round-robin lane sharding over access networks: lane owns every v with
-  // v % lanes == lane. City lists are population-sorted, so a contiguous
-  // split would pile the traffic into lane 0; dealing balances it. Each
-  // pair's RNG substream depends only on the pair index and every statistic
-  // lands in a slot indexed by pair, so the output is bit-identical at ANY
-  // lane count — sharding only decides who does the work.
+  // Load-balanced lane sharding: pairs are dealt by the LPT rule (heaviest
+  // routed rate first, each to the least-loaded lane; ties to the lower pair
+  // and lane index), since a pair's work is proportional to its rate and
+  // city demand is far from uniform. Each pair's RNG substream depends only
+  // on the pair index and every statistic lands in a slot indexed by pair,
+  // so the output is bit-identical at ANY lane count — sharding only decides
+  // who does the work.
+  std::vector<std::size_t> loaded;
+  std::vector<int> servers(pairs.num_pairs(), 0);
+  for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
+    servers[p] = static_cast<int>(std::ceil(allocation[p] - 1e-9));
+    if (assignment.rate[p] > 0.0 && servers[p] >= 1) loaded.push_back(p);
+  }
+  std::stable_sort(loaded.begin(), loaded.end(), [&](std::size_t a, std::size_t b) {
+    return assignment.rate[a] > assignment.rate[b];
+  });
+  std::vector<std::vector<std::size_t>> lane_pairs(lanes);
+  std::vector<double> lane_load(lanes, 0.0);
+  for (const std::size_t p : loaded) {
+    const std::size_t lane = static_cast<std::size_t>(
+        std::min_element(lane_load.begin(), lane_load.end()) - lane_load.begin());
+    lane_pairs[lane].push_back(p);
+    lane_load[lane] += assignment.rate[p];
+  }
+
   parallel_for(
       0, lanes,
       [&](std::size_t lane) {
         LaneScratch scratch;
         LatencySketch sketch(layout);
-        for (std::size_t v = lane; v < pairs.num_access_networks(); v += lanes) {
-          for (std::size_t p : pairs.pairs_of_access_network(v)) {
-            const double rate = assignment.rate[p];
-            if (rate <= 0.0) continue;
-            const auto servers = static_cast<int>(std::ceil(allocation[p] - 1e-9));
-            if (servers < 1) continue;
-            report.pairs[p] =
-                simulate_pair(model, pairs, p, rate, servers, options, scratch, sketch);
-          }
+        for (const std::size_t p : lane_pairs[lane]) {
+          report.pairs[p] = simulate_pair(model, pairs, p, assignment.rate[p], servers[p],
+                                          options, scratch, sketch);
         }
       },
       lanes);

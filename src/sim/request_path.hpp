@@ -16,20 +16,36 @@
 //     already in its normal-approximation regime and the gaps fall back to
 //     iid Exp(lambda) chunks, whose conditional correction is far below
 //     sampling noise at that scale.
-//  2. Sharded lanes, bit-identical at any lane count. Each (l, v) pair owns
+//  2. Vectorised draws. A buffer of exponentials is filled in two passes:
+//     Rng::fill_uniform_open writes the uniforms Rng::exponential would
+//     consume (same order, same u <= 0 redraw, so the stream and every
+//     request count are those of a per-draw loop), then the tiered
+//     linalg::neg_log_div kernel turns them into -log(u) / rate in place.
+//  3. Sharded lanes, bit-identical at any lane count. Each (l, v) pair owns
 //     an RNG substream derived from the run seed by pair index
 //     (substream_seed — the splitmix64 finalizer scenario::derive_run_seed
-//     uses for sweep cells), access networks are dealt round-robin across
-//     lanes (population-sorted city lists would otherwise pile the traffic
-//     into lane 0), and every statistic lands in a slot indexed by pair. The
-//     output is therefore bit-identical at any GEOPLACE_THREADS /
-//     RequestSimOptions::max_lanes — the SweepRunner determinism contract.
-//  3. Streaming statistics. Latencies stream into a per-pair LatencySketch
+//     uses for sweep cells), pairs are dealt to lanes by the LPT rule
+//     (heaviest routed rate first, each to the least-loaded lane: city
+//     demand is heavy-tailed, so dealing by index would leave one lane with
+//     the largest cities), and every statistic lands in a slot indexed by
+//     pair. The output is therefore bit-identical at any GEOPLACE_THREADS /
+//     RequestSimOptions::max_lanes and on every SIMD tier — the SweepRunner
+//     determinism contract.
+//  4. Streaming statistics. Latencies stream into a per-pair LatencySketch
 //     over the log-bucket geometry of obs::LogBucketLayout (the registry
-//     histogram's layout, single-writer and lock-free here), so memory is
+//     histogram's layout, single-writer and lock-free here; its bucket
+//     lookup is an edge-table probe, no log10), so memory is
 //     O(pairs x buckets), never O(requests); warm-up is an exact skip of
 //     the first floor(warmup_fraction * N) requests of each batch because
 //     the count is known up front.
+//
+// Drift bound against exact draws. neg_log_div's log is within 1 ulp of
+// std::log, so each draw may differ from Rng::exponential's by a rounding
+// or two. Per pair, against a replay drawing through Rng::exponential:
+// `requests` is EXACTLY equal (counts come from the untouched Poisson
+// draws), `mean_ms` and `utilization` agree to 1e-12 relative, `violations`
+// differ by at most 1 in 1e5 requests, and `p95_ms` stays within one bucket
+// ratio. tests/test_request_path.cpp enforces these bounds.
 //
 // The exact kernels (Lindley recursion for the split M/M/1 group, a
 // server-heap for pooled M/M/c) live here as templates over a sink so the
@@ -162,9 +178,9 @@ struct RequestSimOptions {
   double duration_s = 60.0;       ///< simulated seconds of arrivals
   double warmup_fraction = 0.1;   ///< leading fraction of each batch skipped
   std::uint64_t seed = 1;         ///< base seed; pair p uses substream_seed(seed, p)
-  /// Lane count for the round-robin access-network sharding: 0 = the global
-  /// pool's lanes (GEOPLACE_THREADS). Any value yields bit-identical output;
-  /// tests pin it to compare 1 vs N directly.
+  /// Lane count for the load-balanced pair sharding: 0 = the global pool's
+  /// lanes (GEOPLACE_THREADS). Any value yields bit-identical output; tests
+  /// pin it to compare 1 vs N directly.
   std::size_t max_lanes = 0;
   /// Geometry of the per-pair latency sketches (end-to-end milliseconds).
   /// 64 buckets/decade bounds the percentile interpolation error at ~3.7%.
@@ -199,7 +215,8 @@ struct RequestSimReport {
 /// Fires NHPP request streams at one deployment: for every loaded (l, v)
 /// pair, simulates its split-M/M/1 server group (allocation rounded up to
 /// whole servers) at the assignment's routed rate with the batched kernels
-/// above. Deterministic for a fixed options.seed at ANY lane count.
+/// above. Deterministic for a fixed options.seed at ANY lane count and on
+/// any SIMD tier.
 RequestSimReport simulate_requests(const dspp::DsppModel& model, const dspp::PairIndex& pairs,
                                    const linalg::Vector& allocation,
                                    const dspp::Assignment& assignment,

@@ -3,13 +3,15 @@
 // instrumented layers rely on — concurrent recording from thread_pool lanes
 // is race-free (run under the tsan preset via the "obs" label), bucketed
 // percentiles track the scalar reference within the documented bucket
-// error, and a disabled registry/tracer records nothing.
+// error, the edge-table bucket lookup reproduces the closed-form log10
+// index, and a disabled registry/tracer records nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -625,6 +627,102 @@ TEST(Histogram, PropertyUnderflowAndOverflowEdges) {
   std::sort(mixed_sorted.begin(), mixed_sorted.end());
   for (double p : kPercentiles) {
     expect_percentile_within_bucket_error(mixed, mixed_sorted, p);
+  }
+}
+
+// ------------------------------------------------------- bucket geometry
+
+/// The closed-form bucket index LogBucketLayout used before its edge table:
+/// kept here as the reference the table must reproduce.
+std::size_t log10_bucket(const HistogramOptions& options, std::size_t num_buckets,
+                         double value) {
+  if (!(value >= options.min_value)) return 0;
+  if (value >= options.max_value) return num_buckets - 1;
+  const double position = (std::log10(value) - std::log10(options.min_value)) *
+                          static_cast<double>(options.buckets_per_decade);
+  return std::min(static_cast<std::size_t>(position) + 1, num_buckets - 2);
+}
+
+const HistogramOptions kBucketShapes[] = {
+    {},                  // registry defaults: [1e-3, 1e7], 16 per decade
+    {1e-2, 1e6, 64},     // the request path's latency sketch
+    {1e-3, 1e7, 4},      // coarse
+    {1.0, 10.0, 16},     // one decade
+    {1.0, 1e3, 1000},    // buckets narrower than a guess cell: multi-step correction
+};
+
+TEST(LogBucketLayout, EverySampleLandsBetweenItsBucketEdges) {
+  for (const auto& options : kBucketShapes) {
+    const gp::obs::LogBucketLayout layout(options);
+    const std::size_t last = layout.num_buckets() - 1;
+    Lcg rng{2024};
+    for (int k = 0; k < 200000; ++k) {
+      const double span = std::log10(options.max_value / options.min_value);
+      const double v = options.min_value * std::pow(10.0, rng.next() * span);
+      const std::size_t i = layout.bucket_of(v);
+      if (v >= options.max_value) {
+        EXPECT_EQ(i, last);
+        continue;
+      }
+      ASSERT_GE(i, 1u) << "v=" << v;
+      ASSERT_LT(i, last) << "v=" << v;
+      EXPECT_GE(v, layout.upper_edge(i - 1)) << "v=" << v << " bucket " << i;
+      EXPECT_LT(v, layout.upper_edge(i)) << "v=" << v << " bucket " << i;
+    }
+    // Exactly on an edge opens the next bucket; one ulp below stays put.
+    for (std::size_t i = 0; i + 2 < last; ++i) {
+      const double edge = layout.upper_edge(i);
+      EXPECT_EQ(layout.bucket_of(edge), i + 1) << "edge " << i;
+      if (i > 0) {
+        EXPECT_EQ(layout.bucket_of(std::nextafter(edge, 0.0)), i) << "edge " << i;
+      }
+    }
+  }
+}
+
+TEST(LogBucketLayout, UnderflowOverflowNanAndNegativesUnchanged) {
+  for (const auto& options : kBucketShapes) {
+    const gp::obs::LogBucketLayout layout(options);
+    const std::size_t last = layout.num_buckets() - 1;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double v : {0.0, -0.0, -1.0, -inf, std::nan(""),
+                           std::nextafter(options.min_value, 0.0)}) {
+      EXPECT_EQ(layout.bucket_of(v), 0u) << "v=" << v;
+    }
+    EXPECT_EQ(layout.bucket_of(options.min_value), 1u);
+    for (const double v : {options.max_value, inf, 1e300}) {
+      EXPECT_EQ(layout.bucket_of(v), last) << "v=" << v;
+    }
+    EXPECT_EQ(layout.bucket_of(std::nextafter(options.max_value, 0.0)), last - 1);
+    EXPECT_EQ(layout.upper_edge(0), options.min_value);
+    EXPECT_EQ(layout.upper_edge(last), inf);
+    EXPECT_GE(layout.upper_edge(last - 1), options.max_value);
+  }
+}
+
+TEST(LogBucketLayout, AgreesWithLog10FormulaAwayFromEdges) {
+  // 1e6 log-uniform samples on the sketch geometry (and 2e5 on each other
+  // shape), spanning a decade of underflow and overflow. The edge table may
+  // disagree with the log10 formula only for a sample within 1 ulp of an
+  // edge, where log10's own rounding decides the formula's answer.
+  for (const auto& options : kBucketShapes) {
+    const gp::obs::LogBucketLayout layout(options);
+    const int samples = options.buckets_per_decade == 64 ? 1000000 : 200000;
+    const double lo = std::log10(options.min_value) - 1.0;
+    const double hi = std::log10(options.max_value) + 1.0;
+    Lcg rng{99};
+    int near_edge = 0;
+    for (int k = 0; k < samples; ++k) {
+      const double v = std::pow(10.0, lo + rng.next() * (hi - lo));
+      const std::size_t table = layout.bucket_of(v);
+      const std::size_t formula = log10_bucket(options, layout.num_buckets(), v);
+      if (table == formula) continue;
+      ++near_edge;
+      const double edge = layout.upper_edge(std::min(table, formula));
+      EXPECT_LE(std::abs(v - edge), std::nextafter(edge, 2.0 * edge) - edge)
+          << "v=" << v << " table " << table << " formula " << formula;
+    }
+    EXPECT_LE(near_edge, 2) << "buckets_per_decade " << options.buckets_per_decade;
   }
 }
 

@@ -4,14 +4,16 @@
 // the zero-heap-allocation contract of the warm iteration loop, and the
 // cross-tier SIMD contract — every production kernel and both SELL SpMV
 // orientations bit-identical on every available tier (scalar/avx2/avx512),
-// with the tail sweep n = 0..17 covering every vector-remainder shape, and
-// dot_reassoc (the one reassociated kernel) inside its documented tolerance.
+// with the tail sweep n = 0..17 covering every vector-remainder shape,
+// dot_reassoc (the one reassociated kernel) inside its documented tolerance,
+// and the exponential-draw kernel neg_log_div within 1 ulp of std::log.
 //
 // This binary installs counting operator new / operator delete so the
 // solver's SolveInfo::hot_loop_allocations field reports real measurements
 // (the library never installs the hooks itself — see common/alloc_probe.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "common/alloc_probe.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -86,6 +89,7 @@ Vector random_with_zeros(std::size_t size, Rng& rng) {
 /// -0.0 and is therefore too weak for the determinism contract.
 void expect_bits_equal(const Vector& a, const Vector& b) {
   ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;  // an empty vector's data() may be null: not a memcmp argument
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
 }
 
@@ -396,11 +400,13 @@ struct KernelOutputs {
   double res = 0.0, res_norm = 0.0, res3 = 0.0, res3_norm = 0.0;
   double axpby_norm = 0.0, dual_norm = 0.0;
   Vector diff_out, z_tilde, z_cand, boxed, x, delta_x, y, delta_y;
+  Vector neg_log, neg_log_rate;
 };
 
 KernelOutputs run_kernel_suite(const Vector& a, const Vector& b, const Vector& c,
                                const Vector& scale, const Vector& rho,
-                               const Vector& lower, const Vector& upper, double post) {
+                               const Vector& lower, const Vector& upper, double post,
+                               const Vector& u) {
   const std::size_t size = a.size();
   KernelOutputs out;
   out.norm = linalg::norm_inf(a);
@@ -426,6 +432,10 @@ KernelOutputs run_kernel_suite(const Vector& a, const Vector& b, const Vector& c
   out.delta_y.assign(size, -1.0);
   out.dual_norm = linalg::admm_dual_update_delta(rho, out.z_cand, out.boxed, out.y,
                                                  out.delta_y);
+  out.neg_log.assign(u.size(), -1.0);
+  linalg::neg_log_div(u, 1.0, out.neg_log);
+  out.neg_log_rate = u;  // in place, as the request path runs it
+  linalg::neg_log_div(out.neg_log_rate, post, out.neg_log_rate);
   return out;
 }
 
@@ -449,6 +459,8 @@ void expect_outputs_bits_equal(const KernelOutputs& ref, const KernelOutputs& go
   expect_bits_equal(ref.delta_x, got.delta_x);
   expect_bits_equal(ref.y, got.y);
   expect_bits_equal(ref.delta_y, got.delta_y);
+  expect_bits_equal(ref.neg_log, got.neg_log);
+  expect_bits_equal(ref.neg_log_rate, got.neg_log_rate);
 }
 
 TEST(SimdTiers, KernelSuiteBitIdenticalAcrossTiersWithTailSweep) {
@@ -473,15 +485,17 @@ TEST(SimdTiers, KernelSuiteBitIdenticalAcrossTiersWithTailSweep) {
       upper[i] = rng.uniform() < 0.2 ? kInfinity : rng.uniform(0.0, 1.0);
     }
     const double post = rng.uniform(0.25, 4.0);
+    Vector u(size);
+    rng.fill_uniform_open(u);
 
     ASSERT_EQ(simd::set_active_tier(simd::Tier::kScalar), simd::Tier::kScalar);
-    const KernelOutputs ref = run_kernel_suite(a, b, c, scale, rho, lower, upper, post);
+    const KernelOutputs ref = run_kernel_suite(a, b, c, scale, rho, lower, upper, post, u);
     for (simd::Tier t : tiers) {
       ASSERT_EQ(simd::set_active_tier(t), t);
       SCOPED_TRACE(std::string("tier=") + simd::tier_name(t) +
                    " n=" + std::to_string(size));
       expect_outputs_bits_equal(ref,
-                                run_kernel_suite(a, b, c, scale, rho, lower, upper, post));
+                                run_kernel_suite(a, b, c, scale, rho, lower, upper, post, u));
     }
   }
 }
@@ -506,6 +520,62 @@ TEST(SimdTiers, DotReassocWithinDocumentedTolerance) {
       EXPECT_LE(std::abs(linalg::dot_reassoc(a, b) - exact), tol);
     }
   }
+}
+
+/// Distance in units in the last place between two finite doubles of the
+/// same sign (+0 and -0 are equal: -log(1) comes out +0 from the kernel and
+/// -0 from -std::log).
+std::uint64_t ulp_distance(double a, double b) {
+  if (a == b) return 0;
+  std::uint64_t ba, bb;
+  std::memcpy(&ba, &a, sizeof(a));
+  std::memcpy(&bb, &b, sizeof(b));
+  return ba > bb ? ba - bb : bb - ba;
+}
+
+TEST(SimdTiers, NegLogDivWithinOneUlpOfStdLog) {
+  // The exponential-draw kernel's contract (vector_ops.hpp): -log(u) within
+  // 1 ulp of -std::log(u) over the whole uniform range, on every tier, and
+  // the quotient is exactly that log divided by the rate. One correctly
+  // rounded divide after a 1-ulp log can land up to 2 ulp from
+  // -std::log(u) / rate, never more.
+  TierGuard guard;
+  Rng rng(4242);
+  Vector u(1'000'000);
+  rng.fill_uniform_open(u);
+  const double sqrt_half = std::sqrt(0.5);
+  const double edges[] = {0x1p-53,
+                          0.5,
+                          1.0 - 0x1p-53,
+                          std::nextafter(sqrt_half, 0.0),
+                          sqrt_half,
+                          std::nextafter(sqrt_half, 1.0),
+                          0x1p-1022,
+                          1.0};
+  u.insert(u.end(), std::begin(edges), std::end(edges));
+  for (simd::Tier t : available_tiers()) {
+    ASSERT_EQ(simd::set_active_tier(t), t);
+    SCOPED_TRACE(std::string("tier=") + simd::tier_name(t));
+    Vector neg_log(u.size());
+    linalg::neg_log_div(u, 1.0, neg_log);
+    std::uint64_t worst = 0;
+    for (std::size_t i = 0; i < u.size(); ++i) {
+      const std::uint64_t d = ulp_distance(neg_log[i], -std::log(u[i]));
+      EXPECT_LE(d, 1u) << "u=" << u[i];
+      worst = std::max(worst, d);
+    }
+    EXPECT_LE(worst, 1u);
+    for (const double rate : {100.0, 0.37}) {
+      Vector out(u.size());
+      linalg::neg_log_div(u, rate, out);
+      for (std::size_t i = 0; i < u.size(); ++i) {
+        ASSERT_EQ(out[i], neg_log[i] / rate) << "u=" << u[i] << " rate=" << rate;
+        ASSERT_LE(ulp_distance(out[i], -std::log(u[i]) / rate), 2u)
+            << "u=" << u[i] << " rate=" << rate;
+      }
+    }
+  }
+  EXPECT_THROW(linalg::neg_log_div(u, 0.0, u), PreconditionError);
 }
 
 TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {

@@ -1,9 +1,11 @@
 // Tests for the batched request path (sim/request_path.hpp): closed-form
 // validation of the count-first NHPP batches across a utilization grid,
 // the lane-sharding determinism contract (bit-identical per-pair statistics
-// at any lane count), exactness of the legacy wrappers against verbatim
-// copies of the pre-batched implementations, per-pair substream
-// independence, and the engine-attached simulate_day loop.
+// at any lane count and on every SIMD tier), the drift oracle bounding the
+// vectorised draws against a replay through Rng::exponential, exactness of
+// the legacy wrappers against verbatim copies of the pre-batched
+// implementations, per-pair substream independence, and the
+// engine-attached simulate_day loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "linalg/simd_dispatch.hpp"
 #include "obs/timeline.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmc.hpp"
@@ -19,6 +22,7 @@
 #include "scenario/spec.hpp"
 #include "sim/request_path.hpp"
 #include "sim/request_sim.hpp"
+#include "workload/demand.hpp"
 
 namespace gp::sim {
 namespace {
@@ -83,47 +87,193 @@ TEST(RequestPath, PooledWrapperMatchesErlangCAcrossUtilizationGrid) {
   }
 }
 
+/// A small Section VII deployment with every pair loaded: the fixture of the
+/// lane/tier determinism test and the drift oracle.
+struct LoadedDeployment {
+  gp::scenario::ScenarioBundle bundle;
+  dspp::PairIndex pairs;
+  Vector allocation;
+  dspp::Assignment assignment;
+
+  LoadedDeployment()
+      : bundle(gp::scenario::build(gp::scenario::section7_spec(3, 8))), pairs(bundle.model) {
+    const Vector demand(bundle.demand.mean_rates(12.0));
+    allocation.assign(pairs.num_pairs(), 0.0);
+    for (std::size_t v = 0; v < pairs.num_access_networks(); ++v) {
+      for (std::size_t p : pairs.pairs_of_access_network(v)) {
+        allocation[p] = std::ceil(pairs.coefficient(p) * demand[v] / 2.0 + 1.0);
+      }
+    }
+    assignment = dspp::assign_demand(pairs, allocation, demand);
+  }
+};
+
+/// Restores the SIMD tier active at construction.
+struct TierGuard {
+  linalg::simd::Tier saved = linalg::simd::active_tier();
+  ~TierGuard() { linalg::simd::set_active_tier(saved); }
+};
+
 TEST(RequestPath, BitIdenticalAtAnyLaneCount) {
   // The SweepRunner determinism contract, at the request level: per-pair
   // statistics must be EXACTLY equal (every double, every count) whether
-  // the access networks are simulated on 1, 3 or 8 lanes.
-  gp::scenario::ScenarioSpec spec = gp::scenario::section7_spec(3, 8);
-  const auto bundle = gp::scenario::build(spec);
-  const dspp::PairIndex pairs(bundle.model);
-  Vector demand(bundle.demand.mean_rates(12.0));
-  Vector allocation(pairs.num_pairs(), 0.0);
-  for (std::size_t v = 0; v < pairs.num_access_networks(); ++v) {
-    for (std::size_t p : pairs.pairs_of_access_network(v)) {
-      allocation[p] = std::ceil(pairs.coefficient(p) * demand[v] / 2.0 + 1.0);
-    }
-  }
-  const auto assignment = dspp::assign_demand(pairs, allocation, demand);
-
+  // the pairs are simulated on 1, 3 or 8 lanes, on any SIMD tier.
+  namespace simd = linalg::simd;
+  TierGuard guard;
+  const LoadedDeployment d;
   auto run_at = [&](std::size_t lanes) {
     RequestSimOptions options;
     options.duration_s = 30.0;
     options.seed = 5;
     options.max_lanes = lanes;
-    return simulate_requests(bundle.model, pairs, allocation, assignment, options);
+    return simulate_requests(d.bundle.model, d.pairs, d.allocation, d.assignment, options);
   };
+  ASSERT_EQ(simd::set_active_tier(simd::Tier::kScalar), simd::Tier::kScalar);
   const auto base = run_at(1);
   ASSERT_GT(base.simulated_requests, 1000u);
-  for (const std::size_t lanes : {3u, 8u}) {
-    const auto other = run_at(lanes);
-    ASSERT_EQ(other.pairs.size(), base.pairs.size());
-    for (std::size_t p = 0; p < base.pairs.size(); ++p) {
-      EXPECT_EQ(base.pairs[p].requests, other.pairs[p].requests) << "pair " << p;
-      EXPECT_EQ(base.pairs[p].violations, other.pairs[p].violations) << "pair " << p;
-      EXPECT_EQ(base.pairs[p].mean_ms, other.pairs[p].mean_ms) << "pair " << p;
-      EXPECT_EQ(base.pairs[p].p95_ms, other.pairs[p].p95_ms) << "pair " << p;
-      EXPECT_EQ(base.pairs[p].utilization, other.pairs[p].utilization) << "pair " << p;
-      EXPECT_EQ(base.pairs[p].unstable, other.pairs[p].unstable) << "pair " << p;
+  for (const simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (!simd::tier_available(tier)) continue;
+    ASSERT_EQ(simd::set_active_tier(tier), tier);
+    for (const std::size_t lanes : {1u, 3u, 8u}) {
+      SCOPED_TRACE(std::string("tier=") + simd::tier_name(tier) +
+                   " lanes=" + std::to_string(lanes));
+      const auto other = run_at(lanes);
+      ASSERT_EQ(other.pairs.size(), base.pairs.size());
+      for (std::size_t p = 0; p < base.pairs.size(); ++p) {
+        EXPECT_EQ(base.pairs[p].requests, other.pairs[p].requests) << "pair " << p;
+        EXPECT_EQ(base.pairs[p].violations, other.pairs[p].violations) << "pair " << p;
+        EXPECT_EQ(base.pairs[p].mean_ms, other.pairs[p].mean_ms) << "pair " << p;
+        EXPECT_EQ(base.pairs[p].p95_ms, other.pairs[p].p95_ms) << "pair " << p;
+        EXPECT_EQ(base.pairs[p].utilization, other.pairs[p].utilization) << "pair " << p;
+        EXPECT_EQ(base.pairs[p].unstable, other.pairs[p].unstable) << "pair " << p;
+      }
+      EXPECT_EQ(base.simulated_requests, other.simulated_requests);
+      EXPECT_EQ(base.mean_latency_ms, other.mean_latency_ms);
+      EXPECT_EQ(base.worst_pair_p95_ms, other.worst_pair_p95_ms);
+      EXPECT_EQ(base.violating_fraction, other.violating_fraction);
     }
-    EXPECT_EQ(base.simulated_requests, other.simulated_requests);
-    EXPECT_EQ(base.mean_latency_ms, other.mean_latency_ms);
-    EXPECT_EQ(base.worst_pair_p95_ms, other.worst_pair_p95_ms);
-    EXPECT_EQ(base.violating_fraction, other.violating_fraction);
   }
+}
+
+// ------------------------------------------------------------------------
+// Drift oracle: the per-pair replay drawing through Rng::exponential, one
+// draw at a time — simulate_pair step for step (count-first batches,
+// conditional spacings, exact warm-up skip) before its draws were
+// vectorised. Every pair here stays below the 2^20-request batch cap, so
+// only the conditional-spacing regime is mirrored.
+
+PairLatencyStats reference_pair(const dspp::DsppModel& model, const dspp::PairIndex& pairs,
+                                const obs::LogBucketLayout& layout, std::size_t p,
+                                double rate, int servers, const RequestSimOptions& options) {
+  PairLatencyStats stats;
+  stats.pair = p;
+  const std::size_t l = pairs.datacenter_of(p);
+  const std::size_t v = pairs.access_network_of(p);
+  const double mu = model.sla.mu;
+  const double per_server = rate / static_cast<double>(servers);
+  if (per_server >= mu) {
+    stats.unstable = true;
+    stats.requests = static_cast<std::size_t>(rate * options.duration_s);
+    stats.violations = stats.requests;
+    stats.utilization = 1.0;
+    return stats;
+  }
+  const double network_ms = model.network.latency_ms(l, v);
+  const double queue_budget_ms = model.max_latency_ms_for(l, v) - network_ms;
+  LatencySketch sketch(layout);
+  Rng rng(substream_seed(options.seed, p));
+  std::size_t violations = 0;
+  double busy_time = 0.0;
+  for (int s = 0; s < servers; ++s) {
+    const auto n = static_cast<std::size_t>(
+        workload::sample_poisson_count(per_server * options.duration_s, rng));
+    if (n == 0) continue;
+    EXPECT_LE(n, std::size_t{1} << 20) << "pair " << p << " left the oracle's regime";
+    std::size_t remaining_skip =
+        static_cast<std::size_t>(options.warmup_fraction * static_cast<double>(n));
+    std::vector<double> gaps(n + 1);
+    double sum = 0.0;
+    for (double& gap : gaps) {
+      gap = rng.exponential(1.0);
+      sum += gap;
+    }
+    const double scale = options.duration_s / sum;
+    for (double& gap : gaps) gap *= scale;
+    std::vector<double> services(n);
+    for (double& service : services) service = rng.exponential(mu);
+    lindley_kernel(services, std::span<const double>(gaps).subspan(1), 0.0,
+                   [&](double response_s, double service_s) {
+                     busy_time += service_s;
+                     if (remaining_skip > 0) {
+                       --remaining_skip;
+                       return;
+                     }
+                     const double queue_ms = response_s * 1000.0;
+                     sketch.record(network_ms + queue_ms);
+                     if (queue_ms > queue_budget_ms) ++violations;
+                   });
+  }
+  stats.requests = static_cast<std::size_t>(sketch.count());
+  stats.violations = violations;
+  stats.mean_ms = sketch.mean();
+  stats.p95_ms = sketch.percentile(95.0);
+  stats.utilization = busy_time / (static_cast<double>(servers) * options.duration_s);
+  return stats;
+}
+
+/// The drift bound of request_path.hpp, pair by pair.
+void expect_within_drift(const PairLatencyStats& got, const PairLatencyStats& ref,
+                         const RequestSimOptions& options) {
+  SCOPED_TRACE("pair " + std::to_string(ref.pair));
+  EXPECT_EQ(got.requests, ref.requests);
+  EXPECT_EQ(got.unstable, ref.unstable);
+  EXPECT_LE(std::abs(got.mean_ms - ref.mean_ms), 1e-12 * std::abs(ref.mean_ms));
+  EXPECT_LE(std::abs(got.utilization - ref.utilization), 1e-12 * std::abs(ref.utilization));
+  const double violation_gap = std::abs(static_cast<double>(got.violations) -
+                                        static_cast<double>(ref.violations));
+  EXPECT_LE(violation_gap * 1e5, static_cast<double>(ref.requests));
+  const double bucket_ratio = std::pow(10.0, 1.0 / options.sketch.buckets_per_decade);
+  EXPECT_LE(got.p95_ms, ref.p95_ms * bucket_ratio);
+  EXPECT_GE(got.p95_ms, ref.p95_ms / bucket_ratio);
+}
+
+TEST(RequestPath, VectorisedDrawsStayWithinDriftOfExactDraws) {
+  TierGuard guard;
+  const LoadedDeployment d;
+  RequestSimOptions options;
+  options.duration_s = 200.0;
+  options.seed = 31;
+  const obs::LogBucketLayout layout(options.sketch);
+  const auto report =
+      simulate_requests(d.bundle.model, d.pairs, d.allocation, d.assignment, options);
+  std::size_t checked = 0;
+  for (std::size_t p = 0; p < d.pairs.num_pairs(); ++p) {
+    const double rate = d.assignment.rate[p];
+    const auto servers = static_cast<int>(std::ceil(d.allocation[p] - 1e-9));
+    if (rate <= 0.0 || servers < 1) {
+      EXPECT_EQ(report.pairs[p].requests, 0u);
+      continue;
+    }
+    expect_within_drift(report.pairs[p],
+                        reference_pair(d.bundle.model, d.pairs, layout, p, rate, servers,
+                                       options),
+                        options);
+    ++checked;
+  }
+  EXPECT_GT(checked, 3u);
+
+  // A hot single pair (per-server utilization 0.95, long busy periods, so
+  // per-draw differences compound the most through the Lindley recursion).
+  const dspp::DsppModel model = single_pair_model(100.0);
+  const dspp::PairIndex pairs(model);
+  const Vector allocation{2.0};
+  const auto assignment = dspp::assign_demand(pairs, allocation, Vector{190.0});
+  options.duration_s = 3000.0;
+  const auto hot = simulate_requests(model, pairs, allocation, assignment, options);
+  ASSERT_GT(hot.pairs[0].requests, 100000u);
+  expect_within_drift(hot.pairs[0],
+                      reference_pair(model, pairs, layout, 0, assignment.rate[0], 2, options),
+                      options);
 }
 
 TEST(RequestPath, PairSubstreamsAreIndependent) {
@@ -166,7 +316,7 @@ TEST(RequestPath, PairSubstreamsAreIndependent) {
 // ------------------------------------------------------------------------
 // Wrapper exactness: verbatim copies of the PRE-BATCHED implementations
 // (interleaved draw per event, retroactive warm-up trim). The wrapped entry
-// points must reproduce them bit for bit.
+// points draw through Rng::exponential and must reproduce them bit for bit.
 
 QueueSimResult legacy_summarize(std::vector<double>& responses, double busy_time, int servers,
                                 double duration_s, double warmup_fraction) {
