@@ -1,6 +1,7 @@
 #include "common/rng.hpp"
 
 #include <cmath>
+#include <math.h>  // lgamma_r
 #include <numbers>
 
 #include "common/error.hpp"
@@ -130,8 +131,11 @@ std::int64_t Rng::poisson(double mean) {
     if (k < 0 || (us < 0.013 && v > us)) continue;
     const double log_mean = std::log(mean);
     const double lhs = std::log(v * inv_alpha / (a / (us * us) + b));
-    const double rhs =
-        -mean + static_cast<double>(k) * log_mean - std::lgamma(static_cast<double>(k) + 1.0);
+    // lgamma_r, not lgamma: glibc's lgamma writes the process-global
+    // signgam, a data race when pool lanes draw concurrently.
+    int sign = 0;
+    const double rhs = -mean + static_cast<double>(k) * log_mean -
+                       ::lgamma_r(static_cast<double>(k) + 1.0, &sign);
     if (lhs <= rhs) return k;
   }
 }

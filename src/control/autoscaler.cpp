@@ -9,14 +9,23 @@ namespace gp::control {
 
 using linalg::Vector;
 
+namespace {
+
+constexpr double kLowUtilization = 0.40;  ///< scale in below this
+constexpr double kScaleOutFactor = 1.5;   ///< multiplicative grow step
+constexpr double kMinServers = 0.0;       ///< floor per loaded pair
+static_assert(kLowUtilization > 0.0, "ThresholdAutoscaler: low watermark must be > 0");
+static_assert(kScaleOutFactor > 1.0, "ThresholdAutoscaler: scale-out factor <= 1");
+
+}  // namespace
+
 ThresholdAutoscaler::ThresholdAutoscaler(dspp::DsppModel model, AutoscalerSettings settings)
     : model_(std::move(model)), pairs_(model_), settings_(settings),
       cooldown_(pairs_.num_pairs(), 0) {
-  require(settings_.high_utilization > settings_.low_utilization,
+  require(settings_.high_utilization > kLowUtilization,
           "ThresholdAutoscaler: high watermark must exceed low watermark");
-  require(settings_.high_utilization < 1.0 && settings_.low_utilization > 0.0,
-          "ThresholdAutoscaler: watermarks must be inside (0, 1)");
-  require(settings_.scale_out_factor > 1.0, "ThresholdAutoscaler: scale-out factor <= 1");
+  require(settings_.high_utilization < 1.0,
+          "ThresholdAutoscaler: high watermark must be below 1");
   require(settings_.scale_in_factor > 0.0 && settings_.scale_in_factor < 1.0,
           "ThresholdAutoscaler: scale-in factor outside (0, 1)");
   require(settings_.cooldown_periods >= 0, "ThresholdAutoscaler: negative cooldown");
@@ -57,10 +66,10 @@ ThresholdAutoscaler::StepResult ThresholdAutoscaler::step(const Vector& state,
     if (servers <= 0.0) continue;
     const double utilization = assignment.rate[p] / (servers * model_.sla.mu);
     if (utilization > settings_.high_utilization) {
-      next[p] = servers * settings_.scale_out_factor;
+      next[p] = servers * kScaleOutFactor;
       cooldown_[p] = settings_.cooldown_periods;
-    } else if (utilization < settings_.low_utilization) {
-      next[p] = std::max({settings_.min_servers, servers * settings_.scale_in_factor,
+    } else if (utilization < kLowUtilization) {
+      next[p] = std::max({kMinServers, servers * settings_.scale_in_factor,
                           assignment.rate[p] > 0.0 ? 1e-3 : 0.0});
       cooldown_[p] = settings_.cooldown_periods;
     }

@@ -12,13 +12,12 @@
 namespace gp::control {
 
 /// Tuning of the threshold loop (defaults mirror common cloud presets).
+/// The low watermark, the grow step and the per-pair floor are fixed in
+/// autoscaler.cpp.
 struct AutoscalerSettings {
   double high_utilization = 0.80;  ///< scale out above this (rho = lambda/mu)
-  double low_utilization = 0.40;   ///< scale in below this
-  double scale_out_factor = 1.5;   ///< multiplicative grow step
   double scale_in_factor = 0.8;    ///< multiplicative shrink step
   int cooldown_periods = 1;        ///< periods to wait between actions per pair
-  double min_servers = 0.0;        ///< floor per loaded pair
 };
 
 /// Reactive utilization-threshold controller with the same step() shape as

@@ -81,9 +81,6 @@ MpcStepResult MpcController::step(const Vector& state, const Vector& demand,
     if (metrics_on) {
       obs::Registry::global().histogram("mpc.demand_forecast_rel_err").record(rel_err);
     }
-    if (obs::tracing_enabled()) {
-      obs::Tracer::global().counter("mpc.demand_forecast_rel_err", rel_err);
-    }
     if (frame != nullptr) frame->forecast_rel_err = rel_err;
   }
 

@@ -13,6 +13,16 @@ namespace gp::dspp {
 using linalg::Triplet;
 using linalg::Vector;
 
+namespace {
+
+/// Sharing-ADMM penalty. It acts on demand rows normalized by max(D, 1), so
+/// it is scale-free (a larger value over-damps the cross-block load shifts
+/// and stalls the cost descent).
+constexpr double kConsensusRho = 0.05;
+static_assert(kConsensusRho > 0.0);
+
+}  // namespace
+
 BlockWindowSolver::BlockWindowSolver(const DsppModel& model, const PairIndex& pairs,
                                      BlockWindowSettings settings)
     : model_(&model),
@@ -22,7 +32,6 @@ BlockWindowSolver::BlockWindowSolver(const DsppModel& model, const PairIndex& pa
   require(settings_.num_blocks >= 1, "BlockWindowSolver: num_blocks must be >= 1");
   require(settings_.max_consensus_iterations >= 1,
           "BlockWindowSolver: max_consensus_iterations must be >= 1");
-  require(settings_.consensus_rho > 0.0, "BlockWindowSolver: consensus_rho must be > 0");
   require(settings_.consensus_tolerance > 0.0,
           "BlockWindowSolver: consensus_tolerance must be > 0");
   num_blocks_ = std::min(settings_.num_blocks, pairs.num_datacenters());
@@ -128,7 +137,7 @@ void BlockWindowSolver::assemble(std::size_t b, const WindowInputs& inputs, bool
         const double gi = 1.0 / (pairs_->coefficient(block.pair_ids[i]) * scale);
         for (const std::size_t j : pairs_of_v[v]) {
           const double gj = 1.0 / (pairs_->coefficient(block.pair_ids[j]) * scale);
-          p_triplets.push_back({x_var(t, i), x_var(t, j), settings_.consensus_rho * gi * gj});
+          p_triplets.push_back({x_var(t, i), x_var(t, j), kConsensusRho * gi * gj});
         }
       }
     }
@@ -277,7 +286,7 @@ WindowSolution BlockWindowSolver::solve_consensus(const WindowInputs& inputs) {
               const double inv = 1.0 / (pairs_->coefficient(pair) * row_scale_[r]);
               block.problem.q[t * nb + jj] =
                   inputs.price[t][pairs_->datacenter_of(pair)] -
-                  settings_.consensus_rho * (block.w[r] - dual_[r]) * inv;
+                  kConsensusRho * (block.w[r] - dual_[r]) * inv;
             }
           }
           const qp::QpResult result = block.solver->solve(block.problem);

@@ -41,15 +41,12 @@ struct BlockWindowSettings {
   /// Lane cap for concurrent block solves (0 = all pool lanes). Any value
   /// yields bit-identical results; this only bounds parallelism.
   std::size_t max_lanes = 0;
-  /// Sharing-ADMM outer loop controls. The penalty acts on demand rows
-  /// normalized by max(D, 1), so rho is scale-free (larger rho over-damps
-  /// the cross-block load shifts and stalls the cost descent). The loop
-  /// stops on feasibility and cost stationarity, not on an optimality gap:
-  /// tests bound the receding-horizon cost at 15% above the exact
-  /// controller's, and scale_smoke measured a 9% gap. A certified stopping
-  /// rule is an open ROADMAP item ("Certified consensus").
+  /// Sharing-ADMM outer loop cap. The loop stops on feasibility and cost
+  /// stationarity, not on an optimality gap: tests bound the
+  /// receding-horizon cost at 15% above the exact controller's, and
+  /// scale_smoke measured a 9% gap. A certified stopping rule is an open
+  /// ROADMAP item ("Certified consensus").
   int max_consensus_iterations = 120;
-  double consensus_rho = 0.05;
   /// Stop when the worst normalized demand shortfall falls below this.
   double consensus_tolerance = 1e-3;
   /// Keep the window program (exact path) or the block programs and

@@ -15,6 +15,14 @@ namespace {
 
 constexpr double kIntegralEps = 1e-9;
 
+// Branch-and-bound limits.
+constexpr int kMaxNodes = 20000;
+/// Values within this of an integer count as integral. Must sit above the
+/// relaxation solver's accuracy (ADMM ~1e-4, IPM ~1e-8) or branching
+/// never terminates on solver noise.
+constexpr double kIntegralityTolerance = 5e-4;
+constexpr double kOptimalityGap = 1e-6;  ///< stop when best bound is this close
+
 double placement_cost(const PairIndex& pairs, const Vector& x, const Vector& price) {
   double cost = 0.0;
   for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
@@ -179,8 +187,7 @@ struct NodeOrder {
 
 IntegerPlacementResult solve_integer_placement(const DsppModel& model, const PairIndex& pairs,
                                                const Vector& demand, const Vector& price,
-                                               qp::QpSolver& solver,
-                                               const BranchAndBoundSettings& settings) {
+                                               qp::QpSolver& solver) {
   require(demand.size() == pairs.num_access_networks(), "solve_integer_placement: demand");
   require(price.size() == pairs.num_datacenters(), "solve_integer_placement: price");
   const std::size_t n = pairs.num_pairs();
@@ -193,11 +200,11 @@ IntegerPlacementResult solve_integer_placement(const DsppModel& model, const Pai
   Vector incumbent_x;
   double proven_bound = std::numeric_limits<double>::infinity();
 
-  while (!open.empty() && result.nodes_explored < settings.max_nodes) {
+  while (!open.empty() && result.nodes_explored < kMaxNodes) {
     Node node = open.top();
     open.pop();
     ++result.nodes_explored;
-    if (node.bound >= incumbent - settings.optimality_gap) break;  // best-first: done
+    if (node.bound >= incumbent - kOptimalityGap) break;  // best-first: done
 
     const qp::QpProblem relaxation =
         build_relaxation(model, pairs, demand, price, node.lower, node.upper);
@@ -205,11 +212,11 @@ IntegerPlacementResult solve_integer_placement(const DsppModel& model, const Pai
     if (lp.status == qp::SolveStatus::kPrimalInfeasible) continue;
     if (!lp.ok()) continue;  // treat numerical trouble as pruned (bound kept by parent)
     proven_bound = std::min(proven_bound, std::max(node.bound, lp.objective));
-    if (lp.objective >= incumbent - settings.optimality_gap) continue;
+    if (lp.objective >= incumbent - kOptimalityGap) continue;
 
     // Most fractional variable.
     std::size_t branch_var = n;
-    double worst_fraction = settings.integrality_tolerance;
+    double worst_fraction = kIntegralityTolerance;
     for (std::size_t p = 0; p < n; ++p) {
       const double value = std::max(0.0, lp.x[p]);
       const double fraction = std::abs(value - std::round(value));
@@ -254,7 +261,7 @@ IntegerPlacementResult solve_integer_placement(const DsppModel& model, const Pai
   result.objective = incumbent;
   result.lower_bound = std::isfinite(proven_bound) ? std::min(proven_bound, incumbent)
                                                    : incumbent;
-  result.status = (open.empty() || result.nodes_explored < settings.max_nodes)
+  result.status = (open.empty() || result.nodes_explored < kMaxNodes)
                       ? IntegerPlacementResult::Status::kOptimal
                       : IntegerPlacementResult::Status::kNodeLimit;
   return result;

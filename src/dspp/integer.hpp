@@ -48,16 +48,6 @@ IntegerizeResult round_up_allocation(const DsppModel& model, const PairIndex& pa
                                      const linalg::Vector& demand,
                                      const linalg::Vector& price);
 
-/// Node/iteration limits for the exact solver.
-struct BranchAndBoundSettings {
-  int max_nodes = 20000;
-  /// Values within this of an integer count as integral. Must sit above the
-  /// relaxation solver's accuracy (ADMM ~1e-4, IPM ~1e-8) or branching
-  /// never terminates on solver noise.
-  double integrality_tolerance = 5e-4;
-  double optimality_gap = 1e-6;  ///< stop when best bound is this close
-};
-
 /// Outcome of the exact integer placement.
 struct IntegerPlacementResult {
   enum class Status { kOptimal, kInfeasible, kNodeLimit };
@@ -77,7 +67,6 @@ struct IntegerPlacementResult {
 IntegerPlacementResult solve_integer_placement(const DsppModel& model, const PairIndex& pairs,
                                                const linalg::Vector& demand,
                                                const linalg::Vector& price,
-                                               qp::QpSolver& solver,
-                                               const BranchAndBoundSettings& settings = {});
+                                               qp::QpSolver& solver);
 
 }  // namespace gp::dspp

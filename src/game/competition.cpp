@@ -25,6 +25,15 @@ qp::AdmmSettings best_response_settings(const GameSettings& settings) {
   return solver_settings;
 }
 
+// kStabilized step rule: at most kStepSize of C^l is exchanged per
+// iteration, decaying as alpha_t = alpha / (1 + kStepDecay * t) (duals are
+// piecewise-constant in the quota, so a constant-step subgradient exchange
+// oscillates).
+constexpr double kStepSize = 0.2;
+constexpr double kStepDecay = 0.08;
+constexpr double kMinQuotaFraction = 1e-3;  ///< quota floor as a fraction of C / N
+static_assert(kStepSize > 0.0);
+
 }  // namespace
 
 CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector capacity,
@@ -33,7 +42,6 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
       welfare_solver_(best_response_settings(settings)) {
   require(!providers_.empty(), "CompetitionGame: need at least one provider");
   require(settings_.epsilon > 0.0, "CompetitionGame: epsilon must be > 0");
-  require(settings_.step_size > 0.0, "CompetitionGame: step size must be > 0");
   require(settings_.soft_demand_penalty > 0.0,
           "CompetitionGame: soft demand penalty must be > 0 (quotas can be infeasible)");
   horizon_ = providers_.front().demand.size();
@@ -120,7 +128,7 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
       }
     }
   }
-  const double quota_floor_scale = settings_.min_quota_fraction / static_cast<double>(n);
+  const double quota_floor_scale = kMinQuotaFraction / static_cast<double>(n);
 
   GameResult result;
   result.provider_costs.assign(n, 0.0);
@@ -155,9 +163,6 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
     result.cost_history.push_back(total_cost);
     result.iterations = iteration + 1;
     result.total_cost = total_cost;
-    if (obs::tracing_enabled()) {
-      obs::Tracer::global().counter("game.total_cost", total_cost);
-    }
     if (obs::recording_enabled()) {
       obs::ConvergenceRecorder::local().push(
           "game.round", iteration + 1, total_cost,
@@ -186,7 +191,7 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
     if (std::isfinite(previous_cost) &&
         std::abs(total_cost - previous_cost) <= settings_.epsilon * std::abs(previous_cost)) {
       ++stable_streak;
-      if (stable_streak >= settings_.stable_iterations_required) {
+      if (stable_streak >= kStableIterationsRequired) {
         result.converged = true;
         break;
       }
@@ -214,7 +219,7 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
       }
       // kStabilized: move capacity along MEAN-CENTRED duals (from providers
       // whose marginal value lambda^{il} is below average to those above),
-      // with the step normalized by the dual spread so at most `step_size`
+      // with the step normalized by the dual spread so at most kStepSize
       // of C^l moves per iteration, and diminishing over iterations. The
       // fixed point — equal duals across providers — is the socially
       // optimal split behind Theorem 1.
@@ -227,8 +232,7 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
       mean_dual /= static_cast<double>(n);
       const double spread = max_dual - min_dual;
       if (spread <= 1e-12) continue;  // all marginal values equal: at rest
-      const double step =
-          settings_.step_size / (1.0 + settings_.step_decay * static_cast<double>(iteration));
+      const double step = kStepSize / (1.0 + kStepDecay * static_cast<double>(iteration));
       const double alpha = step * capacity_[l] / spread;
       double column_sum = 0.0;
       for (std::size_t i = 0; i < n; ++i) {

@@ -43,21 +43,18 @@ enum class QuotaUpdateRule {
   kStabilized,
 };
 
+/// Consecutive sub-epsilon cost changes Algorithm 2 needs before declaring
+/// convergence (guards against early cost plateaus while quotas are still
+/// being exchanged).
+inline constexpr int kStableIterationsRequired = 3;
+
 /// Knobs for Algorithm 2.
 struct GameSettings {
   QuotaUpdateRule update_rule = QuotaUpdateRule::kStabilized;
   double epsilon = 0.05;            ///< relative cost-change convergence threshold
-  double step_size = 0.2;           ///< kStabilized: max fraction of C^l exchanged per iter
-  double step_decay = 0.08;         ///< kStabilized: alpha_t = alpha/(1 + decay*t)
-                                    ///< (duals are piecewise-constant in the quota, so a
-                                    ///< constant-step subgradient exchange oscillates)
   double paper_step_size = 0.05;    ///< kPaperFixedStep: the fixed alpha on raw duals
-  int stable_iterations_required = 3;  ///< consecutive sub-epsilon changes before declaring
-                                       ///< convergence (guards against early cost plateaus
-                                       ///< while quotas are still being exchanged)
   int max_iterations = 500;
   double soft_demand_penalty = 5.0; ///< $ per unserved req/s (transient infeasibility)
-  double min_quota_fraction = 1e-3; ///< quota floor as a fraction of C / N
   /// Parallel lanes for the per-iteration best responses (a Jacobi round:
   /// every response depends only on the quotas fixed at the top of the
   /// iteration, so they are computed concurrently). 0 = the global thread

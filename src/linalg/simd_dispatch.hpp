@@ -8,11 +8,9 @@
 // hardware or the build supports clamp down, mirroring GEOPLACE_THREADS'
 // leniency).
 //
-// The kernel contract (DESIGN.md §6): every production kernel — the inf-norm
-// family, the fused ADMM element-wise updates, the SELL SpMV, and the request
-// path's exponential-draw kernel neg_log_div — is BIT-IDENTICAL across tiers. Reductions that reassociate for speed
-// (dot_reassoc) are not used in the solver and carry a documented tolerance
-// instead; micro_admm_kernels cross-checks them per tier.
+// The kernel contract (DESIGN.md §6): every kernel — the inf-norm family,
+// the fused ADMM element-wise updates, the SELL SpMV, and the request path's
+// exponential-draw kernel neg_log_div — is BIT-IDENTICAL across tiers.
 #pragma once
 
 #include <string_view>

@@ -52,7 +52,6 @@ struct KernelTable {
                            std::size_t n);
   double (*admm_dual_update_delta)(const double* rho, const double* zc, const double* zn,
                                    double* y, double* delta, std::size_t n);
-  double (*dot_reassoc)(const double* a, const double* b, std::size_t n);
   void (*sell_multiply_into)(const SellView& m, double alpha, const double* x, double* y);
   void (*neg_log_div)(const double* u, double rate, double* out, std::size_t n);
 };

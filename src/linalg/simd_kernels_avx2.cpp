@@ -41,12 +41,6 @@ struct V4 {
     _mm256_store_pd(lane, v);
     return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
   }
-  // Reassociates (dot_reassoc only).
-  static double reduce_sum(vec v) {
-    alignas(32) double lane[4];
-    _mm256_store_pd(lane, v);
-    return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  }
   static vec from_bits(std::uint64_t b) {
     return _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(b)));
   }

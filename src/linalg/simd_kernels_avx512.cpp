@@ -42,14 +42,6 @@ struct V8 {
     const double hi = std::max(std::max(lane[4], lane[5]), std::max(lane[6], lane[7]));
     return std::max(lo, hi);
   }
-  // Reassociates (dot_reassoc only).
-  static double reduce_sum(vec v) {
-    alignas(64) double lane[8];
-    _mm512_store_pd(lane, v);
-    const double lo = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-    const double hi = (lane[4] + lane[5]) + (lane[6] + lane[7]);
-    return lo + hi;
-  }
   static vec from_bits(std::uint64_t b) {
     return _mm512_castsi512_pd(_mm512_set1_epi64(static_cast<long long>(b)));
   }

@@ -1,5 +1,5 @@
 // Scalar kernel tier: the portable reference implementations every vector
-// tier must match bit for bit (dot_reassoc excepted — documented tolerance).
+// tier must match bit for bit.
 //
 // The max-norm reductions run four independent running maxima and combine
 // them at the end. A single running maximum is a loop-carried dependence of
@@ -243,24 +243,6 @@ double s_admm_dual_update_delta(const double* rho, const double* zc, const doubl
   return std::max(std::max(m0, m1), std::max(m2, m3));
 }
 
-// Reassociated dot (4 stride-4 partial sums). Results differ from
-// linalg::dot's single chain — and from the 4/8-lane vector tiers — within
-// the documented |err| <= n * eps * sum|a_i b_i| bound. Bench cross-check
-// lane only; the solver uses the exact dot.
-double s_dot_reassoc(const double* a, const double* b, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  double total = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 // Scalar SELL SpMV: the portable reference the vector tiers match bit for
 // bit (identical per-lane term sequences; the pads contribute ±0 no-ops).
 void s_sell_multiply_into(const SellView& m, double alpha, const double* x, double* y) {
@@ -331,7 +313,6 @@ const KernelTable& scalar_table() {
     t.admm_z_candidate_cached = &s_admm_z_candidate_cached;
     t.admm_dual_update = &s_admm_dual_update;
     t.admm_dual_update_delta = &s_admm_dual_update_delta;
-    t.dot_reassoc = &s_dot_reassoc;
     t.sell_multiply_into = &s_sell_multiply_into;
     t.neg_log_div = &s_neg_log_div;
     return t;

@@ -15,7 +15,6 @@
 //     static vec min_std(vec a, vec b);      // per-lane std::min(a, b)
 //     static vec gather(const double* base, const std::int32_t* idx);
 //     static double reduce_max(vec);         // exact (lanes are never -0)
-//     static double reduce_sum(vec);         // reassociates (dot_reassoc only)
 //     // Integer ops on the lanes' 64-bit patterns (neg_log_div only):
 //     static vec from_bits(std::uint64_t);   // broadcast a bit pattern
 //     static vec bit_and(vec, vec); static vec bit_or(vec, vec);
@@ -24,12 +23,12 @@
 //     template <int kShift> static vec shift_right(vec);  // 64-bit logical
 //   };
 //
-// Bit-identity contract: every kernel here except dot_reassoc_t computes, per
-// element, the same IEEE operation sequence as the scalar tier, and reduces
-// maxima over the same candidate set. Max over values that are never -0 (all
-// lanes start at +0 and only non-negative candidates can replace them) is
-// exact and partition-independent, so W-lane accumulators reduce to the same
-// bits as the scalar code's 4 lanes. The TUs compile with -ffp-contract=off:
+// Bit-identity contract: every kernel here computes, per element, the same
+// IEEE operation sequence as the scalar tier, and reduces maxima over the
+// same candidate set. Max over values that are never -0 (all lanes start at
+// +0 and only non-negative candidates can replace them) is exact and
+// partition-independent, so W-lane accumulators reduce to the same bits as
+// the scalar code's 4 lanes. The TUs compile with -ffp-contract=off:
 // a fused multiply-add would change rounding and break the contract.
 #pragma once
 
@@ -269,22 +268,6 @@ double admm_dual_update_delta_t(const double* rho, const double* zc, const doubl
   return best;
 }
 
-// The one deliberately reassociated kernel: W partial sums reduced
-// horizontally. NOT bit-identical to linalg::dot's single chain (documented
-// tolerance ~ n * eps * sum|a_i b_i|); kept out of the solver hot path and
-// cross-checked against the exact dot in micro_admm_kernels.
-template <class V>
-double dot_reassoc_t(const double* a, const double* b, std::size_t n) {
-  typename V::vec acc = V::zero();
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    acc = V::add(acc, V::mul(V::load(a + i), V::load(b + i)));
-  }
-  double total = V::reduce_sum(acc);
-  for (; i < n; ++i) total += a[i] * b[i];
-  return total;
-}
-
 // SELL SpMV: chunks of kSellChunk rows, entries j-major, zero-value pads
 // (sparse_simd.cpp documents why the pads are bitwise no-ops). Gathers x per
 // lane; per lane the term sequence and its association acc += v * (alpha * x)
@@ -388,7 +371,6 @@ KernelTable make_table() {
   t.admm_z_candidate_cached = &admm_z_candidate_cached_t<V>;
   t.admm_dual_update = &admm_dual_update_t<V>;
   t.admm_dual_update_delta = &admm_dual_update_delta_t<V>;
-  t.dot_reassoc = &dot_reassoc_t<V>;
   t.sell_multiply_into = &sell_multiply_into_t<V>;
   t.neg_log_div = &neg_log_div_t<V>;
   return t;

@@ -10,7 +10,7 @@
 // table (simd_dispatch.hpp): one relaxed atomic load plus an indirect call,
 // amortized over the O(n) loop. The scalar tier lives in
 // simd_kernels_scalar.cpp; the AVX2/AVX-512 tiers are bit-identical to it
-// for every kernel except dot_reassoc (documented tolerance).
+// for every kernel.
 
 namespace gp::linalg {
 
@@ -19,11 +19,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   double total = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) total += a[i] * b[i];
   return total;
-}
-
-double dot_reassoc(std::span<const double> a, std::span<const double> b) {
-  require(a.size() == b.size(), "dot_reassoc: size mismatch");
-  return simd::kernels().dot_reassoc(a.data(), b.data(), a.size());
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }

@@ -15,13 +15,6 @@ using Vector = std::vector<double>;
 /// is the portable reference every build and SIMD tier reproduces exactly.
 double dot(std::span<const double> a, std::span<const double> b);
 
-/// Reassociated dot product (multiple partial sums, vectorized on the active
-/// SIMD tier). Faster than dot() but NOT bit-stable across tiers: results
-/// agree with dot() only within |err| <= n * eps * sum_i |a_i * b_i|. Kept
-/// out of the solver hot paths; micro_admm_kernels cross-checks the bound
-/// per tier. Use when throughput matters and bit-reproducibility does not.
-double dot_reassoc(std::span<const double> a, std::span<const double> b);
-
 /// Euclidean norm.
 double norm2(std::span<const double> a);
 

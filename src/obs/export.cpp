@@ -29,14 +29,6 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
     const auto dot = event.name.find('.');
     const std::string category =
         dot == std::string::npos ? std::string("misc") : event.name.substr(0, dot);
-    if (event.dur_us < 0.0) {
-      // Counter sample.
-      out << "{\"ph\":\"C\",\"name\":\"";
-      write_escaped(out, event.name);
-      out << "\",\"cat\":\"" << category << "\",\"ts\":" << event.ts_us
-          << ",\"pid\":0,\"args\":{\"value\":" << event.arg << "}}";
-      continue;
-    }
     out << "{\"ph\":\"X\",\"name\":\"";
     write_escaped(out, event.name);
     out << "\",\"cat\":\"" << category << "\",\"ts\":" << event.ts_us
@@ -53,12 +45,6 @@ void write_jsonl_trace(std::ostream& out, std::span<const TraceEvent> events,
                        const Registry* registry, const RunManifest* manifest) {
   if (manifest != nullptr) out << manifest->to_jsonl_line() << "\n";
   for (const TraceEvent& event : events) {
-    if (event.dur_us < 0.0) {
-      out << "{\"type\":\"counter_sample\",\"name\":\"";
-      write_escaped(out, event.name);
-      out << "\",\"ts_us\":" << event.ts_us << ",\"value\":" << event.arg << "}\n";
-      continue;
-    }
     out << "{\"type\":\"span\",\"name\":\"";
     write_escaped(out, event.name);
     out << "\",\"ts_us\":" << event.ts_us << ",\"dur_us\":" << event.dur_us

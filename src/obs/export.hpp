@@ -1,15 +1,14 @@
 // Trace/metric exporters.
 //
 // Chrome trace-event format (load in chrome://tracing or Perfetto): a JSON
-// array of complete events ("ph":"X") for spans and counter events
-// ("ph":"C") for scalar trajectories, timestamps/durations in microseconds,
-// one process (pid 0) with the library's small thread ids as tids.
+// array of complete events ("ph":"X"), one per span, timestamps/durations
+// in microseconds, one process (pid 0) with the library's small thread ids
+// as tids.
 //
 // JSONL event log (the input of tools/trace_report): one JSON object per
 // line —
 //   {"type":"span","name":...,"ts_us":...,"dur_us":...,"tid":...,
 //    "depth":...[,"arg":...]}
-//   {"type":"counter_sample","name":...,"ts_us":...,"value":...}
 // followed, when a Registry is supplied, by its metric lines
 // ({"type":"counter"|"gauge"|"histogram",...} — see Registry::write_jsonl).
 // Both exporters accept an optional RunManifest: the JSONL log starts with

@@ -77,8 +77,6 @@ void Tracer::export_locked() {
   }
 }
 
-double Tracer::now_us() const { return since_epoch_us(std::chrono::steady_clock::now()); }
-
 double Tracer::since_epoch_us(std::chrono::steady_clock::time_point tp) const {
   return std::chrono::duration<double, std::micro>(tp - epoch_).count();
 }
@@ -94,19 +92,6 @@ void Tracer::record_span(const char* name, double ts_us, double dur_us, std::uin
   event.depth = depth;
   event.arg = arg;
   event.has_arg = has_arg;
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.push_back(std::move(event));
-}
-
-void Tracer::counter(const char* name, double value) {
-  if (!enabled()) return;
-  TraceEvent event;
-  event.name = name;
-  event.ts_us = now_us();
-  event.dur_us = -1.0;
-  event.tid = current_thread_id();
-  event.arg = value;
-  event.has_arg = true;
   std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(std::move(event));
 }

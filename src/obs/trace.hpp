@@ -18,8 +18,10 @@
 // Both hooks are gated on one relaxed atomic load, so an unprofiled run
 // pays a single predictable branch per span.
 //
-// Counter events (Tracer::counter) record a named scalar sample over time —
-// used for the ADMM residual trajectories and the game's per-round cost.
+// The tracer records spans only. Scalar trajectories (ADMM residuals, the
+// game's per-round cost, per-period SLA and forecast error) live in the
+// convergence recorder (obs/recorder.hpp), the metrics registry and the
+// telemetry timeline (obs/timeline.hpp).
 //
 // Enabling: set GEOPLACE_TRACE=<path> before the process starts (read once,
 // at first Tracer::global() use) or call start_tracing(). The buffered
@@ -41,15 +43,14 @@ namespace gp::obs {
 /// Output format of the trace export (see obs/export.hpp).
 enum class TraceFormat {
   kChrome,  ///< chrome://tracing JSON array of trace events
-  kJsonl,   ///< one JSON object per line: spans, counters, then metrics
+  kJsonl,   ///< one JSON object per line: spans, then metrics
 };
 
-/// One recorded event. `dur_us < 0` marks a counter sample (value in
-/// `arg`); otherwise a completed span.
+/// One recorded event: a completed span.
 struct TraceEvent {
   std::string name;
   double ts_us = 0.0;   ///< start time, microseconds since tracing began
-  double dur_us = 0.0;  ///< span duration; < 0 for counter samples
+  double dur_us = 0.0;  ///< span duration
   std::uint32_t tid = 0;
   std::int32_t depth = 0;
   double arg = 0.0;
@@ -78,12 +79,6 @@ class Tracer {
   /// Appends a completed span. Called by Span; ignored when disabled.
   void record_span(const char* name, double ts_us, double dur_us, std::uint32_t tid,
                    std::int32_t depth, double arg, bool has_arg);
-
-  /// Appends a counter sample (timestamped now). Ignored when disabled.
-  void counter(const char* name, double value);
-
-  /// Microseconds since the tracing epoch.
-  double now_us() const;
 
   /// A steady_clock time point expressed in microseconds since the epoch.
   double since_epoch_us(std::chrono::steady_clock::time_point tp) const;

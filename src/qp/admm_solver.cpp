@@ -22,6 +22,12 @@ using linalg::SparseMatrix;
 using linalg::Triplet;
 using linalg::Vector;
 
+constexpr int kAdaptiveRhoInterval = 100;       ///< iterations between rho updates
+constexpr double kAdaptiveRhoTolerance = 5.0;   ///< refactor when rho moves this much
+constexpr int kScalingIterations = 10;          ///< Ruiz equilibration sweeps
+constexpr double kPolishRegularization = 1e-9;  ///< +/- d on the reduced-KKT diagonal
+constexpr int kPolishRefinementSteps = 3;       ///< iterative-refinement passes
+
 /// Assembles the upper triangle of [[P + sigma I, A^T], [A, -diag(1/rho)]].
 SparseMatrix build_kkt_upper(const SparseMatrix& p, const SparseMatrix& a, double sigma,
                              std::span<const double> rho) {
@@ -72,8 +78,7 @@ std::pair<double, double> kkt_residuals(const QpProblem& problem, const Vector& 
 
 }  // namespace
 
-bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& settings, Vector& x,
-                               Vector& y) {
+bool ActiveSetPolisher::polish(const QpProblem& problem, Vector& x, Vector& y) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
   const SparseMatrix& a = problem.a;
@@ -109,8 +114,7 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& set
   }
   const std::size_t k = active_rows.size();
 
-  const double reg = settings.polish_regularization;
-  if (factored_ && active_rows == factored_rows_ && reg == factored_regularization_) {
+  if (factored_ && active_rows == factored_rows_) {
     ++reuses_;  // identical reduced KKT matrix: keep its factorization
   } else {
     // Assemble the reduced KKT upper triangle [[P + dI, A_act^T], [A_act, -dI]]:
@@ -126,7 +130,8 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& set
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
-      triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j), reg});
+      triplets.push_back({static_cast<std::int32_t>(j), static_cast<std::int32_t>(j),
+                          kPolishRegularization});
     }
     for (std::int32_t c = 0; c < a.cols(); ++c) {
       for (std::int32_t e = a_col_ptr[c]; e < a_col_ptr[c + 1]; ++e) {
@@ -136,7 +141,7 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& set
     }
     for (std::size_t r = 0; r < k; ++r) {
       triplets.push_back({static_cast<std::int32_t>(n + r), static_cast<std::int32_t>(n + r),
-                          -reg});
+                          -kPolishRegularization});
     }
     const auto kkt = SparseMatrix::from_triplets(static_cast<std::int32_t>(n + k),
                                                  static_cast<std::int32_t>(n + k), triplets);
@@ -144,7 +149,6 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& set
     factored_ = ldlt_.factor(kkt) == SparseLdlt::Status::kOk;
     if (!factored_) return false;
     factored_rows_ = active_rows;
-    factored_regularization_ = reg;
   }
 
   // Solve with a few steps of iterative refinement against the UNregularized
@@ -153,7 +157,7 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, const AdmmSettings& set
   for (std::size_t j = 0; j < n; ++j) rhs[j] = -problem.q[j];
   for (std::size_t r = 0; r < k; ++r) rhs[n + r] = active_rhs[r];
   Vector solution = ldlt_.solve(rhs);
-  for (int step = 0; step < settings.polish_refinement_steps; ++step) {
+  for (int step = 0; step < kPolishRefinementSteps; ++step) {
     // residual = rhs - K_exact * solution, where K_exact has no +/-d terms.
     Vector residual = rhs;
     Vector xs(solution.begin(), solution.begin() + static_cast<std::ptrdiff_t>(n));
@@ -323,7 +327,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     scaling = cached_scaling_;
     if (settings_.scale_problem) apply_scaling(scaling, problem);
   } else if (settings_.scale_problem) {
-    scaling = ruiz_equilibrate(problem, settings_.scaling_iterations);
+    scaling = ruiz_equilibrate(problem, kScalingIterations);
     // Re-apply the FINAL scaling in one shot: the sweeps above scale
     // incrementally, which differs from apply_scaling() by rounding ulps.
     // Normalizing here makes the scaled data bitwise identical to what a
@@ -385,11 +389,11 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   } else {
     for (std::size_t i = 0; i < m; ++i) {
       if (row_class[i] == 1) {
-        rho[i] = settings_.rho * settings_.rho_equality_scale;
+        rho[i] = kAdmmRho * kAdmmRhoEqualityScale;
       } else if (row_class[i] == 2) {
-        rho[i] = settings_.rho * 1e-3;  // loose rows barely constrain
+        rho[i] = kAdmmRho * 1e-3;  // loose rows barely constrain
       } else {
-        rho[i] = settings_.rho;
+        rho[i] = kAdmmRho;
       }
     }
   }
@@ -419,7 +423,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     obs::Span factor_span("admm.factor");
     // Kept as a member so the in-loop adaptive-rho refactorization can
     // rewrite the -1/rho diagonal in place instead of reassembling.
-    kkt_upper_ = build_kkt_upper(problem.p, problem.a, settings_.sigma, rho);
+    kkt_upper_ = build_kkt_upper(problem.p, problem.a, kAdmmSigma, rho);
     const SparseLdlt::Status status =
         use_cache ? kkt.refactor(kkt_upper_) : kkt.factor(kkt_upper_);
     if (use_cache) {
@@ -450,7 +454,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   // --- Hot loop. Everything below reads/writes the workspace through the
   // fused kernels in linalg/vector_ops; after the sizing solve the loop
   // performs no heap allocation (tracked by the alloc probe, with the
-  // unavoidable refactor/trace segments excluded and reported separately).
+  // unavoidable refactor/recorder segments excluded and reported separately).
   const std::span<double> rhs_x(ws.rhs.data(), n);
   const std::span<const double> rhs_nu(ws.rhs.data() + n, m);
   auto& registry = obs::Registry::global();
@@ -469,7 +473,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     const bool check = (iteration + 1) % settings_.check_interval == 0;
 
     // Build the KKT right-hand side.
-    for (std::size_t j = 0; j < n; ++j) ws.rhs[j] = settings_.sigma * x[j] - problem.q[j];
+    for (std::size_t j = 0; j < n; ++j) ws.rhs[j] = kAdmmSigma * x[j] - problem.q[j];
     // The y / rho quotients feed both the rhs here and the z-candidate step
     // below; form them once (rho only changes between iterations).
     for (std::size_t i = 0; i < m; ++i) {
@@ -484,7 +488,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
 
     // Over-relaxed updates (delta-producing variants on check iterations,
     // bit-identical to the plain kernels).
-    const double alpha = settings_.alpha;
+    const double alpha = kAdmmAlpha;
     double delta_x_norm = 0.0;
     if (check) {
       delta_x_norm = linalg::axpby_delta(alpha, rhs_x, 1.0 - alpha, x, ws.delta_x);
@@ -540,16 +544,6 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     const double eps_dual = settings_.eps_abs + settings_.eps_rel * dual_norm;
     result.primal_residual = prim_res;
     result.dual_residual = dual_res;
-    if (obs::tracing_enabled()) {
-      // Residual trajectories, sampled at the check cadence (counter events
-      // in the trace; concurrent best responses interleave by timestamp).
-      // Trace emission allocates by design; keep it out of the hot-loop
-      // allocation accounting.
-      const long long trace_allocs_before = gp::alloc_probe_count();
-      obs::Tracer::global().counter("admm.primal_residual", prim_res);
-      obs::Tracer::global().counter("admm.dual_residual", dual_res);
-      excluded_allocs += gp::alloc_probe_count() - trace_allocs_before;
-    }
     if (obs::recording_enabled()) {
       // Flight-recorder sample at the check cadence. push() itself is
       // allocation-free; only the thread's FIRST recorded sample allocates
@@ -568,7 +562,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
 
     // --- Infeasibility certificates (on scaled deltas, normalized; the
     // deltas and their norms came out of the *_delta update kernels). ---
-    if (delta_y_norm > settings_.eps_infeasible) {
+    if (delta_y_norm > kAdmmEpsInfeasible) {
       if (vector_spmv) {
         at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
       } else {
@@ -587,14 +581,14 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
           support += problem.lower[i] * dy;
         }
       }
-      if (valid && linalg::norm_inf(ws.at_dy) <= settings_.eps_infeasible * delta_y_norm &&
-          support <= -settings_.eps_infeasible * delta_y_norm) {
+      if (valid && linalg::norm_inf(ws.at_dy) <= kAdmmEpsInfeasible * delta_y_norm &&
+          support <= -kAdmmEpsInfeasible * delta_y_norm) {
         result.status = SolveStatus::kPrimalInfeasible;
         ++iteration;
         break;
       }
     }
-    if (delta_x_norm > settings_.eps_infeasible) {
+    if (delta_x_norm > kAdmmEpsInfeasible) {
       std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
       problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
       if (vector_spmv) {
@@ -603,15 +597,15 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
         a_mirror_.multiply_into(1.0, ws.delta_x, ws.a_dx);
       }
       const double q_dx = linalg::dot(problem.q, ws.delta_x);
-      bool certificate = linalg::norm_inf(ws.p_dx) <= settings_.eps_infeasible * delta_x_norm &&
-                         q_dx <= -settings_.eps_infeasible * delta_x_norm;
+      bool certificate = linalg::norm_inf(ws.p_dx) <= kAdmmEpsInfeasible * delta_x_norm &&
+                         q_dx <= -kAdmmEpsInfeasible * delta_x_norm;
       if (certificate) {
         for (std::size_t i = 0; i < m && certificate; ++i) {
           const double v = ws.a_dx[i];
-          if (problem.upper[i] != kInfinity && v > settings_.eps_infeasible * delta_x_norm) {
+          if (problem.upper[i] != kInfinity && v > kAdmmEpsInfeasible * delta_x_norm) {
             certificate = false;
           }
-          if (problem.lower[i] != -kInfinity && v < -settings_.eps_infeasible * delta_x_norm) {
+          if (problem.lower[i] != -kInfinity && v < -kAdmmEpsInfeasible * delta_x_norm) {
             certificate = false;
           }
         }
@@ -624,12 +618,11 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     }
 
     // --- Adaptive rho. ---
-    if (settings_.adaptive_rho && (iteration + 1) % settings_.adaptive_rho_interval == 0) {
+    if ((iteration + 1) % kAdaptiveRhoInterval == 0) {
       const double prim_ratio = prim_res / std::max(prim_norm, 1e-10);
       const double dual_ratio = dual_res / std::max(dual_norm, 1e-10);
       const double factor = std::sqrt(prim_ratio / std::max(dual_ratio, 1e-10));
-      if (factor > settings_.adaptive_rho_tolerance ||
-          factor < 1.0 / settings_.adaptive_rho_tolerance) {
+      if (factor > kAdaptiveRhoTolerance || factor < 1.0 / kAdaptiveRhoTolerance) {
         const double rho_before = rho.empty() ? 0.0 : rho[0];
         for (std::size_t i = 0; i < m; ++i) {
           rho[i] = std::min(std::max(rho[i] * factor, 1e-6), 1e6);
@@ -689,7 +682,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   for (std::size_t i = 0; i < m; ++i) result.y[i] = scaling.e[i] * y[i] / scaling.cost_scale;
   if (settings_.polish && result.status == SolveStatus::kOptimal) {
     obs::Span polish_span("admm.polish");
-    if (polisher_.polish(original, settings_, result.x, result.y)) {
+    if (polisher_.polish(original, result.x, result.y)) {
       const auto [primal, dual] = kkt_residuals(original, result.x, result.y);
       result.primal_residual = primal;
       result.dual_residual = dual;

@@ -20,22 +20,21 @@
 
 namespace gp::qp {
 
-/// Tuning knobs for AdmmSolver; the defaults follow OSQP's.
+/// ADMM step rule, fixed at OSQP's defaults. Declared here because the
+/// kernel micro-bench's reference loop runs the same iteration.
+inline constexpr double kAdmmRho = 0.1;               ///< initial step size for inequality rows
+inline constexpr double kAdmmRhoEqualityScale = 1e3;  ///< equality rows use rho * this
+inline constexpr double kAdmmSigma = 1e-6;            ///< primal regularization
+inline constexpr double kAdmmAlpha = 1.6;             ///< over-relaxation in (0, 2)
+inline constexpr double kAdmmEpsInfeasible = 1e-7;    ///< certificate tolerance
+
+/// Settings of AdmmSolver that callers choose; the defaults follow OSQP's.
 struct AdmmSettings {
-  double rho = 0.1;              ///< initial step size for inequality rows
-  double rho_equality_scale = 1e3;  ///< equality rows use rho * this
-  double sigma = 1e-6;           ///< primal regularization
-  double alpha = 1.6;            ///< over-relaxation in (0, 2)
   double eps_abs = 1e-6;         ///< absolute tolerance
   double eps_rel = 1e-6;         ///< relative tolerance
-  double eps_infeasible = 1e-7;  ///< certificate tolerance
   int max_iterations = 20000;
   int check_interval = 25;       ///< residual / certificate check cadence
-  bool adaptive_rho = true;
-  int adaptive_rho_interval = 100;
-  double adaptive_rho_tolerance = 5.0;  ///< refactor when rho moves this much
   bool scale_problem = true;
-  int scaling_iterations = 10;
   /// Reuse the previous solve's (x, y) as the starting iterate when the
   /// problem dimensions match. Receding-horizon callers (the MPC loop, the
   /// game's best responses) solve near-identical problems back to back;
@@ -49,8 +48,6 @@ struct AdmmSettings {
   /// With cache_structure, its reduced-KKT factorization is reused across
   /// solves while the active set and (P, A) repeat (see ActiveSetPolisher).
   bool polish = false;
-  double polish_regularization = 1e-9;
-  int polish_refinement_steps = 3;
   /// Cache the solver's structural work (Ruiz scaling, AMD ordering,
   /// symbolic analysis of the KKT matrix) across solve() calls on the SAME
   /// solver instance. When the next problem has the identical (P, A)
@@ -96,16 +93,15 @@ struct AdmmCacheStats {
 
 /// OSQP's polish step (see AdmmSettings::polish): solves the equality-
 /// constrained QP on the active set detected from (x, y). The reduced KKT
-/// factorization is kept and reused while the active rows and the
-/// regularization repeat; the caller must forget() it whenever P or A
-/// changes. The reduced KKT matrix is then identical, so a reused polish is
-/// bitwise equal to a fresh one. One instance per solver (not thread-safe).
+/// factorization is kept and reused while the active rows repeat; the
+/// caller must forget() it whenever P or A changes. The reduced KKT matrix
+/// is then identical, so a reused polish is bitwise equal to a fresh one.
+/// One instance per solver (not thread-safe).
 class ActiveSetPolisher {
  public:
   /// Polishes (x, y) for `problem` (unscaled). Returns true and overwrites
   /// (x, y) when the polished point is a strictly better KKT point.
-  bool polish(const QpProblem& problem, const AdmmSettings& settings, linalg::Vector& x,
-              linalg::Vector& y);
+  bool polish(const QpProblem& problem, linalg::Vector& x, linalg::Vector& y);
 
   /// Drops the kept factorization: P or A differ from the last polish's.
   void forget() { factored_ = false; }
@@ -117,7 +113,6 @@ class ActiveSetPolisher {
  private:
   linalg::SparseLdlt ldlt_;
   std::vector<std::int32_t> factored_rows_;  // active rows ldlt_ was built for
-  double factored_regularization_ = 0.0;
   bool factored_ = false;
   long long factorizations_ = 0;
   long long reuses_ = 0;

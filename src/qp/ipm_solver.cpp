@@ -18,6 +18,10 @@ namespace {
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+constexpr int kMaxIterations = 100;
+constexpr double kRegularization = 1e-9;  ///< static KKT regularization
+constexpr double kStepFraction = 0.99;    ///< fraction-to-boundary
+
 /// Zero-and-scatter a CSC matrix into preallocated dense storage — the
 /// allocation-free equivalent of SparseMatrix::to_dense().
 void scatter_dense(const linalg::SparseMatrix& a, DenseMatrix& out) {
@@ -148,10 +152,10 @@ QpResult IpmSolver::solve(const QpProblem& problem) {
   QpResult result;
   result.status = SolveStatus::kMaxIterations;
   const std::size_t kkt_n = n + pe + mi;
-  const double reg = settings_.regularization;
+  const double reg = kRegularization;
 
   int iteration = 0;
-  for (; iteration < settings_.max_iterations; ++iteration) {
+  for (; iteration < kMaxIterations; ++iteration) {
     // Residuals.
     const Vector px = p_dense.multiply(x);
     const Vector ety = e_mat.multiply_transposed(y);
@@ -253,8 +257,8 @@ QpResult IpmSolver::solve(const QpProblem& problem) {
       extract(solve_step(rsz), dx, dy, dz, ds);
     }
 
-    const double alpha_p = settings_.step_fraction * max_step(s, ds);
-    const double alpha_d = settings_.step_fraction * max_step(z, dz);
+    const double alpha_p = kStepFraction * max_step(s, ds);
+    const double alpha_d = kStepFraction * max_step(z, dz);
     const double alpha = mi > 0 ? std::min(alpha_p, alpha_d) : 1.0;
     for (std::size_t j = 0; j < n; ++j) x[j] += alpha * dx[j];
     for (std::size_t r = 0; r < pe; ++r) y[r] += alpha * dy[r];

@@ -24,12 +24,9 @@
 
 namespace gp::qp {
 
-/// Tuning knobs for IpmSolver.
+/// Settings of IpmSolver that callers choose.
 struct IpmSettings {
-  int max_iterations = 100;
-  double tolerance = 1e-9;         ///< residual + complementarity target
-  double regularization = 1e-9;    ///< static KKT regularization
-  double step_fraction = 0.99;     ///< fraction-to-boundary
+  double tolerance = 1e-9;  ///< residual + complementarity target
 };
 
 /// Dense Mehrotra predictor-corrector solver (see file comment).

@@ -234,10 +234,6 @@ SimulationSummary SimulationEngine::run(const PlacementPolicy& policy,
     }
     const double sla_ms = sla_span.close();
     if (frame != nullptr) frame->sla_ms = sla_ms;
-    if (obs::tracing_enabled()) {
-      obs::Tracer::global().counter("sim.sla_compliance", metrics.sla_compliance);
-      obs::Tracer::global().counter("sim.total_servers", metrics.total_servers);
-    }
     if (frame != nullptr) {
       frame->demand_total = metrics.total_demand;
       frame->servers_total = metrics.total_servers;

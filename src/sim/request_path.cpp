@@ -150,7 +150,7 @@ RequestSimReport simulate_requests(const dspp::DsppModel& model, const dspp::Pai
 
   const std::size_t lanes =
       options.max_lanes > 0 ? options.max_lanes : ThreadPool::global().max_lanes();
-  const obs::LogBucketLayout layout(options.sketch);
+  const obs::LogBucketLayout layout(kLatencySketch);
 
   // Load-balanced lane sharding: pairs are dealt by the LPT rule (heaviest
   // routed rate first, each to the least-loaded lane; ties to the lower pair

@@ -173,6 +173,10 @@ class LatencySketch {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Geometry of the per-pair latency sketches (end-to-end milliseconds).
+/// 64 buckets/decade bounds the percentile interpolation error at ~3.7%.
+inline constexpr obs::HistogramOptions kLatencySketch{1e-2, 1e6, 64};
+
 /// Parameters of one batched request-level simulation.
 struct RequestSimOptions {
   double duration_s = 60.0;       ///< simulated seconds of arrivals
@@ -182,9 +186,6 @@ struct RequestSimOptions {
   /// lanes (GEOPLACE_THREADS). Any value yields bit-identical output; tests
   /// pin it to compare 1 vs N directly.
   std::size_t max_lanes = 0;
-  /// Geometry of the per-pair latency sketches (end-to-end milliseconds).
-  /// 64 buckets/decade bounds the percentile interpolation error at ~3.7%.
-  obs::HistogramOptions sketch{1e-2, 1e6, 64};
 };
 
 /// Per-pair empirical statistics (end-to-end = queueing + service + network,

@@ -80,7 +80,7 @@ TEST(CompetitionGame, ConvergesWithAmpleCapacity) {
   const GameResult result = game.run();
   EXPECT_TRUE(result.converged);
   // 1 baseline iteration + the consecutive-stability streak.
-  EXPECT_LE(result.iterations, 2 + GameSettings{}.stable_iterations_required);
+  EXPECT_LE(result.iterations, 2 + kStableIterationsRequired);
   EXPECT_NEAR(result.total_unserved, 0.0, 1e-3);
 }
 
@@ -112,7 +112,7 @@ TEST(CompetitionGame, TightCapacityTakesMoreIterations) {
   const int tight = iterations_for(150.0);
   const int loose = iterations_for(5000.0);
   EXPECT_GE(tight, loose);
-  EXPECT_LE(loose, 2 + GameSettings{}.stable_iterations_required);
+  EXPECT_LE(loose, 2 + kStableIterationsRequired);
 }
 
 TEST(CompetitionGame, EquilibriumCostMatchesSocialWelfare) {

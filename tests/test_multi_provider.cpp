@@ -104,7 +104,7 @@ TEST(MultiTenant, WarmStartedQuotasSettle) {
   MultiTenantConfig config = default_config(10);
   config.utc_start_hour = 10.0;  // inside the busy plateau: stable demand
   config.warm_start_quotas = true;
-  const int floor_iterations = 1 + config.game.stable_iterations_required;
+  const int floor_iterations = 1 + game::kStableIterationsRequired;
   MultiTenantSimulation simulation(std::move(tenants), shared_prices(),
                                    Vector{60.0, 60.0}, std::move(config));
   const auto summary = simulation.run();

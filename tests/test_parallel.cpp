@@ -9,16 +9,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <stdexcept>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "dspp/window_program.hpp"
 #include "game/competition.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "qp/admm_solver.hpp"
+#include "workload/demand.hpp"
 
 namespace gp {
 namespace {
@@ -111,6 +114,34 @@ TEST(ThreadPool, GlobalParallelForWorks) {
   std::vector<int> visits(100, 0);
   parallel_for(0, visits.size(), [&](std::size_t i) { ++visits[i]; });
   for (int count : visits) EXPECT_EQ(count, 1);
+}
+
+TEST(ThreadPool, PoissonCountsOnLanesMatchSerialPass) {
+  // The request replay draws arrival counts on pool lanes. Means of 30 and
+  // above take the PTRS rejection path, whose log-gamma term must touch no
+  // process-global state (glibc's lgamma writes signgam, a race that the
+  // tsan preset reports), and every lane must reproduce the serial counts.
+  const std::vector<double> means = {30.0, 97.5, 1e3, 3.3e4, 1e5, 1e6};
+  constexpr std::size_t kStreams = 64;
+  const auto draw_stream = [&](std::size_t stream) {
+    Rng rng(7919 + stream);
+    std::vector<double> counts;
+    for (int k = 0; k < 200; ++k) {
+      for (double mean : means) counts.push_back(workload::sample_poisson_count(mean, rng));
+    }
+    return counts;
+  };
+  std::vector<std::vector<double>> serial(kStreams), lanes(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) serial[s] = draw_stream(s);
+  ThreadPool pool(3);
+  pool.parallel_for(0, kStreams, [&](std::size_t s) { lanes[s] = draw_stream(s); }, 4);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    ASSERT_EQ(lanes[s].size(), serial[s].size());
+    EXPECT_EQ(std::memcmp(lanes[s].data(), serial[s].data(),
+                          serial[s].size() * sizeof(double)),
+              0)
+        << "stream " << s;
+  }
 }
 
 // ------------------------------------------------------ ThreadPool telemetry

@@ -431,16 +431,16 @@ TEST(Admm, ReusedPolishFactorIsExact) {
 
   ActiveSetPolisher warm;
   Vector x_warm = rough.x, y_warm = rough.y;
-  ASSERT_TRUE(warm.polish(problem, settings, x_warm, y_warm));
+  ASSERT_TRUE(warm.polish(problem, x_warm, y_warm));
   x_warm = rough.x;
   y_warm = rough.y;
-  ASSERT_TRUE(warm.polish(problem, settings, x_warm, y_warm));
+  ASSERT_TRUE(warm.polish(problem, x_warm, y_warm));
   EXPECT_EQ(warm.factorizations(), 1);
   EXPECT_EQ(warm.reuses(), 1);
 
   ActiveSetPolisher cold;
   Vector x_cold = rough.x, y_cold = rough.y;
-  ASSERT_TRUE(cold.polish(problem, settings, x_cold, y_cold));
+  ASSERT_TRUE(cold.polish(problem, x_cold, y_cold));
   EXPECT_EQ(cold.reuses(), 0);
   EXPECT_EQ(x_warm, x_cold);
   EXPECT_EQ(y_warm, y_cold);
@@ -481,7 +481,7 @@ TEST(Admm, PolishRefactorsWhenMatrixValuesChange) {
     const QpResult unpolished = reference.solve(*changed);
     ActiveSetPolisher fresh;
     Vector x = unpolished.x, y = unpolished.y;
-    ASSERT_TRUE(fresh.polish(*changed, polished, x, y));
+    ASSERT_TRUE(fresh.polish(*changed, x, y));
     EXPECT_EQ(result.x, x);
     EXPECT_EQ(result.y, y);
     EXPECT_EQ(result.objective, changed->objective(x));

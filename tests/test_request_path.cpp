@@ -222,8 +222,7 @@ PairLatencyStats reference_pair(const dspp::DsppModel& model, const dspp::PairIn
 }
 
 /// The drift bound of request_path.hpp, pair by pair.
-void expect_within_drift(const PairLatencyStats& got, const PairLatencyStats& ref,
-                         const RequestSimOptions& options) {
+void expect_within_drift(const PairLatencyStats& got, const PairLatencyStats& ref) {
   SCOPED_TRACE("pair " + std::to_string(ref.pair));
   EXPECT_EQ(got.requests, ref.requests);
   EXPECT_EQ(got.unstable, ref.unstable);
@@ -232,7 +231,7 @@ void expect_within_drift(const PairLatencyStats& got, const PairLatencyStats& re
   const double violation_gap = std::abs(static_cast<double>(got.violations) -
                                         static_cast<double>(ref.violations));
   EXPECT_LE(violation_gap * 1e5, static_cast<double>(ref.requests));
-  const double bucket_ratio = std::pow(10.0, 1.0 / options.sketch.buckets_per_decade);
+  const double bucket_ratio = std::pow(10.0, 1.0 / kLatencySketch.buckets_per_decade);
   EXPECT_LE(got.p95_ms, ref.p95_ms * bucket_ratio);
   EXPECT_GE(got.p95_ms, ref.p95_ms / bucket_ratio);
 }
@@ -243,7 +242,7 @@ TEST(RequestPath, VectorisedDrawsStayWithinDriftOfExactDraws) {
   RequestSimOptions options;
   options.duration_s = 200.0;
   options.seed = 31;
-  const obs::LogBucketLayout layout(options.sketch);
+  const obs::LogBucketLayout layout(kLatencySketch);
   const auto report =
       simulate_requests(d.bundle.model, d.pairs, d.allocation, d.assignment, options);
   std::size_t checked = 0;
@@ -254,10 +253,8 @@ TEST(RequestPath, VectorisedDrawsStayWithinDriftOfExactDraws) {
       EXPECT_EQ(report.pairs[p].requests, 0u);
       continue;
     }
-    expect_within_drift(report.pairs[p],
-                        reference_pair(d.bundle.model, d.pairs, layout, p, rate, servers,
-                                       options),
-                        options);
+    expect_within_drift(report.pairs[p], reference_pair(d.bundle.model, d.pairs, layout, p,
+                                                        rate, servers, options));
     ++checked;
   }
   EXPECT_GT(checked, 3u);
@@ -272,8 +269,7 @@ TEST(RequestPath, VectorisedDrawsStayWithinDriftOfExactDraws) {
   const auto hot = simulate_requests(model, pairs, allocation, assignment, options);
   ASSERT_GT(hot.pairs[0].requests, 100000u);
   expect_within_drift(hot.pairs[0],
-                      reference_pair(model, pairs, layout, 0, assignment.rate[0], 2, options),
-                      options);
+                      reference_pair(model, pairs, layout, 0, assignment.rate[0], 2, options));
 }
 
 TEST(RequestPath, PairSubstreamsAreIndependent) {
