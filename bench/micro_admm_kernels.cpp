@@ -1,6 +1,6 @@
 // Micro-benchmark of the ADMM hot-loop kernels (BENCH_admm.json).
 //
-// Three experiments on a fig06-scale window QP (the Section VII environment,
+// Four experiments on a fig06-scale window QP (the Section VII environment,
 // 4 data centers x 24 cities, prediction horizon K = 20):
 //
 //  1. Kernel A/B: the pre-PR iteration body (per-iteration result-vector
@@ -23,6 +23,9 @@
 //     vector tier, the best SELL tier must beat the scalar-mirror pair by
 //     >= 1.25x (the floor travels as spmv.vector_speedup_min, 0.0 — i.e.
 //     informational — when no vector ISA is available).
+//  4. Cold LDL^T: SparseLdlt::factor on the solver's KKT matrix, ordering
+//     and symbolic analysis included (best of a few fresh factorizations) —
+//     the setup cost a structure change or a new polish active set pays.
 //
 // The `wall_ms` / `gb_s` keys in BENCH_admm.json are the ones
 // tools/bench_check.py gates on in pair mode, and the `*_min` keys are the
@@ -41,6 +44,7 @@
 #include "common/alloc_probe.hpp"
 #include "dspp/window_program.hpp"
 #include "linalg/simd_dispatch.hpp"
+#include "linalg/sparse_ldlt.hpp"
 #include "linalg/sparse_simd.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/manifest.hpp"
@@ -586,6 +590,45 @@ int main() {
               vector_speedup, vector_speedup_min,
               has_vector_tier ? "" : " = informational", guard);
 
+  // --- 4. Cold LDL^T factorization of the solver's KKT pattern
+  //        [[P + sigma I, A^T], [A, -diag(1/rho)]] (upper triangle, built
+  //        from the unscaled P and A: the ordering and symbolic analysis
+  //        see only the pattern). ---
+  std::vector<gp::linalg::Triplet> kkt_triplets;
+  const auto dim = static_cast<std::int32_t>(n + m);
+  for (std::int32_t c = 0; c < problem.p.cols(); ++c) {
+    for (std::int32_t e = problem.p.col_ptr()[c]; e < problem.p.col_ptr()[c + 1]; ++e) {
+      if (problem.p.row_idx()[e] <= c) {
+        kkt_triplets.push_back({problem.p.row_idx()[e], c, problem.p.values()[e]});
+      }
+    }
+    kkt_triplets.push_back({c, c, gp::qp::kAdmmSigma});
+  }
+  for (std::int32_t c = 0; c < problem.a.cols(); ++c) {
+    for (std::int32_t e = problem.a.col_ptr()[c]; e < problem.a.col_ptr()[c + 1]; ++e) {
+      kkt_triplets.push_back({c, static_cast<std::int32_t>(n) + problem.a.row_idx()[e],
+                              problem.a.values()[e]});
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto row = static_cast<std::int32_t>(n + i);
+    kkt_triplets.push_back({row, row, -1.0 / rho[i]});
+  }
+  const auto kkt = gp::linalg::SparseMatrix::from_triplets(dim, dim, kkt_triplets);
+  double cold_factor_ms = 0.0;
+  long long l_nnz = 0;
+  bool factor_ok = true;
+  for (int r = 0; r < kReps; ++r) {
+    gp::linalg::SparseLdlt ldlt;
+    const auto factor_start = Clock::now();
+    factor_ok = ldlt.factor(kkt) == gp::linalg::SparseLdlt::Status::kOk && factor_ok;
+    const double ms = ms_since(factor_start);
+    cold_factor_ms = r == 0 ? ms : std::min(cold_factor_ms, ms);
+    l_nnz = ldlt.l_nnz();
+  }
+  std::printf("# ldlt: cold factor %.3f ms (dim %d, nnz(KKT) %lld, nnz(L) %lld, best of %d)\n",
+              cold_factor_ms, dim, static_cast<long long>(kkt.nnz()), l_nnz, kReps);
+
   std::FILE* json = std::fopen("BENCH_admm.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"manifest\": %s,\n",
@@ -633,6 +676,10 @@ int main() {
                  "\"admm_spmv_gb_s\": %.2f}\n  },\n",
                  obs_allocs, obs_spmv_ns, obs_spmv_gb_s);
     std::fprintf(json,
+                 "  \"ldlt\": {\"dim\": %d, \"nnz_kkt\": %lld, \"l_nnz\": %lld, "
+                 "\"cold_factor_ms\": %.3f},\n",
+                 dim, static_cast<long long>(kkt.nnz()), l_nnz, cold_factor_ms);
+    std::fprintf(json,
                  "  \"spmv\": {\"reps\": %d,\n    \"csc_at\": {\"wall_ms\": %.3f, "
                  "\"gb_s\": %.2f},\n",
                  kSpmvReps, csc_at_ms, gbps(problem.a, csc_at_ms, kSpmvReps));
@@ -660,22 +707,23 @@ int main() {
   // Gate: cross-tier bit-identity (A/B and SELL products), the >= 1.3x
   // kernel throughput target, the machine-aware vector SpMV floor (0.0 when
   // no vector ISA — then it never fails), zero fused hot-loop allocations (both in the A/B and in the real warm
-  // solve), and both real solves reaching optimality.
+  // solve), both real solves reaching optimality and the cold factor
+  // succeeding.
   bool tier_allocs_zero = true;
   for (const TierAb& ab : tier_ab) {
     tier_allocs_zero = tier_allocs_zero && ab.run.loop_allocs == 0;
   }
   const bool ok = kernels_identical && sell_identical && speedup >= 1.3 &&
                   vector_speedup >= vector_speedup_min && tier_allocs_zero &&
-                  warm.info.hot_loop_allocations == 0 && solves_ok;
+                  warm.info.hot_loop_allocations == 0 && solves_ok && factor_ok;
   std::printf("\n# gate: speedup x%.2f (>= 1.3), spmv vector x%.2f (>= %.2f), "
               "fused loop allocs zero on all tiers %s, "
               "warm-solve hot-loop allocs %lld (== 0), bit_identical %s, "
-              "sell_bit_identical %s, solves %s -- %s\n",
+              "sell_bit_identical %s, solves %s, cold factor %s -- %s\n",
               speedup, vector_speedup, vector_speedup_min,
               tier_allocs_zero ? "true" : "false", warm.info.hot_loop_allocations,
               kernels_identical ? "true" : "false", sell_identical ? "true" : "false",
-              solves_ok ? "ok" : "FAILED",
+              solves_ok ? "ok" : "FAILED", factor_ok ? "ok" : "FAILED",
               ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -1,11 +1,14 @@
 // Solver micro-benchmarks (google-benchmark): how the ADMM and IPM paths
 // scale with the DSPP window dimensions (L data centers x V access networks
-// x W periods), plus the sparse LDL^T kernel on a window KKT system.
+// x W periods), plus the sparse LDL^T kernel and its minimum-degree ordering
+// on window KKT systems (the ADMM KKT and a polish reduced KKT).
 //
 // These justify the solver architecture: the sparse ADMM path is the
 // production solver (near-linear in nonzeros per iteration after one
 // factorization), the dense IPM is the small-problem cross-checker (cubic).
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "dspp/window_program.hpp"
 #include "linalg/sparse_ldlt.hpp"
@@ -78,38 +81,80 @@ BENCHMARK(BM_IpmWindow)
     ->Args({4, 12, 5})
     ->Unit(benchmark::kMillisecond);
 
-void BM_SparseLdltFactor(benchmark::State& state) {
-  const auto num_cities = static_cast<std::size_t>(state.range(0));
+/// The upper triangle of a window program's KKT matrix (4 DCs x num_cities,
+/// horizon 8). ADMM shape: [[P + sigma I, A^T], [A, -diag(1/rho)]] over every
+/// row. Polish shape: the reduced [[P + dI, A_act^T], [A_act, -dI]] over the
+/// rows a polish keeps after an ADMM solve of that window — every equality
+/// row plus the inequality rows with a nonzero dual.
+linalg::SparseMatrix window_kkt(std::size_t num_cities, bool polish_shaped) {
   const auto program = make_window(4, num_cities, 8);
-  // Assemble the ADMM KKT upper triangle the way the solver does.
   const auto& problem = program.problem();
   const auto n = static_cast<std::int32_t>(problem.num_variables());
-  const auto m = static_cast<std::int32_t>(problem.num_constraints());
+  std::vector<std::int32_t> slot(problem.num_constraints(), -1);
+  std::int32_t k = 0;
+  if (polish_shaped) {
+    qp::AdmmSolver solver;
+    const auto result = solver.solve(problem);
+    for (std::size_t i = 0; i < slot.size(); ++i) {
+      const bool equality = problem.lower[i] == problem.upper[i];
+      if (equality || std::abs(result.y[i]) > 1e-10) slot[i] = k++;
+    }
+  } else {
+    for (auto& s : slot) s = k++;
+  }
+  const double top = polish_shaped ? 1e-9 : 1e-6;
+  const double bottom = polish_shaped ? -1e-9 : -10.0;
   std::vector<linalg::Triplet> triplets;
-  for (std::int32_t i = 0; i < n; ++i) triplets.push_back({i, i, 1e-6});
+  for (std::int32_t i = 0; i < n; ++i) triplets.push_back({i, i, top});
   const auto pu = problem.p.upper_triangle();
   for (std::int32_t c = 0; c < pu.cols(); ++c) {
     for (std::int32_t e = pu.col_ptr()[c]; e < pu.col_ptr()[c + 1]; ++e) {
       triplets.push_back({pu.row_idx()[e], c, pu.values()[e]});
     }
   }
-  const auto at = problem.a.transposed();
-  for (std::int32_t c = 0; c < at.cols(); ++c) {
-    for (std::int32_t e = at.col_ptr()[c]; e < at.col_ptr()[c + 1]; ++e) {
-      triplets.push_back({at.row_idx()[e], n + c, at.values()[e]});
+  const auto& a = problem.a;
+  for (std::int32_t c = 0; c < a.cols(); ++c) {
+    for (std::int32_t e = a.col_ptr()[c]; e < a.col_ptr()[c + 1]; ++e) {
+      const std::int32_t r = slot[static_cast<std::size_t>(a.row_idx()[e])];
+      if (r >= 0) triplets.push_back({c, n + r, a.values()[e]});
     }
   }
-  for (std::int32_t i = 0; i < m; ++i) triplets.push_back({n + i, n + i, -10.0});
-  const auto kkt = linalg::SparseMatrix::from_triplets(n + m, n + m, triplets);
+  for (std::int32_t r = 0; r < k; ++r) triplets.push_back({n + r, n + r, bottom});
+  return linalg::SparseMatrix::from_triplets(n + k, n + k, triplets);
+}
+
+// Args: (cities, shape) with shape 0 = the ADMM KKT, 1 = a polish reduced KKT.
+void BM_SparseLdltFactor(benchmark::State& state) {
+  const auto kkt = window_kkt(static_cast<std::size_t>(state.range(0)), state.range(1) == 1);
   for (auto _ : state) {
     linalg::SparseLdlt ldlt;
     const auto status = ldlt.factor(kkt);
     benchmark::DoNotOptimize(status);
     if (status != linalg::SparseLdlt::Status::kOk) state.SkipWithError("factor failed");
   }
-  state.counters["dim"] = static_cast<double>(n + m);
+  state.counters["dim"] = static_cast<double>(kkt.rows());
 }
-BENCHMARK(BM_SparseLdltFactor)->Arg(6)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SparseLdltFactor)
+    ->Args({6, 0})
+    ->Args({12, 0})
+    ->Args({24, 0})
+    ->Args({24, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// The ordering alone: the symbolic cost every factor() pays up front.
+void BM_MinimumDegreeOrdering(benchmark::State& state) {
+  const auto kkt = window_kkt(static_cast<std::size_t>(state.range(0)), state.range(1) == 1);
+  for (auto _ : state) {
+    auto perm = linalg::minimum_degree_ordering(kkt);
+    benchmark::DoNotOptimize(perm.data());
+  }
+  state.counters["dim"] = static_cast<double>(kkt.rows());
+}
+BENCHMARK(BM_MinimumDegreeOrdering)
+    ->Args({12, 0})
+    ->Args({24, 0})
+    ->Args({24, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

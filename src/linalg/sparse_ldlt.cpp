@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -22,70 +23,74 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
   n_ = upper.rows();
   perm_ = std::move(perm);
 
-  const SparseMatrix permuted = symmetric_permute_upper(upper, perm_);
-  pattern_col_ptr_.assign(permuted.col_ptr().begin(), permuted.col_ptr().end());
-  pattern_row_idx_.assign(permuted.row_idx().begin(), permuted.row_idx().end());
+  permuted_ = symmetric_permute_upper(upper, perm_, &positions_);
+  input_col_ptr_.assign(upper.col_ptr().begin(), upper.col_ptr().end());
+  input_row_idx_.assign(upper.row_idx().begin(), upper.row_idx().end());
 
-  // --- Symbolic: elimination tree and exact column counts of L. ---
+  // --- Symbolic: elimination tree and exact column counts of L (counted
+  // into l_col_ptr_[i + 1], then summed into column pointers). ---
   parent_.assign(static_cast<std::size_t>(n_), -1);
-  std::vector<std::int32_t> l_nnz_per_col(static_cast<std::size_t>(n_), 0);
-  std::vector<std::int32_t> flag(static_cast<std::size_t>(n_), -1);
-  const auto col_ptr = permuted.col_ptr();
-  const auto row_idx = permuted.row_idx();
+  l_col_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  flag_.assign(static_cast<std::size_t>(n_), -1);
+  const auto col_ptr = permuted_.col_ptr();
+  const auto row_idx = permuted_.row_idx();
   for (std::int32_t k = 0; k < n_; ++k) {
-    parent_[static_cast<std::size_t>(k)] = -1;
-    flag[static_cast<std::size_t>(k)] = k;
+    flag_[static_cast<std::size_t>(k)] = k;
     for (std::int32_t p = col_ptr[k]; p < col_ptr[k + 1]; ++p) {
       std::int32_t i = row_idx[p];
       // Upper-triangular input guarantees i <= k.
-      while (flag[static_cast<std::size_t>(i)] != k) {
+      while (flag_[static_cast<std::size_t>(i)] != k) {
         if (parent_[static_cast<std::size_t>(i)] == -1) parent_[static_cast<std::size_t>(i)] = k;
-        ++l_nnz_per_col[static_cast<std::size_t>(i)];  // L(k, i) exists
-        flag[static_cast<std::size_t>(i)] = k;
+        ++l_col_ptr_[static_cast<std::size_t>(i) + 1];  // L(k, i) exists
+        flag_[static_cast<std::size_t>(i)] = k;
         i = parent_[static_cast<std::size_t>(i)];
       }
     }
   }
-  l_col_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (std::int32_t c = 0; c < n_; ++c) {
-    l_col_ptr_[static_cast<std::size_t>(c) + 1] =
-        l_col_ptr_[static_cast<std::size_t>(c)] + l_nnz_per_col[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < static_cast<std::size_t>(n_); ++c) {
+    l_col_ptr_[c + 1] += l_col_ptr_[c];
   }
 
-  return numeric_factor(permuted);
+  return numeric_factor();
 }
 
 SparseLdlt::Status SparseLdlt::refactor(const SparseMatrix& upper) {
   if (l_col_ptr_.empty()) return Status::kNotFactored;
   require(upper.rows() == n_ && upper.cols() == n_, "SparseLdlt::refactor: shape mismatch");
-  const SparseMatrix permuted = symmetric_permute_upper(upper, perm_);
   // The symbolic analysis is only valid for the exact pattern it was run on;
   // a changed pattern would silently corrupt L, so it is rejected here (the
   // previous factorization stays usable).
-  const auto col_ptr = permuted.col_ptr();
-  const auto row_idx = permuted.row_idx();
-  if (!std::equal(col_ptr.begin(), col_ptr.end(), pattern_col_ptr_.begin(),
-                  pattern_col_ptr_.end()) ||
-      !std::equal(row_idx.begin(), row_idx.end(), pattern_row_idx_.begin(),
-                  pattern_row_idx_.end())) {
+  const auto col_ptr = upper.col_ptr();
+  const auto row_idx = upper.row_idx();
+  if (!std::ranges::equal(col_ptr, input_col_ptr_) ||
+      !std::ranges::equal(row_idx, input_row_idx_)) {
     return Status::kPatternMismatch;
   }
-  return numeric_factor(permuted);
+  const auto values = upper.values();
+  const std::span<double> permuted_values = permuted_.mutable_values();
+  for (std::size_t p = 0; p < values.size(); ++p) {
+    permuted_values[static_cast<std::size_t>(positions_[p])] = values[p];
+  }
+  return numeric_factor();
 }
 
-SparseLdlt::Status SparseLdlt::numeric_factor(const SparseMatrix& permuted_upper) {
-  const auto col_ptr = permuted_upper.col_ptr();
-  const auto row_idx = permuted_upper.row_idx();
-  const auto values = permuted_upper.values();
+SparseLdlt::Status SparseLdlt::numeric_factor() {
+  const auto col_ptr = permuted_.col_ptr();
+  const auto row_idx = permuted_.row_idx();
+  const auto values = permuted_.values();
 
   l_row_idx_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0);
   l_values_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0.0);
   d_.assign(static_cast<std::size_t>(n_), 0.0);
 
-  std::vector<std::int32_t> l_next(l_col_ptr_.begin(), l_col_ptr_.end() - 1);
-  std::vector<std::int32_t> flag(static_cast<std::size_t>(n_), -1);
-  std::vector<std::int32_t> pattern(static_cast<std::size_t>(n_), 0);
-  Vector work(static_cast<std::size_t>(n_), 0.0);
+  auto& l_next = l_next_;
+  auto& flag = flag_;
+  auto& pattern = pattern_;
+  auto& work = work_;
+  l_next.assign(l_col_ptr_.begin(), l_col_ptr_.end() - 1);
+  flag.assign(static_cast<std::size_t>(n_), -1);
+  pattern.assign(static_cast<std::size_t>(n_), 0);
+  work.assign(static_cast<std::size_t>(n_), 0.0);
 
   for (std::int32_t k = 0; k < n_; ++k) {
     // Scatter column k of the (permuted) upper triangle into the workspace

@@ -31,10 +31,12 @@ class SparseLdlt {
 
   /// Re-factors a matrix with the SAME sparsity pattern as the previous
   /// successful factor() call, reusing the symbolic analysis (elimination
-  /// tree, column counts, ordering). The pattern (col_ptr/row_idx of the
-  /// permuted upper triangle) is CHECKED against the one that was factored;
-  /// a changed pattern returns kPatternMismatch and leaves the previous
-  /// factorization intact — callers must fall back to a fresh factor().
+  /// tree, column counts, ordering). The pattern (col_ptr/row_idx of
+  /// `upper`) is CHECKED against the one that was factored; a changed
+  /// pattern returns kPatternMismatch and leaves the previous factorization
+  /// intact — callers must fall back to a fresh factor(). An accepted
+  /// refactor scatters the new values into the kept permuted matrix and
+  /// allocates nothing.
   Status refactor(const SparseMatrix& upper);
 
   /// Solves A x = b in place; requires a successful factor(). Uses a
@@ -55,21 +57,32 @@ class SparseLdlt {
   std::span<const double> d() const { return d_; }
 
  private:
-  Status numeric_factor(const SparseMatrix& permuted_upper);
+  /// Numeric LDL^T of permuted_ over the kept symbolic analysis.
+  Status numeric_factor();
 
   std::int32_t n_ = 0;
   Permutation perm_;
+  // Pattern of the (unpermuted) upper triangle the symbolic analysis was
+  // run on; refactor() validates against it. The permutation is a bijection
+  // on upper-triangle positions, so equal input patterns are exactly equal
+  // permuted patterns.
+  std::vector<std::int32_t> input_col_ptr_;
+  std::vector<std::int32_t> input_row_idx_;
+  // P A P^T's upper triangle, and where each input entry sits in it.
+  SparseMatrix permuted_;
+  std::vector<std::int32_t> positions_;
   // Symbolic data.
   std::vector<std::int32_t> parent_;
   std::vector<std::int32_t> l_col_ptr_;
-  // Pattern of the permuted upper triangle the symbolic analysis was run
-  // on; refactor() validates against it.
-  std::vector<std::int32_t> pattern_col_ptr_;
-  std::vector<std::int32_t> pattern_row_idx_;
   // Numeric data.
   std::vector<std::int32_t> l_row_idx_;
   std::vector<double> l_values_;
   Vector d_;
+  // numeric_factor() scratch, sized once per dimension.
+  std::vector<std::int32_t> l_next_;
+  std::vector<std::int32_t> flag_;
+  std::vector<std::int32_t> pattern_;
+  Vector work_;
   mutable Vector solve_scratch_;  // permuted RHS; reused across solves
   Status status_ = Status::kNotFactored;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/dense_matrix.hpp"
@@ -45,6 +46,34 @@ SparseMatrix SparseMatrix::from_triplets(std::int32_t rows, std::int32_t cols,
   for (std::size_t c = 1; c <= static_cast<std::size_t>(cols); ++c) {
     a.col_ptr_[c] = std::max(a.col_ptr_[c], a.col_ptr_[c - 1]);
   }
+  return a;
+}
+
+SparseMatrix SparseMatrix::from_csc(std::int32_t rows, std::int32_t cols,
+                                    std::vector<std::int32_t> col_ptr,
+                                    std::vector<std::int32_t> row_idx,
+                                    std::vector<double> values) {
+  require(rows >= 0 && cols >= 0, "from_csc: negative dimension");
+  require(col_ptr.size() == static_cast<std::size_t>(cols) + 1 && col_ptr.front() == 0 &&
+              static_cast<std::size_t>(col_ptr.back()) == row_idx.size() &&
+              row_idx.size() == values.size(),
+          "from_csc: array sizes disagree");
+  for (std::int32_t c = 0; c < cols; ++c) {
+    const std::int32_t begin = col_ptr[static_cast<std::size_t>(c)];
+    const std::int32_t end = col_ptr[static_cast<std::size_t>(c) + 1];
+    require(begin <= end, "from_csc: column pointers must be non-decreasing");
+    for (std::int32_t p = begin; p < end; ++p) {
+      const std::int32_t r = row_idx[static_cast<std::size_t>(p)];
+      require(r >= 0 && r < rows && (p == begin || row_idx[static_cast<std::size_t>(p) - 1] < r),
+              "from_csc: rows must be in range and strictly increasing per column");
+    }
+  }
+  SparseMatrix a;
+  a.rows_ = rows;
+  a.cols_ = cols;
+  a.col_ptr_ = std::move(col_ptr);
+  a.row_idx_ = std::move(row_idx);
+  a.values_ = std::move(values);
   return a;
 }
 

@@ -38,6 +38,13 @@ class SparseMatrix {
                          std::span<const Triplet>(triplets.begin(), triplets.size()));
   }
 
+  /// Adopts CSC arrays as they are (col_ptr of size cols+1 starting at 0,
+  /// rows strictly increasing within each column; checked). For builders
+  /// that produce sorted columns directly and so need no triplet sort.
+  static SparseMatrix from_csc(std::int32_t rows, std::int32_t cols,
+                               std::vector<std::int32_t> col_ptr,
+                               std::vector<std::int32_t> row_idx, std::vector<double> values);
+
   /// n x n identity scaled by `value`.
   static SparseMatrix identity(std::int32_t n, double value = 1.0);
 

@@ -48,7 +48,7 @@ struct AdmmSettings {
   /// With cache_structure, its reduced-KKT factorization is reused across
   /// solves while the active set and (P, A) repeat (see ActiveSetPolisher).
   bool polish = false;
-  /// Cache the solver's structural work (Ruiz scaling, AMD ordering,
+  /// Cache the solver's structural work (Ruiz scaling, minimum-degree ordering,
   /// symbolic analysis of the KKT matrix) across solve() calls on the SAME
   /// solver instance. When the next problem has the identical (P, A)
   /// sparsity pattern — the receding-horizon and best-response case, where

@@ -3,14 +3,18 @@
 // the exact shape the ADMM solver factors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dspp/window_program.hpp"
 #include "linalg/dense_factor.hpp"
 #include "linalg/ordering.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "scenario/registry.hpp"
 
 namespace gp::linalg {
 namespace {
@@ -294,6 +298,312 @@ TEST(SparseLdlt, AgreesWithDenseLdltOnDiagonal) {
   const Vector xs = sparse.solve(b);
   const Vector xd = dense.solve(b);
   for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(xs[i], xd[i], 1e-10);
+}
+
+// ---------------------------------------------------------------------------
+// Differential tests: the heap-selected minimum-degree ordering and the
+// counting-pass symmetric permutation against the scan-based ordering and
+// the triplet-built permutation they replaced.
+
+/// The scan-based ordering the heap version replaced, kept verbatim as the
+/// reference: at every step, a linear scan for the live vertex of smallest
+/// degree, ties to the lowest index.
+Permutation reference_minimum_degree_ordering(const SparseMatrix& a) {
+  require(a.rows() == a.cols(), "minimum_degree_ordering: matrix must be square");
+  const std::int32_t n = a.rows();
+  // Build symmetric adjacency (pattern of A + A^T, no self-loops), as sorted
+  // unique neighbour lists.
+  std::vector<std::vector<std::int32_t>> adj(static_cast<std::size_t>(n));
+  const auto col_ptr = a.col_ptr();
+  const auto row_idx = a.row_idx();
+  for (std::int32_t c = 0; c < n; ++c) {
+    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+      const std::int32_t r = row_idx[p];
+      if (r == c) continue;
+      adj[static_cast<std::size_t>(r)].push_back(c);
+      adj[static_cast<std::size_t>(c)].push_back(r);
+    }
+  }
+  for (auto& neighbours : adj) {
+    std::sort(neighbours.begin(), neighbours.end());
+    neighbours.erase(std::unique(neighbours.begin(), neighbours.end()), neighbours.end());
+  }
+
+  std::vector<bool> eliminated(static_cast<std::size_t>(n), false);
+  Permutation perm;
+  perm.reserve(static_cast<std::size_t>(n));
+
+  // Bucketed degrees with lazy revalidation.
+  std::vector<std::int32_t> degree(static_cast<std::size_t>(n));
+  for (std::int32_t v = 0; v < n; ++v) {
+    degree[static_cast<std::size_t>(v)] =
+        static_cast<std::int32_t>(adj[static_cast<std::size_t>(v)].size());
+  }
+
+  auto prune = [&](std::vector<std::int32_t>& neighbours) {
+    neighbours.erase(std::remove_if(neighbours.begin(), neighbours.end(),
+                                    [&](std::int32_t v) {
+                                      return eliminated[static_cast<std::size_t>(v)];
+                                    }),
+                     neighbours.end());
+  };
+
+  for (std::int32_t step = 0; step < n; ++step) {
+    // Find the live vertex of minimum (up-to-date) degree.
+    std::int32_t best = -1;
+    std::int32_t best_degree = n + 1;
+    for (std::int32_t v = 0; v < n; ++v) {
+      if (eliminated[static_cast<std::size_t>(v)]) continue;
+      if (degree[static_cast<std::size_t>(v)] < best_degree) {
+        best = v;
+        best_degree = degree[static_cast<std::size_t>(v)];
+      }
+    }
+    ensure(best >= 0, "minimum_degree_ordering: no live vertex found");
+
+    auto& neighbours = adj[static_cast<std::size_t>(best)];
+    prune(neighbours);
+    eliminated[static_cast<std::size_t>(best)] = true;
+    perm.push_back(best);
+
+    // Form the elimination clique among the surviving neighbours.
+    for (std::int32_t u : neighbours) {
+      auto& list = adj[static_cast<std::size_t>(u)];
+      prune(list);
+      // Merge (sorted) the clique into u's adjacency, skipping u itself.
+      std::vector<std::int32_t> merged;
+      merged.reserve(list.size() + neighbours.size());
+      std::merge(list.begin(), list.end(), neighbours.begin(), neighbours.end(),
+                 std::back_inserter(merged));
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      merged.erase(std::remove(merged.begin(), merged.end(), u), merged.end());
+      list = std::move(merged);
+      degree[static_cast<std::size_t>(u)] = static_cast<std::int32_t>(list.size());
+    }
+    neighbours.clear();
+    neighbours.shrink_to_fit();
+  }
+  return perm;
+}
+
+/// The triplet-built symmetric permutation the counting passes replaced.
+SparseMatrix reference_symmetric_permute_upper(const SparseMatrix& upper,
+                                               const Permutation& perm) {
+  const Permutation inv = invert_permutation(perm);
+  const auto col_ptr = upper.col_ptr();
+  const auto row_idx = upper.row_idx();
+  const auto values = upper.values();
+  std::vector<Triplet> triplets;
+  triplets.reserve(static_cast<std::size_t>(upper.nnz()));
+  for (std::int32_t c = 0; c < upper.cols(); ++c) {
+    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+      std::int32_t new_r = inv[static_cast<std::size_t>(row_idx[p])];
+      std::int32_t new_c = inv[static_cast<std::size_t>(c)];
+      if (new_r > new_c) std::swap(new_r, new_c);
+      triplets.push_back({new_r, new_c, values[p]});
+    }
+  }
+  return SparseMatrix::from_triplets(upper.rows(), upper.cols(), triplets);
+}
+
+/// Ordering equal to the reference, and the permuted matrix (and the entry
+/// positions it reports) equal to the triplet-built one, array by array.
+void expect_matches_reference(const SparseMatrix& upper, const std::string& label) {
+  SCOPED_TRACE(label);
+  const Permutation perm = minimum_degree_ordering(upper);
+  ASSERT_EQ(perm, reference_minimum_degree_ordering(upper));
+  std::vector<std::int32_t> positions;
+  const SparseMatrix permuted = symmetric_permute_upper(upper, perm, &positions);
+  const SparseMatrix expected = reference_symmetric_permute_upper(upper, perm);
+  const auto as_vector = [](auto span) { return std::vector(span.begin(), span.end()); };
+  EXPECT_EQ(as_vector(permuted.col_ptr()), as_vector(expected.col_ptr()));
+  EXPECT_EQ(as_vector(permuted.row_idx()), as_vector(expected.row_idx()));
+  EXPECT_EQ(as_vector(permuted.values()), as_vector(expected.values()));
+  ASSERT_EQ(positions.size(), static_cast<std::size_t>(upper.nnz()));
+  for (std::size_t p = 0; p < positions.size(); ++p) {
+    EXPECT_EQ(permuted.values()[static_cast<std::size_t>(positions[p])], upper.values()[p]);
+  }
+}
+
+/// Sparse random KKT pattern [[P + I, A^T], [A, -I]]: each of the m rows of A
+/// touches 1-5 of the n variables, and P couples ~n/4 random variable pairs.
+SparseMatrix random_sparse_kkt_upper(std::int32_t n, std::int32_t m, Rng& rng) {
+  std::vector<Triplet> triplets;
+  for (std::int32_t i = 0; i < n; ++i) triplets.push_back({i, i, 1.0 + rng.uniform()});
+  for (std::int32_t e = 0; e < n / 4; ++e) {
+    const auto i = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+    const auto j = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+    triplets.push_back({std::min(i, j), std::max(i, j), rng.uniform(-0.1, 0.1)});
+  }
+  for (std::int32_t r = 0; r < m; ++r) {
+    const auto touched = rng.uniform_int(1, 5);
+    for (std::int64_t e = 0; e < touched; ++e) {
+      const auto c = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
+      triplets.push_back({c, n + r, rng.uniform(-1.0, 1.0)});
+    }
+    triplets.push_back({n + r, n + r, -1.0 - rng.uniform()});
+  }
+  return SparseMatrix::from_triplets(n + m, n + m, triplets);
+}
+
+/// The ADMM-shaped KKT upper triangle [[P + sigma I, A_S^T], [A_S, -d I]] of a
+/// QP, keeping the rows of A flagged in `keep` (all rows when empty).
+SparseMatrix kkt_pattern_upper(const qp::QpProblem& problem, const std::vector<bool>& keep = {}) {
+  const auto n = static_cast<std::int32_t>(problem.num_variables());
+  std::vector<std::int32_t> slot(problem.num_constraints(), -1);
+  std::int32_t k = 0;
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    if (keep.empty() || keep[i]) slot[i] = k++;
+  }
+  std::vector<Triplet> triplets;
+  const auto& p = problem.p;
+  for (std::int32_t c = 0; c < p.cols(); ++c) {
+    for (std::int32_t e = p.col_ptr()[c]; e < p.col_ptr()[c + 1]; ++e) {
+      if (p.row_idx()[e] <= c) triplets.push_back({p.row_idx()[e], c, p.values()[e]});
+    }
+  }
+  for (std::int32_t j = 0; j < n; ++j) triplets.push_back({j, j, 1e-6});
+  const auto& a = problem.a;
+  for (std::int32_t c = 0; c < a.cols(); ++c) {
+    for (std::int32_t e = a.col_ptr()[c]; e < a.col_ptr()[c + 1]; ++e) {
+      const std::int32_t r = slot[static_cast<std::size_t>(a.row_idx()[e])];
+      if (r >= 0) triplets.push_back({c, n + r, a.values()[e]});
+    }
+  }
+  for (std::int32_t r = 0; r < k; ++r) triplets.push_back({n + r, n + r, -1e-3});
+  return SparseMatrix::from_triplets(n + k, n + k, triplets);
+}
+
+/// A paper_full window program over `horizon` periods; soft demand under a
+/// binding quota makes it the best-response program of the quota game.
+dspp::WindowProgram paper_full_window(std::size_t horizon, bool best_response) {
+  static const scenario::ScenarioBundle bundle = scenario::build(scenario::preset("paper_full"));
+  static const dspp::PairIndex pairs(bundle.model);
+  dspp::WindowInputs inputs;
+  inputs.initial_state.assign(pairs.num_pairs(), 1.0);
+  for (std::size_t t = 0; t < horizon; ++t) {
+    inputs.demand.push_back(bundle.demand.mean_rates(static_cast<double>(t + 9)));
+    inputs.price.push_back(bundle.prices.server_prices(static_cast<double>(t + 9)));
+  }
+  if (best_response) {
+    inputs.capacity_override = Vector(bundle.model.num_datacenters(), 25.0);
+    inputs.soft_demand_penalty = 5.0;
+  }
+  return dspp::WindowProgram(bundle.model, pairs, std::move(inputs));
+}
+
+TEST(OrderingDifferential, RandomKktPatternsMatchScanOrdering) {
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {10, 6}, {40, 24}, {150, 100}, {500, 300}, {900, 600}, {1800, 1200}};
+  std::uint64_t seed = 300;
+  for (const auto& [n, m] : shapes) {
+    Rng rng(++seed);
+    expect_matches_reference(random_sparse_kkt_upper(n, m, rng),
+                             "random n=" + std::to_string(n) + " m=" + std::to_string(m));
+  }
+  // The dense-ish generator too, where cliques are large from the start.
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    Rng rng(400 + s);
+    expect_matches_reference(random_kkt_upper(30, 20, rng), "dense seed " + std::to_string(s));
+  }
+}
+
+TEST(OrderingDifferential, AllTieGraphsMatchScanOrdering) {
+  const std::int32_t n = 64;
+  std::vector<Triplet> arrow, path, star;
+  for (std::int32_t i = 0; i < n; ++i) {
+    arrow.push_back({i, i, 4.0});
+    path.push_back({i, i, 4.0});
+    star.push_back({i, i, 4.0});
+    if (i > 0) arrow.push_back({0, i, 1.0});                            // hub first
+    if (i + 1 < n) path.push_back({i, i + 1, -1.0});                    // tridiagonal
+    if (i != n / 2) star.push_back({std::min(i, n / 2), std::max(i, n / 2), 1.0});  // mid hub
+  }
+  expect_matches_reference(SparseMatrix::from_triplets(n, n, arrow), "arrowhead");
+  expect_matches_reference(SparseMatrix::from_triplets(n, n, path), "path");
+  expect_matches_reference(SparseMatrix::from_triplets(n, n, star), "star");
+  expect_matches_reference(SparseMatrix::identity(n), "no edges");
+  expect_matches_reference(SparseMatrix::from_triplets(0, 0, {}), "empty");
+}
+
+TEST(OrderingDifferential, PaperFullWindowKktsMatchScanOrdering) {
+  const auto window = paper_full_window(5, /*best_response=*/false);
+  expect_matches_reference(kkt_pattern_upper(window.problem()), "paper_full MPC window, W=5");
+  const auto response = paper_full_window(3, /*best_response=*/true);
+  expect_matches_reference(kkt_pattern_upper(response.problem()),
+                           "soft-demand best response, W=3");
+}
+
+TEST(OrderingDifferential, PolishReducedKktsMatchScanOrdering) {
+  // Reduced KKTs of the best-response program over 24 active sets: every
+  // equality (state) row, plus a seeded share of the inequality rows from
+  // 5% to 95%, the range a polish sees from a slack to a congested quota.
+  const auto response = paper_full_window(3, /*best_response=*/true);
+  const auto& problem = response.problem();
+  for (std::uint64_t s = 0; s < 24; ++s) {
+    Rng rng(500 + s);
+    const double share = 0.05 + 0.9 * static_cast<double>(s) / 23.0;
+    std::vector<bool> keep(problem.num_constraints());
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+      keep[i] = problem.lower[i] == problem.upper[i] || rng.uniform() < share;
+    }
+    expect_matches_reference(kkt_pattern_upper(problem, keep),
+                             "polish active set " + std::to_string(s));
+  }
+}
+
+TEST(SparseLdlt, RefactorRejectsChangedPatternAndKeepsFactor) {
+  Rng rng(13);
+  const auto upper = random_kkt_upper(10, 6, rng);
+  SparseLdlt ldlt;
+  ASSERT_EQ(ldlt.factor(upper), SparseLdlt::Status::kOk);
+  Vector b(16);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  const Vector before = ldlt.solve(b);
+  // Same nnz and column counts, one row index moved: a different pattern.
+  std::vector<Triplet> triplets;
+  for (std::int32_t c = 0; c < upper.cols(); ++c) {
+    for (std::int32_t p = upper.col_ptr()[c]; p < upper.col_ptr()[c + 1]; ++p) {
+      triplets.push_back({upper.row_idx()[p], c, upper.values()[p]});
+    }
+  }
+  const auto changed = std::find_if(triplets.begin(), triplets.end(), [&](const Triplet& t) {
+    return t.row < t.col && std::none_of(triplets.begin(), triplets.end(), [&](const Triplet& u) {
+             return u.col == t.col && u.row == t.row - 1;
+           });
+  });
+  ASSERT_NE(changed, triplets.end());
+  --changed->row;
+  EXPECT_EQ(ldlt.refactor(SparseMatrix::from_triplets(16, 16, triplets)),
+            SparseLdlt::Status::kPatternMismatch);
+  EXPECT_EQ(ldlt.solve(b), before);
+}
+
+TEST(SparseLdlt, RefactorIsBitIdenticalToFreshFactorWithSameOrdering) {
+  Rng rng(14);
+  auto upper = random_sparse_kkt_upper(120, 80, rng);
+  SparseLdlt kept;
+  ASSERT_EQ(kept.factor(upper), SparseLdlt::Status::kOk);
+  for (double& v : upper.mutable_values()) v *= 1.0 + 0.5 * rng.uniform();
+  ASSERT_EQ(kept.refactor(upper), SparseLdlt::Status::kOk);
+  SparseLdlt fresh;
+  ASSERT_EQ(fresh.factor(upper, minimum_degree_ordering(upper)), SparseLdlt::Status::kOk);
+  EXPECT_TRUE(std::ranges::equal(kept.d(), fresh.d()));
+  Vector b(200);
+  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
+  EXPECT_EQ(kept.solve(b), fresh.solve(b));
+}
+
+TEST(SparseMatrix, FromCscAdoptsSortedColumnsAndRejectsBadOnes) {
+  const auto a = SparseMatrix::from_csc(3, 2, {0, 2, 3}, {0, 2, 1}, {1.0, 2.0, 3.0});
+  EXPECT_EQ(a.coefficient(2, 0), 2.0);
+  EXPECT_EQ(a.coefficient(1, 1), 3.0);
+  EXPECT_THROW(SparseMatrix::from_csc(3, 2, {0, 2, 3}, {2, 0, 1}, {1.0, 2.0, 3.0}),
+               PreconditionError);  // unsorted column
+  EXPECT_THROW(SparseMatrix::from_csc(3, 2, {0, 2, 3}, {0, 3, 1}, {1.0, 2.0, 3.0}),
+               PreconditionError);  // row out of range
+  EXPECT_THROW(SparseMatrix::from_csc(3, 2, {0, 2}, {0, 2}, {1.0, 2.0}),
+               PreconditionError);  // col_ptr too short
 }
 
 }  // namespace
