@@ -88,81 +88,4 @@ Vector Ldlt::solve(std::span<const double> b) const {
   return x;
 }
 
-FactorStatus HouseholderQr::factor(const DenseMatrix& a, double rank_tolerance) {
-  require(a.rows() >= a.cols(), "HouseholderQr: requires rows >= cols");
-  qr_ = a;
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  beta_.assign(n, 0.0);
-  factored_ = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    // Build the Householder reflector for column j.
-    double norm_sq = 0.0;
-    for (std::size_t i = j; i < m; ++i) norm_sq += qr_(i, j) * qr_(i, j);
-    const double norm = std::sqrt(norm_sq);
-    if (norm < rank_tolerance) return FactorStatus::kRankDeficient;
-    const double alpha = qr_(j, j) >= 0.0 ? -norm : norm;
-    const double v0 = qr_(j, j) - alpha;
-    // v = (v0, qr(j+1..m-1, j)); beta = 2 / (v^T v).
-    double vtv = v0 * v0;
-    for (std::size_t i = j + 1; i < m; ++i) vtv += qr_(i, j) * qr_(i, j);
-    if (vtv < rank_tolerance * rank_tolerance) {
-      beta_[j] = 0.0;  // column already triangular
-      qr_(j, j) = alpha;
-      continue;
-    }
-    beta_[j] = 2.0 / vtv;
-    // Apply the reflector to the trailing columns.
-    for (std::size_t c = j + 1; c < n; ++c) {
-      double proj = v0 * qr_(j, c);
-      for (std::size_t i = j + 1; i < m; ++i) proj += qr_(i, j) * qr_(i, c);
-      proj *= beta_[j];
-      qr_(j, c) -= proj * v0;
-      for (std::size_t i = j + 1; i < m; ++i) qr_(i, c) -= proj * qr_(i, j);
-    }
-    qr_(j, j) = alpha;
-    // Store v (below diagonal); v0 is kept in a scaled form: normalize so the
-    // stored sub-diagonal entries are v_i / v0 and fold v0 into beta.
-    if (v0 != 0.0) {
-      for (std::size_t i = j + 1; i < m; ++i) qr_(i, j) /= v0;
-      beta_[j] *= v0 * v0;
-    } else {
-      beta_[j] = 0.0;
-    }
-  }
-  factored_ = true;
-  return FactorStatus::kOk;
-}
-
-Vector HouseholderQr::solve_least_squares(std::span<const double> b) const {
-  require(factored_, "HouseholderQr::solve before successful factor()");
-  const std::size_t m = qr_.rows();
-  const std::size_t n = qr_.cols();
-  require(b.size() == m, "HouseholderQr::solve: size mismatch");
-  Vector y(b.begin(), b.end());
-  // Apply Q^T = H_{n-1} ... H_0 to b. Stored v has implicit v_j = 1.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (beta_[j] == 0.0) continue;
-    double proj = y[j];
-    for (std::size_t i = j + 1; i < m; ++i) proj += qr_(i, j) * y[i];
-    proj *= beta_[j];
-    y[j] -= proj;
-    for (std::size_t i = j + 1; i < m; ++i) y[i] -= proj * qr_(i, j);
-  }
-  // Back-substitute R x = y[0..n).
-  Vector x(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double value = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) value -= qr_(i, k) * x[k];
-    x[i] = value / qr_(i, i);
-  }
-  return x;
-}
-
-std::optional<Vector> least_squares(const DenseMatrix& a, std::span<const double> b) {
-  HouseholderQr qr;
-  if (qr.factor(a) != FactorStatus::kOk) return std::nullopt;
-  return qr.solve_least_squares(b);
-}
-
 }  // namespace gp::linalg

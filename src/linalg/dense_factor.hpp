@@ -1,10 +1,7 @@
-// Dense factorizations: Cholesky (SPD), LDL^T (symmetric quasi-definite),
-// and Householder QR least squares.
+// Dense factorizations: Cholesky (SPD) and LDL^T (symmetric quasi-definite).
 //
 // These back the dense interior-point QP solver and the AR(p) predictor fit.
 #pragma once
-
-#include <optional>
 
 #include "linalg/dense_matrix.hpp"
 
@@ -16,7 +13,6 @@ enum class FactorStatus {
   kOk,
   kNotPositiveDefinite,  // Cholesky hit a non-positive pivot
   kZeroPivot,            // LDL^T hit a (near-)zero pivot
-  kRankDeficient,        // QR found a (near-)zero diagonal of R
 };
 
 /// Dense Cholesky factorization A = L L^T of a symmetric positive-definite
@@ -53,23 +49,5 @@ class Ldlt {
   Vector d_;
   bool factored_ = false;
 };
-
-/// Householder QR of an m x n matrix with m >= n.
-class HouseholderQr {
- public:
-  FactorStatus factor(const DenseMatrix& a, double rank_tolerance = 1e-12);
-
-  /// Minimizes ||A x - b||_2; requires a successful factor(). Returns x (size n).
-  Vector solve_least_squares(std::span<const double> b) const;
-
- private:
-  DenseMatrix qr_;   // Householder vectors below the diagonal, R on/above
-  Vector beta_;      // Householder scalars
-  bool factored_ = false;
-};
-
-/// Convenience: least-squares solution of A x ~= b via Householder QR.
-/// Returns nullopt when A is numerically rank-deficient.
-std::optional<Vector> least_squares(const DenseMatrix& a, std::span<const double> b);
 
 }  // namespace gp::linalg

@@ -28,12 +28,6 @@ struct SellView {
 
 struct KernelTable {
   double (*norm_inf)(const double* a, std::size_t n);
-  double (*inf_norm_scaled)(const double* a, const double* scale, std::size_t n);
-  double (*inf_norm_scaled_diff)(const double* a, const double* b, const double* scale,
-                                 std::size_t n);
-  double (*inf_norm_scaled_sum3)(const double* a, const double* b, const double* c,
-                                 const double* scale, double post, std::size_t n);
-  double (*diff_norm_inf)(const double* a, const double* b, double* out, std::size_t n);
   void (*inf_norm_scaled_residual)(const double* a, const double* b, const double* scale,
                                    std::size_t n, double* res, double* norm);
   void (*inf_norm_scaled_residual3)(const double* a, const double* b, const double* c,

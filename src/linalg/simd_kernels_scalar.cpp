@@ -34,67 +34,6 @@ double s_norm_inf(const double* a, std::size_t n) {
   return std::max(std::max(m0, m1), std::max(m2, m3));
 }
 
-double s_inf_norm_scaled(const double* a, const double* scale, std::size_t n) {
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, std::abs(a[i]) * scale[i]);
-    m1 = std::max(m1, std::abs(a[i + 1]) * scale[i + 1]);
-    m2 = std::max(m2, std::abs(a[i + 2]) * scale[i + 2]);
-    m3 = std::max(m3, std::abs(a[i + 3]) * scale[i + 3]);
-  }
-  for (; i < n; ++i) m0 = std::max(m0, std::abs(a[i]) * scale[i]);
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
-double s_inf_norm_scaled_diff(const double* a, const double* b, const double* scale,
-                              std::size_t n) {
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, std::abs(a[i] - b[i]) * scale[i]);
-    m1 = std::max(m1, std::abs(a[i + 1] - b[i + 1]) * scale[i + 1]);
-    m2 = std::max(m2, std::abs(a[i + 2] - b[i + 2]) * scale[i + 2]);
-    m3 = std::max(m3, std::abs(a[i + 3] - b[i + 3]) * scale[i + 3]);
-  }
-  for (; i < n; ++i) m0 = std::max(m0, std::abs(a[i] - b[i]) * scale[i]);
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
-double s_inf_norm_scaled_sum3(const double* a, const double* b, const double* c,
-                              const double* scale, double post, std::size_t n) {
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, std::abs(a[i] + b[i] + c[i]) * scale[i] * post);
-    m1 = std::max(m1, std::abs(a[i + 1] + b[i + 1] + c[i + 1]) * scale[i + 1] * post);
-    m2 = std::max(m2, std::abs(a[i + 2] + b[i + 2] + c[i + 2]) * scale[i + 2] * post);
-    m3 = std::max(m3, std::abs(a[i + 3] + b[i + 3] + c[i + 3]) * scale[i + 3] * post);
-  }
-  for (; i < n; ++i) m0 = std::max(m0, std::abs(a[i] + b[i] + c[i]) * scale[i] * post);
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
-double s_diff_norm_inf(const double* a, const double* b, double* out, std::size_t n) {
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    out[i] = a[i] - b[i];
-    out[i + 1] = a[i + 1] - b[i + 1];
-    out[i + 2] = a[i + 2] - b[i + 2];
-    out[i + 3] = a[i + 3] - b[i + 3];
-    m0 = std::max(m0, std::abs(out[i]));
-    m1 = std::max(m1, std::abs(out[i + 1]));
-    m2 = std::max(m2, std::abs(out[i + 2]));
-    m3 = std::max(m3, std::abs(out[i + 3]));
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i];
-    m0 = std::max(m0, std::abs(out[i]));
-  }
-  return std::max(std::max(m0, m1), std::max(m2, m3));
-}
-
 void s_inf_norm_scaled_residual(const double* a, const double* b, const double* scale,
                                 std::size_t n, double* res, double* norm) {
   double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
@@ -300,10 +239,6 @@ const KernelTable& scalar_table() {
   static const KernelTable table = [] {
     KernelTable t;
     t.norm_inf = &s_norm_inf;
-    t.inf_norm_scaled = &s_inf_norm_scaled;
-    t.inf_norm_scaled_diff = &s_inf_norm_scaled_diff;
-    t.inf_norm_scaled_sum3 = &s_inf_norm_scaled_sum3;
-    t.diff_norm_inf = &s_diff_norm_inf;
     t.inf_norm_scaled_residual = &s_inf_norm_scaled_residual;
     t.inf_norm_scaled_residual3 = &s_inf_norm_scaled_residual3;
     t.axpby = &s_axpby;

@@ -52,64 +52,6 @@ double norm_inf_t(const double* a, std::size_t n) {
 }
 
 template <class V>
-double inf_norm_scaled_t(const double* a, const double* scale, std::size_t n) {
-  typename V::vec m = V::zero();
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    m = V::max_std(m, V::mul(V::abs(V::load(a + i)), V::load(scale + i)));
-  }
-  double best = V::reduce_max(m);
-  for (; i < n; ++i) best = std::max(best, std::abs(a[i]) * scale[i]);
-  return best;
-}
-
-template <class V>
-double inf_norm_scaled_diff_t(const double* a, const double* b, const double* scale,
-                              std::size_t n) {
-  typename V::vec m = V::zero();
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    const typename V::vec d = V::sub(V::load(a + i), V::load(b + i));
-    m = V::max_std(m, V::mul(V::abs(d), V::load(scale + i)));
-  }
-  double best = V::reduce_max(m);
-  for (; i < n; ++i) best = std::max(best, std::abs(a[i] - b[i]) * scale[i]);
-  return best;
-}
-
-template <class V>
-double inf_norm_scaled_sum3_t(const double* a, const double* b, const double* c,
-                              const double* scale, double post, std::size_t n) {
-  const typename V::vec vpost = V::broadcast(post);
-  typename V::vec m = V::zero();
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    const typename V::vec s = V::add(V::add(V::load(a + i), V::load(b + i)), V::load(c + i));
-    m = V::max_std(m, V::mul(V::mul(V::abs(s), V::load(scale + i)), vpost));
-  }
-  double best = V::reduce_max(m);
-  for (; i < n; ++i) best = std::max(best, std::abs(a[i] + b[i] + c[i]) * scale[i] * post);
-  return best;
-}
-
-template <class V>
-double diff_norm_inf_t(const double* a, const double* b, double* out, std::size_t n) {
-  typename V::vec m = V::zero();
-  std::size_t i = 0;
-  for (; i + V::width <= n; i += V::width) {
-    const typename V::vec d = V::sub(V::load(a + i), V::load(b + i));
-    V::store(out + i, d);
-    m = V::max_std(m, V::abs(d));
-  }
-  double best = V::reduce_max(m);
-  for (; i < n; ++i) {
-    out[i] = a[i] - b[i];
-    best = std::max(best, std::abs(out[i]));
-  }
-  return best;
-}
-
-template <class V>
 void inf_norm_scaled_residual_t(const double* a, const double* b, const double* scale,
                                 std::size_t n, double* res, double* norm) {
   typename V::vec mr = V::zero();
@@ -358,10 +300,6 @@ template <class V>
 KernelTable make_table() {
   KernelTable t;
   t.norm_inf = &norm_inf_t<V>;
-  t.inf_norm_scaled = &inf_norm_scaled_t<V>;
-  t.inf_norm_scaled_diff = &inf_norm_scaled_diff_t<V>;
-  t.inf_norm_scaled_sum3 = &inf_norm_scaled_sum3_t<V>;
-  t.diff_norm_inf = &diff_norm_inf_t<V>;
   t.inf_norm_scaled_residual = &inf_norm_scaled_residual_t<V>;
   t.inf_norm_scaled_residual3 = &inf_norm_scaled_residual3_t<V>;
   t.axpby = &axpby_t<V>;

@@ -50,13 +50,6 @@ Vector sub(std::span<const double> a, std::span<const double> b) {
   return out;
 }
 
-Vector hadamard(std::span<const double> a, std::span<const double> b) {
-  require(a.size() == b.size(), "hadamard: size mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
 Vector constant(std::size_t size, double value) { return Vector(size, value); }
 
 Vector project_box(std::span<const double> x, std::span<const double> lo,
@@ -72,38 +65,11 @@ void axpby(double a, std::span<const double> x, double b, std::span<double> y) {
   simd::kernels().axpby(a, x.data(), b, y.data(), x.size());
 }
 
-double diff_norm_inf(std::span<const double> a, std::span<const double> b,
-                     std::span<double> out) {
-  require(a.size() == b.size() && a.size() == out.size(), "diff_norm_inf: size mismatch");
-  return simd::kernels().diff_norm_inf(a.data(), b.data(), out.data(), a.size());
-}
-
 void project_box_into(std::span<const double> x, std::span<const double> lo,
                       std::span<const double> hi, std::span<double> out) {
   require(x.size() == lo.size() && x.size() == hi.size() && x.size() == out.size(),
           "project_box_into: size mismatch");
   simd::kernels().project_box_into(x.data(), lo.data(), hi.data(), out.data(), x.size());
-}
-
-double inf_norm_scaled(std::span<const double> a, std::span<const double> scale) {
-  require(a.size() == scale.size(), "inf_norm_scaled: size mismatch");
-  return simd::kernels().inf_norm_scaled(a.data(), scale.data(), a.size());
-}
-
-double inf_norm_scaled_diff(std::span<const double> a, std::span<const double> b,
-                            std::span<const double> scale) {
-  require(a.size() == b.size() && a.size() == scale.size(),
-          "inf_norm_scaled_diff: size mismatch");
-  return simd::kernels().inf_norm_scaled_diff(a.data(), b.data(), scale.data(), a.size());
-}
-
-double inf_norm_scaled_sum3(std::span<const double> a, std::span<const double> b,
-                            std::span<const double> c, std::span<const double> scale,
-                            double post) {
-  require(a.size() == b.size() && a.size() == c.size() && a.size() == scale.size(),
-          "inf_norm_scaled_sum3: size mismatch");
-  return simd::kernels().inf_norm_scaled_sum3(a.data(), b.data(), c.data(), scale.data(), post,
-                                              a.size());
 }
 
 void inf_norm_scaled_residual(std::span<const double> a, std::span<const double> b,

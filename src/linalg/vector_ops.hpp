@@ -33,9 +33,6 @@ Vector add(std::span<const double> a, std::span<const double> b);
 /// Element-wise out = a - b.
 Vector sub(std::span<const double> a, std::span<const double> b);
 
-/// Element-wise product.
-Vector hadamard(std::span<const double> a, std::span<const double> b);
-
 /// Constant vector of the given size.
 Vector constant(std::size_t size, double value);
 
@@ -57,28 +54,9 @@ Vector project_box(std::span<const double> x, std::span<const double> lo,
 /// a = alpha, b = 1 - alpha). Requires equal sizes.
 void axpby(double a, std::span<const double> x, double b, std::span<double> y);
 
-/// out = a - b and returns ||out||_inf in the same pass (the ADMM
-/// infeasibility-certificate deltas and their norms).
-double diff_norm_inf(std::span<const double> a, std::span<const double> b,
-                     std::span<double> out);
-
 /// Allocation-free project_box: out = clamp(x, lo, hi) element-wise.
 void project_box_into(std::span<const double> x, std::span<const double> lo,
                       std::span<const double> hi, std::span<double> out);
-
-/// max_i |a_i| * scale_i (exact: scaling and max introduce no reordering).
-double inf_norm_scaled(std::span<const double> a, std::span<const double> scale);
-
-/// max_i |a_i - b_i| * scale_i — the ADMM primal residual ||Ax - z|| in
-/// unscaled row units, one pass.
-double inf_norm_scaled_diff(std::span<const double> a, std::span<const double> b,
-                            std::span<const double> scale);
-
-/// max_i |a_i + b_i + c_i| * scale_i * post — the ADMM dual residual
-/// ||Px + q + A^T y|| in unscaled column units, one pass.
-double inf_norm_scaled_sum3(std::span<const double> a, std::span<const double> b,
-                            std::span<const double> c, std::span<const double> scale,
-                            double post);
 
 /// One-pass primal-residual pair: res = max_i |a_i - b_i| * scale_i and
 /// norm = max_i max(|a_i| * scale_i, |b_i| * scale_i). Exactly the two maxima

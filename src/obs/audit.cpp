@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
@@ -12,15 +12,8 @@ namespace gp::obs::audit {
 
 namespace {
 
-bool audit_env() {
-  const char* raw = std::getenv("GEOPLACE_AUDIT");
-  if (raw == nullptr) return false;
-  const std::string value(raw);
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{audit_env()};
+  static std::atomic<bool> flag{env_switch("GEOPLACE_AUDIT").enabled};
   return flag;
 }
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -65,6 +66,15 @@ RunManifest RunManifest::capture(std::string tool_name) {
   }
   std::sort(manifest.env.begin(), manifest.env.end());
   return manifest;
+}
+
+EnvSwitch env_switch(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return {};
+  const std::string value(raw);
+  if (value.empty() || value == "0" || value == "false" || value == "off") return {};
+  if (value == "1" || value == "true" || value == "on") return {true, {}};
+  return {true, value};
 }
 
 std::string RunManifest::to_json_object() const {

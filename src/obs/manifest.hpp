@@ -59,6 +59,17 @@ struct RunManifest {
   void write_sidecar(const std::string& artifact_path) const;
 };
 
+/// One GEOPLACE_* on/off/path switch, as env_switch reads it.
+struct EnvSwitch {
+  bool enabled = false;
+  std::string path;  ///< dump destination; empty unless a path was given
+};
+
+/// Reads the switch grammar GEOPLACE_METRICS, _RECORD, _TIMELINE and _AUDIT
+/// share: unset, "", "0", "false" or "off" is off; "1", "true" or "on" is on
+/// with no path; any other value is on and names the dump path.
+EnvSwitch env_switch(const char* name);
+
 /// True when the line (sans leading whitespace) is a manifest header.
 bool is_manifest_line(const std::string& line);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 
@@ -33,16 +32,6 @@ void atomic_max(std::atomic<double>& target, double value) {
   while (value > current &&
          !target.compare_exchange_weak(current, value, std::memory_order_relaxed)) {
   }
-}
-
-/// GEOPLACE_METRICS parse (see metrics.hpp): returns {enabled, dump_path}.
-std::pair<bool, std::string> metrics_env() {
-  const char* raw = std::getenv("GEOPLACE_METRICS");
-  if (raw == nullptr) return {false, {}};
-  const std::string value(raw);
-  if (value.empty() || value == "0" || value == "false" || value == "off") return {false, {}};
-  if (value == "1" || value == "true" || value == "on") return {true, {}};
-  return {true, value};
 }
 
 }  // namespace
@@ -172,9 +161,9 @@ void Histogram::reset() {
 Registry& Registry::global() {
   static Registry instance;
   static const bool initialized = [] {
-    const auto [enabled, path] = metrics_env();
-    instance.set_enabled(enabled);
-    instance.dump_path_ = path;
+    const EnvSwitch env = env_switch("GEOPLACE_METRICS");
+    instance.set_enabled(env.enabled);
+    instance.dump_path_ = env.path;
     return true;
   }();
   (void)initialized;

@@ -193,7 +193,7 @@ void Profiler::stop() {
   std::ofstream out(path_);
   if (!out) return;
   out << RunManifest::capture("profile").to_jsonl_line() << "\n";
-  // Merge per-thread folds inline (write_folded would retake the mutex).
+  // Merge per-thread folds inline (folded() would retake the mutex).
   std::map<std::string, std::uint64_t> merged;
   for (const auto& entry : threads_) {
     for (const auto& [stack, count] : entry->folded) merged[stack] += count;
@@ -208,10 +208,6 @@ std::map<std::string, std::uint64_t> Profiler::folded() const {
     for (const auto& [stack, count] : entry->folded) merged[stack] += count;
   }
   return merged;
-}
-
-void Profiler::write_folded(std::ostream& out) const {
-  for (const auto& [stack, count] : folded()) out << stack << " " << count << "\n";
 }
 
 Profiler::~Profiler() { stop(); }

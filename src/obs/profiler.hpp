@@ -48,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,11 +141,6 @@ class Profiler {
   /// The configured output path ("" when none) and sampling rate.
   const std::string& path() const { return path_; }
   double hz() const { return hz_; }
-
-  /// Writes the merged folds as a folded-stack stream ("stack count" lines,
-  /// sorted by stack for determinism). Exposed for tests and gp_flame
-  /// fixtures; stop() uses it with a manifest line first.
-  void write_folded(std::ostream& out) const;
 
   ~Profiler();
 

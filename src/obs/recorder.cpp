@@ -1,28 +1,18 @@
 #include "obs/recorder.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <string>
 
+#include "obs/manifest.hpp"
 #include "obs/trace.hpp"  // current_thread_id for dump attribution
 
 namespace gp::obs {
 
 namespace {
 
-/// GEOPLACE_RECORD parse, same grammar as GEOPLACE_METRICS: {enabled, path}.
-std::pair<bool, std::string> record_env() {
-  const char* raw = std::getenv("GEOPLACE_RECORD");
-  if (raw == nullptr) return {false, {}};
-  const std::string value(raw);
-  if (value.empty() || value == "0" || value == "false" || value == "off") return {false, {}};
-  if (value == "1" || value == "true" || value == "on") return {true, {}};
-  return {true, value};
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{record_env().first};
+  static std::atomic<bool> flag{env_switch("GEOPLACE_RECORD").enabled};
   return flag;
 }
 
@@ -37,7 +27,7 @@ void ConvergenceRecorder::set_enabled(bool enabled) {
 }
 
 const std::string& ConvergenceRecorder::dump_path() {
-  static const std::string path = record_env().second;
+  static const std::string path = env_switch("GEOPLACE_RECORD").path;
   return path;
 }
 

@@ -1,29 +1,18 @@
 #include "obs/timeline.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 
 #include "common/csv.hpp"
+#include "obs/manifest.hpp"
 
 namespace gp::obs {
 
 namespace {
 
-/// GEOPLACE_TIMELINE parse, same grammar as GEOPLACE_METRICS/RECORD:
-/// {enabled, path}.
-std::pair<bool, std::string> timeline_env() {
-  const char* raw = std::getenv("GEOPLACE_TIMELINE");
-  if (raw == nullptr) return {false, {}};
-  const std::string value(raw);
-  if (value.empty() || value == "0" || value == "false" || value == "off") return {false, {}};
-  if (value == "1" || value == "true" || value == "on") return {true, {}};
-  return {true, value};
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{timeline_env().first};
+  static std::atomic<bool> flag{env_switch("GEOPLACE_TIMELINE").enabled};
   return flag;
 }
 
@@ -86,7 +75,7 @@ void TimelineWriter::set_enabled(bool enabled) {
 namespace {
 
 std::string& dump_path_storage() {
-  static std::string path = timeline_env().second;
+  static std::string path = env_switch("GEOPLACE_TIMELINE").path;
   return path;
 }
 

@@ -204,7 +204,7 @@ struct PairLatencyStats {
 };
 
 /// Aggregate of one batched simulation (the request-level counterpart of
-/// dspp::SlaReport; demand-weighted like sim::EmpiricalSlaReport).
+/// dspp::SlaReport).
 struct RequestSimReport {
   std::vector<PairLatencyStats> pairs;  ///< indexed by pair id
   std::size_t simulated_requests = 0;

@@ -107,33 +107,4 @@ QueueSimResult simulate_pooled_mmc(double lambda, double mu, int servers, double
   return summarize(responses, busy_time, servers, duration_s, warmup_fraction);
 }
 
-EmpiricalSlaReport simulate_assignment(const dspp::DsppModel& model,
-                                       const dspp::PairIndex& pairs,
-                                       const linalg::Vector& allocation,
-                                       const dspp::Assignment& assignment,
-                                       double duration_s, Rng& rng) {
-  require(allocation.size() == pairs.num_pairs(), "simulate_assignment: allocation size");
-  require(assignment.rate.size() == pairs.num_pairs(), "simulate_assignment: rate size");
-  require(duration_s > 0.0, "simulate_assignment: duration must be > 0");
-
-  // Thin wrapper over the batched sharded core: one base seed is drawn from
-  // the caller's generator, each pair runs on its own splitmix64 substream
-  // (substream_seed on the pair index), so the per-pair statistics no
-  // longer depend on which pairs precede them — and the whole evaluation
-  // parallelizes with bit-identical output at any lane count.
-  RequestSimOptions options;
-  options.duration_s = duration_s;
-  options.warmup_fraction = 0.0;  // legacy semantics: every response counts
-  options.seed = rng();
-  const RequestSimReport report =
-      simulate_requests(model, pairs, allocation, assignment, options);
-
-  EmpiricalSlaReport out;
-  out.mean_latency_ms = report.mean_latency_ms;
-  out.worst_pair_p95_ms = report.worst_pair_p95_ms;
-  out.violating_fraction = report.violating_fraction;
-  out.simulated_requests = report.simulated_requests;
-  return out;
-}
-
 }  // namespace gp::sim

@@ -7,24 +7,20 @@
 //   * simulate_split_mm1   the paper's model: x independent M/M/1 servers,
 //     each fed an equal Bernoulli split of the arrival stream;
 //   * simulate_pooled_mmc  the M/M/c alternative: one FIFO queue drained by
-//     x servers (resource pooling);
-//   * simulate_assignment  end-to-end: takes a placement and the eq-13
-//     routing and reports the empirical latency distribution per the whole
-//     deployment, the request-level counterpart of dspp::evaluate_sla.
+//     x servers (resource pooling).
+// The whole-deployment counterpart of dspp::evaluate_sla is
+// simulate_requests (sim/request_path.hpp).
 //
-// The single-queue simulations use exact recursions (Lindley for M/M/1, a
-// server-heap for M/M/c) rather than a general event calendar — simpler,
-// faster, and no approximation. Since the batched request path landed
-// (sim/request_path.hpp) these entry points are thin wrappers over its
-// shared kernels: simulate_split_mm1/simulate_pooled_mmc pre-fill the RNG
-// draws in their original order and stay bit-identical to the pre-batched
-// outputs, while simulate_assignment delegates to the sharded count-first
-// core (per-pair splitmix64 substreams, parallel, deterministic at any
-// lane count).
+// Both simulations use exact recursions (Lindley for M/M/1, a server-heap
+// for M/M/c) rather than a general event calendar — simpler, faster, and no
+// approximation. They are thin wrappers over the batched request path's
+// shared kernels (sim/request_path.hpp): they pre-fill the RNG draws in
+// their original order and stay bit-identical to the pre-batched outputs.
 #pragma once
 
+#include <cstddef>
+
 #include "common/rng.hpp"
-#include "dspp/assignment.hpp"
 
 namespace gp::sim {
 
@@ -48,23 +44,5 @@ QueueSimResult simulate_split_mm1(double lambda, double mu, int servers, double 
 /// simulator's.
 QueueSimResult simulate_pooled_mmc(double lambda, double mu, int servers, double duration_s,
                                    Rng& rng, double warmup_fraction = 0.1);
-
-/// Empirical end-to-end latency of a deployment: for every loaded (l, v)
-/// pair, simulates the per-server split at its assigned rate (allocation
-/// rounded up to whole servers) and adds the network latency. Consumes ONE
-/// draw of `rng` (the base seed); each pair then runs on its own derived
-/// substream (see sim/request_path.hpp).
-struct EmpiricalSlaReport {
-  double mean_latency_ms = 0.0;       ///< demand-weighted across pairs
-  double worst_pair_p95_ms = 0.0;     ///< max per-pair p95 end-to-end
-  double violating_fraction = 0.0;    ///< fraction of requests above the pair's bound
-  std::size_t simulated_requests = 0;
-};
-
-EmpiricalSlaReport simulate_assignment(const dspp::DsppModel& model,
-                                       const dspp::PairIndex& pairs,
-                                       const linalg::Vector& allocation,
-                                       const dspp::Assignment& assignment,
-                                       double duration_s, Rng& rng);
 
 }  // namespace gp::sim

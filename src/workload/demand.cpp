@@ -33,7 +33,9 @@ DemandModel DemandModel::from_trace(std::vector<std::vector<double>> rates,
   require(width >= 1, "from_trace: trace has no columns");
   for (const auto& row : rates) {
     require(row.size() == width, "from_trace: ragged trace rows");
-    for (double value : row) require(value >= 0.0, "from_trace: negative rate");
+    for (double value : row) {
+      require(std::isfinite(value) && value >= 0.0, "from_trace: rate must be finite and >= 0");
+    }
   }
   // Placeholder sources carry the access-network count; the replayed rows
   // replace their base-rate/profile arithmetic entirely.

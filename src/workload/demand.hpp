@@ -54,6 +54,7 @@ class DemandModel {
   /// engine/controller paths as the synthetic generator. `wrap` replays the
   /// trace cyclically past its end; otherwise the last row holds. Flash
   /// crowds and sample_rate noise still apply on top of the replayed mean.
+  /// Every rate must be finite and >= 0.
   static DemandModel from_trace(std::vector<std::vector<double>> rates, double period_hours,
                                 double start_hour = 0.0, bool wrap = true);
 

@@ -47,10 +47,6 @@ RegionCurve curve_for(topology::Region region) {
 
 }  // namespace
 
-ElectricityPriceModel::ElectricityPriceModel(double volatility) : volatility_(volatility) {
-  require(volatility >= 0.0, "ElectricityPriceModel: negative volatility");
-}
-
 double ElectricityPriceModel::price(topology::Region region, double local_hour_of_day) const {
   const RegionCurve curve = curve_for(region);
   double h = std::fmod(local_hour_of_day, 24.0);
@@ -64,14 +60,6 @@ double ElectricityPriceModel::price(topology::Region region, double local_hour_o
   dm = std::min(dm, 24.0 - dm);
   const double shoulder = 0.25 * std::exp(-(dm * dm) / (2.0 * 2.5 * 2.5));
   return curve.base + curve.amplitude * (bump + shoulder);
-}
-
-double ElectricityPriceModel::noisy_price(topology::Region region, double local_hour_of_day,
-                                          Rng& rng) const {
-  const double clean = price(region, local_hour_of_day);
-  if (volatility_ == 0.0) return clean;
-  const double noisy = clean * (1.0 + rng.normal(0.0, volatility_));
-  return std::max(noisy, 0.1 * clean);
 }
 
 ServerPriceModel::ServerPriceModel(std::vector<topology::DataCenterSite> sites, VmType vm,
@@ -96,7 +84,9 @@ ServerPriceModel ServerPriceModel::from_trace(std::vector<topology::DataCenterSi
   require(period_hours > 0.0, "from_trace: non-positive period length");
   for (const auto& row : prices) {
     require(row.size() == sites.size(), "from_trace: price columns != data centers");
-    for (double value : row) require(value >= 0.0, "from_trace: negative price");
+    for (double value : row) {
+      require(std::isfinite(value) && value >= 0.0, "from_trace: price must be finite and >= 0");
+    }
   }
   ServerPriceModel model(std::move(sites), vm, ElectricityPriceModel());
   model.trace_prices_ = std::move(prices);

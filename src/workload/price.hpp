@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "common/rng.hpp"
 #include "topology/geo.hpp"
 
 namespace gp::workload {
@@ -25,20 +24,8 @@ double vm_watts(VmType type);
 /// Synthetic per-region daily electricity price curves, $/MWh.
 class ElectricityPriceModel {
  public:
-  /// volatility: standard deviation of multiplicative noise applied by
-  /// noisy_price (0 = deterministic curves).
-  explicit ElectricityPriceModel(double volatility = 0.0);
-
   /// Deterministic price for the region at the given LOCAL hour-of-day.
   double price(topology::Region region, double local_hour) const;
-
-  /// Price with multiplicative lognormal-ish noise (clamped positive).
-  double noisy_price(topology::Region region, double local_hour, Rng& rng) const;
-
-  double volatility() const { return volatility_; }
-
- private:
-  double volatility_;
 };
 
 /// Converts electricity prices into per-server prices for each data center.
@@ -55,7 +42,8 @@ class ServerPriceModel {
   /// prices[k][l] ($/server-hour) for the period k of length `period_hours`
   /// (starting at `start_hour`) containing utc_hour; `wrap` replays
   /// cyclically past the end, else the last row holds. electricity_price()
-  /// still reports the synthetic regional curves.
+  /// still reports the synthetic regional curves. Every price must be
+  /// finite and >= 0.
   static ServerPriceModel from_trace(std::vector<topology::DataCenterSite> sites, VmType vm,
                                      std::vector<std::vector<double>> prices,
                                      double period_hours, double start_hour = 0.0,

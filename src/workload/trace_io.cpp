@@ -1,6 +1,7 @@
 #include "workload/trace_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -69,6 +70,12 @@ TraceResult load_trace_csv(std::istream& in) {
       if (!parse_double(cells[i], row[i])) {
         result.error = "line " + std::to_string(line_number) + ": bad number '" + cells[i] +
                        "'";
+        return result;
+      }
+      // from_chars accepts "inf" and "nan"; no trace series can hold them.
+      if (!std::isfinite(row[i])) {
+        result.error = "line " + std::to_string(line_number) + ": non-finite value '" +
+                       cells[i] + "'";
         return result;
       }
     }

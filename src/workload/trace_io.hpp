@@ -33,8 +33,9 @@ struct TraceResult {
   std::string error;  ///< first problem, with a line number
 };
 
-/// Reads a CSV trace: header row of column names, then numeric rows of the
-/// same width. Blank lines are skipped; a '#' prefix marks comment lines.
+/// Reads a CSV trace: header row of column names, then rows of the same
+/// width holding finite numbers ("inf" and "nan" cells are errors). Blank
+/// lines are skipped; a '#' prefix marks comment lines.
 TraceResult load_trace_csv(std::istream& in);
 
 /// Writes the trace in the same format (lossless double round-trip).

@@ -175,52 +175,5 @@ TEST(Ldlt, ZeroPivotDetected) {
   EXPECT_EQ(ldlt.factor(singular), FactorStatus::kZeroPivot);
 }
 
-TEST(HouseholderQr, ExactSolveOnSquareSystem) {
-  Rng rng(11);
-  const DenseMatrix a = random_spd(5, rng);  // well-conditioned square
-  Vector b(5);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  HouseholderQr qr;
-  ASSERT_EQ(qr.factor(a), FactorStatus::kOk);
-  const Vector x = qr.solve_least_squares(b);
-  const Vector ax = a.multiply(x);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(ax[i], b[i], 1e-9);
-}
-
-TEST(HouseholderQr, LeastSquaresMatchesNormalEquations) {
-  Rng rng(13);
-  const DenseMatrix a = random_matrix(20, 4, rng);
-  Vector b(20);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const auto x = least_squares(a, b);
-  ASSERT_TRUE(x.has_value());
-  // Verify the normal equations A^T (A x - b) = 0.
-  const Vector residual = sub(a.multiply(*x), b);
-  const Vector normal = a.multiply_transposed(residual);
-  for (double v : normal) EXPECT_NEAR(v, 0.0, 1e-10);
-}
-
-TEST(HouseholderQr, DetectsRankDeficiency) {
-  DenseMatrix a(3, 2, {1.0, 2.0, 2.0, 4.0, 3.0, 6.0});  // rank 1
-  EXPECT_FALSE(least_squares(a, Vector{1.0, 2.0, 3.0}).has_value());
-}
-
-TEST(HouseholderQr, RecoversKnownPolynomialFit) {
-  // Fit y = 2 + 3 t over exact data; least squares must recover coefficients.
-  const std::size_t points = 10;
-  DenseMatrix a(points, 2);
-  Vector b(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double t = static_cast<double>(i);
-    a(i, 0) = 1.0;
-    a(i, 1) = t;
-    b[i] = 2.0 + 3.0 * t;
-  }
-  const auto x = least_squares(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_NEAR((*x)[0], 2.0, 1e-10);
-  EXPECT_NEAR((*x)[1], 3.0, 1e-10);
-}
-
 }  // namespace
 }  // namespace gp::linalg

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -413,6 +414,33 @@ TEST(ManifestTest, CaptureCarriesProvenanceAndEscapes) {
   EXPECT_NE(line.find("\"spec_hash\":\"00ff\""), std::string::npos);
   EXPECT_NE(line.find("a\\\"b"), std::string::npos);  // quote escaping
   EXPECT_EQ(gp::obs::strip_manifest_lines(line + "\n{\"x\":1}\n"), "{\"x\":1}\n");
+}
+
+TEST(ManifestTest, EnvSwitchGrammar) {
+  // A scratch name outside GEOPLACE_*, so later manifests in this binary do
+  // not capture it.
+  const char* name = "GP_TEST_ENV_SWITCH";
+  ::unsetenv(name);
+  gp::obs::EnvSwitch got = gp::obs::env_switch(name);
+  EXPECT_FALSE(got.enabled);
+  EXPECT_TRUE(got.path.empty());
+  for (const char* off : {"", "0", "false", "off"}) {
+    ::setenv(name, off, /*overwrite=*/1);
+    got = gp::obs::env_switch(name);
+    EXPECT_FALSE(got.enabled) << "'" << off << "'";
+    EXPECT_TRUE(got.path.empty()) << "'" << off << "'";
+  }
+  for (const char* on : {"1", "true", "on"}) {
+    ::setenv(name, on, /*overwrite=*/1);
+    got = gp::obs::env_switch(name);
+    EXPECT_TRUE(got.enabled) << on;
+    EXPECT_TRUE(got.path.empty()) << on;
+  }
+  ::setenv(name, "out/metrics.jsonl", /*overwrite=*/1);
+  got = gp::obs::env_switch(name);
+  EXPECT_TRUE(got.enabled);
+  EXPECT_EQ(got.path, "out/metrics.jsonl");
+  ::unsetenv(name);
 }
 
 TEST(SolveInfoTest, AdmmExportsHotLoopCountersToGlobalRegistry) {

@@ -214,40 +214,10 @@ TEST(NormKernels, MultiLaneMatchesScalarReference) {
     // Sizes straddling the 4-lane unroll boundary, including the tail cases.
     const auto size = static_cast<std::size_t>(rng.uniform_int(0, 37));
     const Vector a = random_with_zeros(size, rng);
-    const Vector b = random_with_zeros(size, rng);
-    const Vector c = random_with_zeros(size, rng);
-    Vector scale(size);
-    for (auto& v : scale) v = rng.uniform(0.25, 4.0);
-    const double post = rng.uniform(0.25, 4.0);
 
     double ref = 0.0;
     for (std::size_t i = 0; i < size; ++i) ref = std::max(ref, std::abs(a[i]));
     expect_bits_equal(ref, linalg::norm_inf(a));
-
-    ref = 0.0;
-    for (std::size_t i = 0; i < size; ++i) ref = std::max(ref, std::abs(a[i]) * scale[i]);
-    expect_bits_equal(ref, linalg::inf_norm_scaled(a, scale));
-
-    ref = 0.0;
-    for (std::size_t i = 0; i < size; ++i) {
-      ref = std::max(ref, std::abs(a[i] - b[i]) * scale[i]);
-    }
-    expect_bits_equal(ref, linalg::inf_norm_scaled_diff(a, b, scale));
-
-    ref = 0.0;
-    for (std::size_t i = 0; i < size; ++i) {
-      ref = std::max(ref, std::abs(a[i] + b[i] + c[i]) * scale[i] * post);
-    }
-    expect_bits_equal(ref, linalg::inf_norm_scaled_sum3(a, b, c, scale, post));
-
-    Vector out(size, -1.0), out_ref(size, -1.0);
-    ref = 0.0;
-    for (std::size_t i = 0; i < size; ++i) {
-      out_ref[i] = a[i] - b[i];
-      ref = std::max(ref, std::abs(out_ref[i]));
-    }
-    expect_bits_equal(ref, linalg::diff_norm_inf(a, b, out));
-    expect_bits_equal(out_ref, out);
   }
 }
 
@@ -262,20 +232,32 @@ TEST(NormKernels, ResidualPairsMatchSeparateReductions) {
     for (auto& v : scale) v = rng.uniform(0.25, 4.0);
     const double post = rng.uniform(0.25, 4.0);
 
+    // Each fused pair against two separate single-chain reductions.
+    double ref_res = 0.0, ref_norm = 0.0;
+    for (std::size_t i = 0; i < size; ++i) {
+      ref_res = std::max(ref_res, std::abs(a[i] - b[i]) * scale[i]);
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      ref_norm = std::max(ref_norm, std::max(std::abs(a[i]) * scale[i],
+                                             std::abs(b[i]) * scale[i]));
+    }
     double res = 0.0, norm = 0.0;
     linalg::inf_norm_scaled_residual(a, b, scale, res, norm);
-    expect_bits_equal(linalg::inf_norm_scaled_diff(a, b, scale), res);
-    expect_bits_equal(std::max(linalg::inf_norm_scaled(a, scale),
-                               linalg::inf_norm_scaled(b, scale)),
-                      norm);
+    expect_bits_equal(ref_res, res);
+    expect_bits_equal(ref_norm, norm);
 
+    ref_res = 0.0;
+    ref_norm = 0.0;
+    for (std::size_t i = 0; i < size; ++i) {
+      ref_res = std::max(ref_res, std::abs(a[i] + b[i] + c[i]) * scale[i] * post);
+    }
+    for (std::size_t i = 0; i < size; ++i) {
+      ref_norm = std::max({ref_norm, std::abs(a[i]) * scale[i], std::abs(b[i]) * scale[i],
+                           std::abs(c[i]) * scale[i]});
+    }
     linalg::inf_norm_scaled_residual3(a, b, c, scale, post, res, norm);
-    expect_bits_equal(linalg::inf_norm_scaled_sum3(a, b, c, scale, post), res);
-    expect_bits_equal(std::max({linalg::inf_norm_scaled(a, scale),
-                                linalg::inf_norm_scaled(b, scale),
-                                linalg::inf_norm_scaled(c, scale)}) *
-                          post,
-                      norm);
+    expect_bits_equal(ref_res, res);
+    expect_bits_equal(ref_norm * post, norm);
   }
 }
 
@@ -394,10 +376,10 @@ std::vector<simd::Tier> available_tiers() {
 /// Everything the production kernels produce for one input set; computed
 /// per tier and compared bitwise against the scalar tier.
 struct KernelOutputs {
-  double norm = 0.0, scaled = 0.0, diff = 0.0, sum3 = 0.0, diff_norm = 0.0;
+  double norm = 0.0;
   double res = 0.0, res_norm = 0.0, res3 = 0.0, res3_norm = 0.0;
   double axpby_norm = 0.0, dual_norm = 0.0;
-  Vector diff_out, z_tilde, z_cand, boxed, x, delta_x, y, delta_y;
+  Vector z_tilde, z_cand, boxed, x, delta_x, y, delta_y;
   Vector neg_log, neg_log_rate;
 };
 
@@ -408,11 +390,6 @@ KernelOutputs run_kernel_suite(const Vector& a, const Vector& b, const Vector& c
   const std::size_t size = a.size();
   KernelOutputs out;
   out.norm = linalg::norm_inf(a);
-  out.scaled = linalg::inf_norm_scaled(a, scale);
-  out.diff = linalg::inf_norm_scaled_diff(a, b, scale);
-  out.sum3 = linalg::inf_norm_scaled_sum3(a, b, c, scale, post);
-  out.diff_out.assign(size, -1.0);
-  out.diff_norm = linalg::diff_norm_inf(a, b, out.diff_out);
   linalg::inf_norm_scaled_residual(a, b, scale, out.res, out.res_norm);
   linalg::inf_norm_scaled_residual3(a, b, c, scale, post, out.res3, out.res3_norm);
   out.z_tilde.assign(size, -1.0);
@@ -439,17 +416,12 @@ KernelOutputs run_kernel_suite(const Vector& a, const Vector& b, const Vector& c
 
 void expect_outputs_bits_equal(const KernelOutputs& ref, const KernelOutputs& got) {
   expect_bits_equal(ref.norm, got.norm);
-  expect_bits_equal(ref.scaled, got.scaled);
-  expect_bits_equal(ref.diff, got.diff);
-  expect_bits_equal(ref.sum3, got.sum3);
-  expect_bits_equal(ref.diff_norm, got.diff_norm);
   expect_bits_equal(ref.res, got.res);
   expect_bits_equal(ref.res_norm, got.res_norm);
   expect_bits_equal(ref.res3, got.res3);
   expect_bits_equal(ref.res3_norm, got.res3_norm);
   expect_bits_equal(ref.axpby_norm, got.axpby_norm);
   expect_bits_equal(ref.dual_norm, got.dual_norm);
-  expect_bits_equal(ref.diff_out, got.diff_out);
   expect_bits_equal(ref.z_tilde, got.z_tilde);
   expect_bits_equal(ref.z_cand, got.z_cand);
   expect_bits_equal(ref.boxed, got.boxed);

@@ -399,40 +399,6 @@ TEST(RequestPath, PooledWrapperIsBitIdenticalToLegacy) {
   }
 }
 
-TEST(RequestPath, AssignmentWrapperDelegatesToBatchedCore) {
-  // simulate_assignment draws ONE base seed from the caller's generator and
-  // defers to simulate_requests — the aggregate must match a direct call
-  // with that seed exactly.
-  dspp::DsppModel model;
-  model.network = topology::NetworkModel({"dc0", "dc1"}, {"an0", "an1"},
-                                         {{10.0, 30.0}, {25.0, 12.0}});
-  model.sla.mu = 100.0;
-  model.sla.max_latency_ms = 100.0;
-  model.reconfig_cost = {0.0, 0.0};
-  model.capacity = {1000.0, 1000.0};
-  const dspp::PairIndex pairs(model);
-  const Vector demand{600.0, 450.0};
-  Vector allocation(pairs.num_pairs(), 0.0);
-  for (std::size_t v = 0; v < pairs.num_access_networks(); ++v) {
-    for (std::size_t p : pairs.pairs_of_access_network(v)) {
-      allocation[p] = std::ceil(pairs.coefficient(p) * demand[v] / 2.0 + 1.0);
-    }
-  }
-  const auto assignment = dspp::assign_demand(pairs, allocation, demand);
-
-  Rng rng(42);
-  const auto wrapped = simulate_assignment(model, pairs, allocation, assignment, 50.0, rng);
-  RequestSimOptions options;
-  options.duration_s = 50.0;
-  options.warmup_fraction = 0.0;
-  options.seed = Rng(42)();  // the one draw the wrapper consumed
-  const auto direct = simulate_requests(model, pairs, allocation, assignment, options);
-  EXPECT_EQ(wrapped.simulated_requests, direct.simulated_requests);
-  EXPECT_EQ(wrapped.mean_latency_ms, direct.mean_latency_ms);
-  EXPECT_EQ(wrapped.worst_pair_p95_ms, direct.worst_pair_p95_ms);
-  EXPECT_EQ(wrapped.violating_fraction, direct.violating_fraction);
-}
-
 TEST(RequestPath, UnstablePairViolatesEverything) {
   const dspp::DsppModel model = single_pair_model(100.0);
   const dspp::PairIndex pairs(model);

@@ -11,12 +11,23 @@
 #include "qp/admm_solver.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/mmc.hpp"
+#include "sim/request_path.hpp"
 #include "sim/request_sim.hpp"
 
 namespace gp::sim {
 namespace {
 
 using linalg::Vector;
+
+/// Whole-deployment replay options: every response counts (no warm-up skip)
+/// and the base seed is one draw of the caller's generator.
+RequestSimOptions replay_options(double duration_s, Rng& rng) {
+  RequestSimOptions options;
+  options.duration_s = duration_s;
+  options.warmup_fraction = 0.0;
+  options.seed = rng();
+  return options;
+}
 
 TEST(RequestSim, SplitMm1MatchesAnalyticMean) {
   Rng rng(1);
@@ -104,7 +115,8 @@ TEST(RequestSim, EndToEndAssignmentMeetsSlaEmpirically) {
 
   const auto assignment = dspp::assign_demand(pairs, solution.x[0], {600.0, 450.0});
   Rng rng(7);
-  const auto report = simulate_assignment(model, pairs, solution.x[0], assignment, 600.0, rng);
+  const auto report = simulate_requests(model, pairs, solution.x[0], assignment,
+                                        replay_options(600.0, rng));
   ASSERT_GT(report.simulated_requests, 100000u);
   // The M/M/1 sojourn is exponential, so a MEAN-based bound leaves a tail
   // mass of exp(-(mu - lambda) * budget) above it even when satisfied: with
@@ -143,7 +155,8 @@ TEST(RequestSim, PercentileSlaSizingBoundsTheTailEmpirically) {
   ASSERT_TRUE(solution.ok());
   const auto assignment = dspp::assign_demand(pairs, solution.x[0], {600.0, 450.0});
   Rng rng(9);
-  const auto report = simulate_assignment(model, pairs, solution.x[0], assignment, 600.0, rng);
+  const auto report = simulate_requests(model, pairs, solution.x[0], assignment,
+                                        replay_options(600.0, rng));
   ASSERT_GT(report.simulated_requests, 50000u);
   EXPECT_LE(report.violating_fraction, 0.055);
 }
@@ -161,7 +174,8 @@ TEST(RequestSim, UnderProvisionedDeploymentViolatesEmpirically) {
   Vector allocation{5.0};  // needs ~9
   const auto assignment = dspp::assign_demand(pairs, allocation, demand);
   Rng rng(8);
-  const auto report = simulate_assignment(model, pairs, allocation, assignment, 300.0, rng);
+  const auto report =
+      simulate_requests(model, pairs, allocation, assignment, replay_options(300.0, rng));
   EXPECT_GT(report.violating_fraction, 0.2);
 }
 

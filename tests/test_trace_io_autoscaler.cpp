@@ -1,7 +1,9 @@
 // Tests for trace CSV import/export and the threshold-autoscaler baseline.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -63,6 +65,24 @@ TEST(TraceIo, ReportsMalformedInput) {
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error, "no header row");
   }
+}
+
+TEST(TraceIo, RejectsNonFiniteCells) {
+  // std::from_chars parses "inf" and "nan"; a trace cell holding one must
+  // fail at load time, naming its line, not deep inside the solver.
+  for (const char* cell : {"inf", "-inf", "nan", " INF"}) {
+    std::istringstream in(std::string("h,v\n0,1\n1,") + cell + "\n");
+    const auto r = workload::load_trace_csv(in);
+    EXPECT_FALSE(r.ok) << cell;
+    EXPECT_NE(r.error.find("line 3"), std::string::npos) << r.error;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(workload::DemandModel::from_trace({{1.0, inf}}, 1.0), PreconditionError);
+  EXPECT_THROW(workload::DemandModel::from_trace({{nan}}, 1.0), PreconditionError);
+  EXPECT_THROW(workload::ServerPriceModel::from_trace(topology::default_datacenter_sites(1),
+                                                      workload::VmType::kMedium, {{inf}}, 1.0),
+               PreconditionError);
 }
 
 TEST(TraceIo, SaveValidatesShape) {

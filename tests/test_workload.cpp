@@ -147,20 +147,6 @@ TEST(Price, RegionalCurvesMatchFigure3Shape) {
             model.price(topology::Region::kCalifornia, 3.0));
 }
 
-TEST(Price, NoisyPriceIsCleanAtZeroVolatility) {
-  const ElectricityPriceModel model(0.0);
-  Rng rng(3);
-  EXPECT_DOUBLE_EQ(model.noisy_price(topology::Region::kTexas, 12.0, rng),
-                   model.price(topology::Region::kTexas, 12.0));
-  const ElectricityPriceModel volatile_model(0.2);
-  double spread = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    spread += std::abs(volatile_model.noisy_price(topology::Region::kTexas, 12.0, rng) -
-                       volatile_model.price(topology::Region::kTexas, 12.0));
-  }
-  EXPECT_GT(spread, 1.0);
-}
-
 TEST(Price, ServerPriceConvertsUnits) {
   // 70 W at PUE 1.3 is 91 W -> 9.1e-5 MW; at $50/MWh that is $0.00455/h.
   const auto sites = topology::default_datacenter_sites(1);
@@ -195,7 +181,6 @@ TEST(Price, TraceFollowsLocalTimePeaks) {
 }
 
 TEST(Price, PreconditionChecks) {
-  EXPECT_THROW(ElectricityPriceModel(-0.1), PreconditionError);
   const auto sites = topology::default_datacenter_sites(1);
   EXPECT_THROW(ServerPriceModel(sites, VmType::kSmall, ElectricityPriceModel(), 0.5),
                PreconditionError);
