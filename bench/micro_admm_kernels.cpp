@@ -626,8 +626,29 @@ int main() {
     cold_factor_ms = r == 0 ? ms : std::min(cold_factor_ms, ms);
     l_nnz = ldlt.l_nnz();
   }
-  std::printf("# ldlt: cold factor %.3f ms (dim %d, nnz(KKT) %lld, nnz(L) %lld, best of %d)\n",
-              cold_factor_ms, dim, static_cast<long long>(kkt.nnz()), l_nnz, kReps);
+  // One solve against a kept factor: the KKT share of every ADMM iteration
+  // (informational; best of kReps batches of kSolves solves).
+  constexpr int kSolves = 200;
+  double solve_ns = 0.0;
+  {
+    gp::linalg::SparseLdlt ldlt;
+    factor_ok = ldlt.factor(kkt) == gp::linalg::SparseLdlt::Status::kOk && factor_ok;
+    Vector rhs(static_cast<std::size_t>(dim));
+    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = std::sin(static_cast<double>(i) + 1.0);
+    Vector x(rhs.size());
+    for (int r = 0; r < kReps && factor_ok; ++r) {
+      const auto solve_start = Clock::now();
+      for (int s = 0; s < kSolves; ++s) {
+        std::copy(rhs.begin(), rhs.end(), x.begin());
+        ldlt.solve_in_place(x);
+      }
+      const double ns = ms_since(solve_start) * 1e6 / kSolves;
+      solve_ns = r == 0 ? ns : std::min(solve_ns, ns);
+    }
+  }
+  std::printf("# ldlt: cold factor %.3f ms, solve %.0f ns (dim %d, nnz(KKT) %lld, nnz(L) %lld, "
+              "best of %d)\n",
+              cold_factor_ms, solve_ns, dim, static_cast<long long>(kkt.nnz()), l_nnz, kReps);
 
   std::FILE* json = std::fopen("BENCH_admm.json", "w");
   if (json != nullptr) {
@@ -677,8 +698,8 @@ int main() {
                  obs_allocs, obs_spmv_ns, obs_spmv_gb_s);
     std::fprintf(json,
                  "  \"ldlt\": {\"dim\": %d, \"nnz_kkt\": %lld, \"l_nnz\": %lld, "
-                 "\"cold_factor_ms\": %.3f},\n",
-                 dim, static_cast<long long>(kkt.nnz()), l_nnz, cold_factor_ms);
+                 "\"cold_factor_ms\": %.3f, \"solve_ns\": %.0f},\n",
+                 dim, static_cast<long long>(kkt.nnz()), l_nnz, cold_factor_ms, solve_ns);
     std::fprintf(json,
                  "  \"spmv\": {\"reps\": %d,\n    \"csc_at\": {\"wall_ms\": %.3f, "
                  "\"gb_s\": %.2f},\n",

@@ -1,13 +1,15 @@
 // Solver micro-benchmarks (google-benchmark): how the ADMM and IPM paths
 // scale with the DSPP window dimensions (L data centers x V access networks
-// x W periods), plus the sparse LDL^T kernel and its minimum-degree ordering
-// on window KKT systems (the ADMM KKT and a polish reduced KKT).
+// x W periods), plus the sparse LDL^T kernel (factor and solve) and its
+// minimum-degree ordering on window KKT systems (the ADMM KKT and a polish
+// reduced KKT).
 //
 // These justify the solver architecture: the sparse ADMM path is the
 // production solver (near-linear in nonzeros per iteration after one
 // factorization), the dense IPM is the small-problem cross-checker (cubic).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dspp/window_program.hpp"
@@ -140,6 +142,35 @@ BENCHMARK(BM_SparseLdltFactor)
     ->Args({24, 0})
     ->Args({24, 1})
     ->Unit(benchmark::kMillisecond);
+
+// One solve against a kept factor: the per-iteration KKT cost of the ADMM
+// loop. The right-hand side is refreshed from a fixed one every iteration,
+// so each solve sees the same, fully dense input.
+void BM_SparseLdltSolve(benchmark::State& state) {
+  const auto kkt = window_kkt(static_cast<std::size_t>(state.range(0)), state.range(1) == 1);
+  linalg::SparseLdlt ldlt;
+  if (ldlt.factor(kkt) != linalg::SparseLdlt::Status::kOk) {
+    state.SkipWithError("factor failed");
+    return;
+  }
+  linalg::Vector rhs(static_cast<std::size_t>(kkt.rows()));
+  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] = std::sin(static_cast<double>(i) + 1.0);
+  linalg::Vector x(rhs.size());
+  for (auto _ : state) {
+    std::copy(rhs.begin(), rhs.end(), x.begin());
+    ldlt.solve_in_place(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["dim"] = static_cast<double>(kkt.rows());
+  state.counters["l_nnz"] = static_cast<double>(ldlt.l_nnz());
+}
+BENCHMARK(BM_SparseLdltSolve)
+    ->Args({6, 0})
+    ->Args({12, 0})
+    ->Args({24, 0})
+    ->Args({24, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 // The ordering alone: the symbolic cost every factor() pays up front.
 void BM_MinimumDegreeOrdering(benchmark::State& state) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -270,6 +271,24 @@ ThreadPool& ThreadPool::global() {
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn, std::size_t max_threads) {
   ThreadPool::global().parallel_for(begin, end, fn, max_threads);
+}
+
+std::vector<std::vector<std::size_t>> deal_lpt(std::span<const double> weights,
+                                               std::size_t lanes) {
+  require(lanes >= 1, "deal_lpt: need at least one lane");
+  std::vector<std::size_t> order(weights.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return weights[a] > weights[b]; });
+  std::vector<std::vector<std::size_t>> dealt(lanes);
+  std::vector<double> load(lanes, 0.0);
+  for (const std::size_t job : order) {
+    const auto lane =
+        static_cast<std::size_t>(std::min_element(load.begin(), load.end()) - load.begin());
+    dealt[lane].push_back(job);
+    load[lane] += weights[job];
+  }
+  return dealt;
 }
 
 }  // namespace gp

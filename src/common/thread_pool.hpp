@@ -1,14 +1,19 @@
 // Fixed-size thread pool with a deterministic parallel_for.
 //
-// The pool exists for the library's two embarrassingly parallel hot loops:
-// the competition game's per-provider best responses (a Jacobi round — every
-// response depends only on the quotas fixed at the top of the iteration) and
-// block assembly of the social-welfare QP. Design constraints, in order:
+// The pool exists for the library's embarrassingly parallel hot loops: the
+// competition game's per-provider best responses (a Jacobi round — every
+// response depends only on the quotas fixed at the top of the iteration),
+// block assembly of the social-welfare QP, and the request replay's pairs.
+// Design constraints, in order:
 //
 //  1. Determinism. parallel_for uses a STATIC contiguous partition of the
 //     index range and callers write results by index, so the output of a
 //     seeded experiment is bit-identical at any thread count (results land
-//     by index, never by completion order).
+//     by index, never by completion order). Where jobs are far from equal,
+//     callers deal them to lanes with deal_lpt() (by measured best-response
+//     cost in the game, by routed rate in the replay) and run one
+//     parallel_for index per lane: the dealing decides only which lane does
+//     a job, never what the job computes or where its result lands.
 //  2. No oversubscription surprises. One process-wide pool (global()), sized
 //     once from the GEOPLACE_THREADS environment variable when set, else
 //     std::thread::hardware_concurrency(). Call sites can cap the lanes they
@@ -34,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -165,5 +171,15 @@ class ThreadPool {
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t max_threads = 0);
+
+/// Deals jobs 0..weights.size()-1 to `lanes` lanes by the LPT rule (longest
+/// processing time first): jobs in decreasing weight, ties to the lower
+/// index, each to the least-loaded lane, ties to the lower lane. Returns
+/// each lane's jobs in dealing order; every job appears exactly once, and
+/// the deal is a pure function of (weights, lanes). A zero weight never
+/// raises a lane's load, so jobs that weigh nothing all go to lane 0:
+/// callers with no measurement yet should pass equal positive weights.
+std::vector<std::vector<std::size_t>> deal_lpt(std::span<const double> weights,
+                                               std::size_t lanes);
 
 }  // namespace gp

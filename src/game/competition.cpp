@@ -1,6 +1,7 @@
 #include "game/competition.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -62,6 +63,7 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
   for (std::size_t i = 0; i < providers_.size(); ++i) {
     responders_.emplace_back(providers_[i].model, pair_index_[i], response_settings);
   }
+  response_ns_.fill(std::vector<double>(providers_.size(), 0.0));
 }
 
 void CompetitionGame::check_window(std::size_t i, const Vector& initial_state,
@@ -135,16 +137,43 @@ GameResult CompetitionGame::run(std::optional<std::vector<Vector>> initial_quota
   result.solutions.resize(n);
   double previous_cost = std::numeric_limits<double>::infinity();
   int stable_streak = 0;
+  const std::size_t lanes =
+      std::min({n, ThreadPool::global().max_lanes(),
+                settings_.num_threads == 0 ? n : settings_.num_threads});
 
   for (int iteration = 0; iteration < settings_.max_iterations; ++iteration) {
     obs::Span round_span("game.round", static_cast<double>(iteration));
     // --- Best responses and duals: a Jacobi round. Every response depends
     // only on the quotas fixed above, so the N solves run concurrently,
     // each on its own solver/program; results land by provider index so the
-    // outcome is bit-identical at any thread count. ---
+    // outcome is bit-identical at any thread count. Providers' costs differ
+    // several-fold, so a static split can leave a lane idle for most of the
+    // round: each round deals the responses by LPT on their last measured
+    // cost in the same kind of round (equal weights before any
+    // measurement), and each lane runs its providers in index order. ---
+    std::vector<double>& measured = response_ns_[iteration == 0 ? 0 : 1];
+    std::vector<double> weights(n, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (measured[i] > 0.0) {
+        weights[i] = measured[i];
+      } else if (response_ns_[0][i] > 0.0) {
+        weights[i] = response_ns_[0][i];
+      }
+    }
+    std::vector<std::vector<std::size_t>> lane_providers = deal_lpt(weights, lanes);
+    for (auto& providers : lane_providers) std::sort(providers.begin(), providers.end());
     parallel_for(
-        0, n, [&](std::size_t i) { result.solutions[i] = best_response(i, quotas[i]); },
-        settings_.num_threads);
+        0, lanes,
+        [&](std::size_t lane) {
+          for (const std::size_t i : lane_providers[lane]) {
+            const auto start = std::chrono::steady_clock::now();
+            result.solutions[i] = best_response(i, quotas[i]);
+            measured[i] = std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+          }
+        },
+        lanes);
     double total_cost = 0.0;
     std::vector<Vector> duals(n);
     for (std::size_t i = 0; i < n; ++i) {

@@ -20,6 +20,7 @@
 // stability of Definitions 3 (Theorem 1 predicts PoS = 1).
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "dspp/block_window.hpp"
@@ -57,10 +58,10 @@ struct GameSettings {
   double soft_demand_penalty = 5.0; ///< $ per unserved req/s (transient infeasibility)
   /// Parallel lanes for the per-iteration best responses (a Jacobi round:
   /// every response depends only on the quotas fixed at the top of the
-  /// iteration, so they are computed concurrently). 0 = the global thread
-  /// pool's width (GEOPLACE_THREADS / hardware concurrency). Results are
-  /// bit-identical at any setting — each provider has its own solver and
-  /// results land by provider index.
+  /// iteration, so they are computed concurrently, dealt to lanes by their
+  /// measured cost). 0 = the global thread pool's width (GEOPLACE_THREADS /
+  /// hardware concurrency). Results are bit-identical at any setting — each
+  /// provider has its own solver and results land by provider index.
   std::size_t num_threads = 0;
   /// Best-response solver settings (polish is always forced on). Warm
   /// starting is on by default: between Jacobi rounds only a provider's
@@ -148,6 +149,11 @@ class CompetitionGame {
   /// a set_window() call) is a parameter update that starts from the
   /// provider's own previous solution.
   std::vector<dspp::BlockWindowSolver> responders_;
+  /// Wall time (ns) of each provider's last best response in round 0 ([0])
+  /// and in a later round ([1]) of run(); 0 until measured. Round 0 follows
+  /// a window change, a later round only a quota change, so the two differ.
+  /// They weigh the responses when a round deals them to lanes.
+  std::array<std::vector<double>, 2> response_ns_;
   /// Solves the joint social-welfare QP.
   qp::AdmmSolver welfare_solver_;
 };

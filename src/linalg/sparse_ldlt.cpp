@@ -27,11 +27,14 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
   input_col_ptr_.assign(upper.col_ptr().begin(), upper.col_ptr().end());
   input_row_idx_.assign(upper.row_idx().begin(), upper.row_idx().end());
 
-  // --- Symbolic: elimination tree and exact column counts of L (counted
-  // into l_col_ptr_[i + 1], then summed into column pointers). ---
-  parent_.assign(static_cast<std::size_t>(n_), -1);
-  l_col_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  flag_.assign(static_cast<std::size_t>(n_), -1);
+  // --- Symbolic: elimination tree and exact column and row counts of L
+  // (counted into l_col_ptr_[i + 1] and l_row_ptr_[k + 1], then summed into
+  // pointers). ---
+  const auto n = static_cast<std::size_t>(n_);
+  parent_.assign(n, -1);
+  l_col_ptr_.assign(n + 1, 0);
+  l_row_ptr_.assign(n + 1, 0);
+  flag_.assign(n, -1);
   const auto col_ptr = permuted_.col_ptr();
   const auto row_idx = permuted_.row_idx();
   for (std::int32_t k = 0; k < n_; ++k) {
@@ -42,13 +45,44 @@ SparseLdlt::Status SparseLdlt::factor(const SparseMatrix& upper, Permutation per
       while (flag_[static_cast<std::size_t>(i)] != k) {
         if (parent_[static_cast<std::size_t>(i)] == -1) parent_[static_cast<std::size_t>(i)] = k;
         ++l_col_ptr_[static_cast<std::size_t>(i) + 1];  // L(k, i) exists
+        ++l_row_ptr_[static_cast<std::size_t>(k) + 1];
         flag_[static_cast<std::size_t>(i)] = k;
         i = parent_[static_cast<std::size_t>(i)];
       }
     }
   }
-  for (std::size_t c = 0; c < static_cast<std::size_t>(n_); ++c) {
+  for (std::size_t c = 0; c < n; ++c) {
     l_col_ptr_[c + 1] += l_col_ptr_[c];
+    l_row_ptr_[c + 1] += l_row_ptr_[c];
+  }
+
+  // --- The pattern of L by columns: the same etree walk appends row k to
+  // every column i of row k's pattern, so rows ascend within each column.
+  // Then its transpose, where columns ascend within each row. ---
+  const auto l_nnz = static_cast<std::size_t>(l_col_ptr_.back());
+  l_row_idx_.resize(l_nnz);
+  l_row_cols_.resize(l_nnz);
+  l_values_.resize(l_nnz);
+  l_row_values_.resize(l_nnz);
+  l_next_.assign(l_col_ptr_.begin(), l_col_ptr_.end() - 1);
+  flag_.assign(n, -1);
+  for (std::int32_t k = 0; k < n_; ++k) {
+    flag_[static_cast<std::size_t>(k)] = k;
+    for (std::int32_t p = col_ptr[k]; p < col_ptr[k + 1]; ++p) {
+      for (std::int32_t i = row_idx[p]; flag_[static_cast<std::size_t>(i)] != k;
+           i = parent_[static_cast<std::size_t>(i)]) {
+        l_row_idx_[static_cast<std::size_t>(l_next_[static_cast<std::size_t>(i)]++)] = k;
+        flag_[static_cast<std::size_t>(i)] = k;
+      }
+    }
+  }
+  l_next_.assign(l_row_ptr_.begin(), l_row_ptr_.end() - 1);
+  for (std::int32_t c = 0; c < n_; ++c) {
+    for (std::int32_t p = l_col_ptr_[static_cast<std::size_t>(c)];
+         p < l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
+      const auto r = static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)]);
+      l_row_cols_[static_cast<std::size_t>(l_next_[r]++)] = c;
+    }
   }
 
   return numeric_factor();
@@ -79,8 +113,6 @@ SparseLdlt::Status SparseLdlt::numeric_factor() {
   const auto row_idx = permuted_.row_idx();
   const auto values = permuted_.values();
 
-  l_row_idx_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0);
-  l_values_.assign(static_cast<std::size_t>(l_col_ptr_.back()), 0.0);
   d_.assign(static_cast<std::size_t>(n_), 0.0);
 
   auto& l_next = l_next_;
@@ -124,9 +156,8 @@ SparseLdlt::Status SparseLdlt::numeric_factor() {
       }
       const double lki = yi / d_[static_cast<std::size_t>(i)];
       dk -= lki * yi;
-      const auto slot = static_cast<std::size_t>(l_next[static_cast<std::size_t>(i)]++);
-      l_row_idx_[slot] = k;
-      l_values_[slot] = lki;
+      // factor() laid out the pattern: this slot's row index is already k.
+      l_values_[static_cast<std::size_t>(l_next[static_cast<std::size_t>(i)]++)] = lki;
     }
 
     if (std::abs(dk) < kPivotTolerance) {
@@ -135,6 +166,17 @@ SparseLdlt::Status SparseLdlt::numeric_factor() {
     }
     d_[static_cast<std::size_t>(k)] = dk;
   }
+
+  // Refresh the row copy: walking the columns in ascending order fills each
+  // row's slots in ascending column order, matching l_row_cols_.
+  l_next.assign(l_row_ptr_.begin(), l_row_ptr_.end() - 1);
+  for (std::int32_t c = 0; c < n_; ++c) {
+    for (std::int32_t p = l_col_ptr_[static_cast<std::size_t>(c)];
+         p < l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
+      const auto r = static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)]);
+      l_row_values_[static_cast<std::size_t>(l_next[r]++)] = l_values_[static_cast<std::size_t>(p)];
+    }
+  }
   status_ = Status::kOk;
   return status_;
 }
@@ -142,37 +184,37 @@ SparseLdlt::Status SparseLdlt::numeric_factor() {
 void SparseLdlt::solve_in_place(Vector& b) const {
   require(status_ == Status::kOk, "SparseLdlt::solve before successful factor()");
   require(b.size() == static_cast<std::size_t>(n_), "SparseLdlt::solve: size mismatch");
-  // Permute into the persistent scratch (allocation-free after first use).
   solve_scratch_.resize(static_cast<std::size_t>(n_));
-  Vector& x = solve_scratch_;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = b[static_cast<std::size_t>(perm_[i])];
-  }
-  // L y = x (unit lower triangular, stored by columns).
-  for (std::int32_t c = 0; c < n_; ++c) {
-    const double xc = x[static_cast<std::size_t>(c)];
-    if (xc == 0.0) continue;
-    for (std::int32_t p = l_col_ptr_[static_cast<std::size_t>(c)];
-         p < l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
-      x[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])] -=
-          l_values_[static_cast<std::size_t>(p)] * xc;
+  double* x = solve_scratch_.data();
+  const std::int32_t* perm = perm_.data();  // perm[new] = old
+  // L y = P b, one row of L at a time: each row subtracts its terms in
+  // ascending column order, as the column-by-column scatter does. Where the
+  // scatter skips a zero x[c], the select subtracts +0.0, which leaves every
+  // value (-0.0 included) unchanged, so y is bitwise the scatter's.
+  const std::int32_t* row_ptr = l_row_ptr_.data();
+  const std::int32_t* row_cols = l_row_cols_.data();
+  const double* row_values = l_row_values_.data();
+  for (std::int32_t r = 0; r < n_; ++r) {
+    double acc = b[static_cast<std::size_t>(perm[r])];
+    for (std::int32_t q = row_ptr[r]; q < row_ptr[r + 1]; ++q) {
+      const double xc = x[row_cols[q]];
+      acc -= xc == 0.0 ? 0.0 : row_values[q] * xc;
     }
+    x[r] = acc;
   }
-  // D z = y.
-  for (std::int32_t i = 0; i < n_; ++i) x[static_cast<std::size_t>(i)] /= d_[static_cast<std::size_t>(i)];
-  // L^T w = z.
+  // D z = y and L^T w = z in one backward pass, storing each w[c] both for
+  // the columns still to come and, inverse-permuted, into the caller's b.
+  const std::int32_t* col_ptr = l_col_ptr_.data();
+  const std::int32_t* col_rows = l_row_idx_.data();
+  const double* col_values = l_values_.data();
+  const double* d = d_.data();
   for (std::int32_t c = n_; c-- > 0;) {
-    double total = x[static_cast<std::size_t>(c)];
-    for (std::int32_t p = l_col_ptr_[static_cast<std::size_t>(c)];
-         p < l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
-      total -= l_values_[static_cast<std::size_t>(p)] *
-               x[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])];
+    double total = x[c] / d[c];
+    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+      total -= col_values[p] * x[col_rows[p]];
     }
-    x[static_cast<std::size_t>(c)] = total;
-  }
-  // Inverse-permute back into the caller's vector (perm_[new] = old).
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    b[static_cast<std::size_t>(perm_[i])] = x[i];
+    x[c] = total;
+    b[static_cast<std::size_t>(perm[c])] = total;
   }
 }
 

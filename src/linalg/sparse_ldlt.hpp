@@ -6,6 +6,13 @@
 // (e.g. ADMM KKT matrices [[P + sigma I, A^T], [A, -rho^{-1} I]]) factor
 // without pivoting for any symmetric permutation, which is what makes this
 // the right kernel for the QP solver.
+//
+// L is kept twice: by columns (what the up-looking factorization appends
+// to, and what the backward solve dots against) and by rows, columns
+// ascending (what the forward solve gathers from). The row copy's pattern is
+// built once per symbolic analysis and its values are refreshed after every
+// numeric factorization, so solves stay bitwise equal to the column-form
+// substitution at +12 bytes per nonzero of L (see DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -39,10 +46,13 @@ class SparseLdlt {
   /// allocates nothing.
   Status refactor(const SparseMatrix& upper);
 
-  /// Solves A x = b in place; requires a successful factor(). Uses a
-  /// persistent permutation scratch buffer, so after the first call at a
-  /// given size the solve performs no heap allocation (the ADMM hot loop
-  /// calls this once per iteration).
+  /// Solves A x = b in place; requires a successful factor(). Forward
+  /// substitution gathers each row of L (reading b through the ordering);
+  /// backward substitution divides by D, dots each column of L and writes
+  /// b through the inverse ordering in the same pass. Uses a persistent
+  /// scratch buffer, so after the first call at a given size the solve
+  /// performs no heap allocation (the ADMM hot loop calls this once per
+  /// iteration).
   void solve_in_place(Vector& b) const;
 
   /// Convenience out-of-place solve.
@@ -71,20 +81,26 @@ class SparseLdlt {
   // P A P^T's upper triangle, and where each input entry sits in it.
   SparseMatrix permuted_;
   std::vector<std::int32_t> positions_;
-  // Symbolic data.
+  // Symbolic data: the elimination tree and the patterns of L by columns
+  // (rows ascending) and by rows (columns ascending).
   std::vector<std::int32_t> parent_;
   std::vector<std::int32_t> l_col_ptr_;
-  // Numeric data.
   std::vector<std::int32_t> l_row_idx_;
+  std::vector<std::int32_t> l_row_ptr_;
+  std::vector<std::int32_t> l_row_cols_;
+  // Numeric data: L's values in both orders, and D.
   std::vector<double> l_values_;
+  std::vector<double> l_row_values_;
   Vector d_;
-  // numeric_factor() scratch, sized once per dimension.
+  // Scratch of factor() and numeric_factor(), sized once per dimension.
   std::vector<std::int32_t> l_next_;
   std::vector<std::int32_t> flag_;
   std::vector<std::int32_t> pattern_;
   Vector work_;
-  mutable Vector solve_scratch_;  // permuted RHS; reused across solves
+  mutable Vector solve_scratch_;  // permuted solution; reused across solves
   Status status_ = Status::kNotFactored;
+
+  friend struct SparseLdltProbe;  // tests: read access to the factor
 };
 
 }  // namespace gp::linalg

@@ -152,37 +152,32 @@ RequestSimReport simulate_requests(const dspp::DsppModel& model, const dspp::Pai
       options.max_lanes > 0 ? options.max_lanes : ThreadPool::global().max_lanes();
   const obs::LogBucketLayout layout(kLatencySketch);
 
-  // Load-balanced lane sharding: pairs are dealt by the LPT rule (heaviest
-  // routed rate first, each to the least-loaded lane; ties to the lower pair
-  // and lane index), since a pair's work is proportional to its rate and
-  // city demand is far from uniform. Each pair's RNG substream depends only
-  // on the pair index and every statistic lands in a slot indexed by pair,
-  // so the output is bit-identical at ANY lane count — sharding only decides
-  // who does the work.
+  // Load-balanced lane sharding: the loaded pairs are dealt by deal_lpt()
+  // (heaviest routed rate first, each to the least-loaded lane; ties to the
+  // lower pair and lane index), since a pair's work is proportional to its
+  // rate and city demand is far from uniform. Each pair's RNG substream
+  // depends only on the pair index and every statistic lands in a slot
+  // indexed by pair, so the output is bit-identical at ANY lane count —
+  // sharding only decides who does the work.
   std::vector<std::size_t> loaded;
+  std::vector<double> loaded_rate;
   std::vector<int> servers(pairs.num_pairs(), 0);
   for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
     servers[p] = static_cast<int>(std::ceil(allocation[p] - 1e-9));
-    if (assignment.rate[p] > 0.0 && servers[p] >= 1) loaded.push_back(p);
+    if (assignment.rate[p] > 0.0 && servers[p] >= 1) {
+      loaded.push_back(p);
+      loaded_rate.push_back(assignment.rate[p]);
+    }
   }
-  std::stable_sort(loaded.begin(), loaded.end(), [&](std::size_t a, std::size_t b) {
-    return assignment.rate[a] > assignment.rate[b];
-  });
-  std::vector<std::vector<std::size_t>> lane_pairs(lanes);
-  std::vector<double> lane_load(lanes, 0.0);
-  for (const std::size_t p : loaded) {
-    const std::size_t lane = static_cast<std::size_t>(
-        std::min_element(lane_load.begin(), lane_load.end()) - lane_load.begin());
-    lane_pairs[lane].push_back(p);
-    lane_load[lane] += assignment.rate[p];
-  }
+  const std::vector<std::vector<std::size_t>> lane_jobs = deal_lpt(loaded_rate, lanes);
 
   parallel_for(
       0, lanes,
       [&](std::size_t lane) {
         LaneScratch scratch;
         LatencySketch sketch(layout);
-        for (const std::size_t p : lane_pairs[lane]) {
+        for (const std::size_t job : lane_jobs[lane]) {
+          const std::size_t p = loaded[job];
           report.pairs[p] = simulate_pair(model, pairs, p, assignment.rate[p], servers[p],
                                           options, scratch, sketch);
         }

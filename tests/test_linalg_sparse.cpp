@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
@@ -592,6 +593,202 @@ TEST(SparseLdlt, RefactorIsBitIdenticalToFreshFactorWithSameOrdering) {
   Vector b(200);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
   EXPECT_EQ(kept.solve(b), fresh.solve(b));
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Differential tests: the gather-form solve (rows of L forward, fused D
+// division and inverse permutation backward) against the column-form solve
+// it replaced.
+
+/// Read access to a factor's internals (a friend of SparseLdlt).
+struct SparseLdltProbe {
+  /// The column-form solve the gather form replaced, kept verbatim as the
+  /// reference: permute in, scatter each column of L (skipping zero x[c]),
+  /// divide by D, dot each column of L backwards, permute out.
+  static void reference_solve(const SparseLdlt& f, Vector& b) {
+    require(f.status_ == SparseLdlt::Status::kOk,
+            "SparseLdlt::solve before successful factor()");
+    require(b.size() == static_cast<std::size_t>(f.n_), "SparseLdlt::solve: size mismatch");
+    Vector x(static_cast<std::size_t>(f.n_));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = b[static_cast<std::size_t>(f.perm_[i])];
+    }
+    // L y = x (unit lower triangular, stored by columns).
+    for (std::int32_t c = 0; c < f.n_; ++c) {
+      const double xc = x[static_cast<std::size_t>(c)];
+      if (xc == 0.0) continue;
+      for (std::int32_t p = f.l_col_ptr_[static_cast<std::size_t>(c)];
+           p < f.l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
+        x[static_cast<std::size_t>(f.l_row_idx_[static_cast<std::size_t>(p)])] -=
+            f.l_values_[static_cast<std::size_t>(p)] * xc;
+      }
+    }
+    // D z = y.
+    for (std::int32_t i = 0; i < f.n_; ++i) {
+      x[static_cast<std::size_t>(i)] /= f.d_[static_cast<std::size_t>(i)];
+    }
+    // L^T w = z.
+    for (std::int32_t c = f.n_; c-- > 0;) {
+      double total = x[static_cast<std::size_t>(c)];
+      for (std::int32_t p = f.l_col_ptr_[static_cast<std::size_t>(c)];
+           p < f.l_col_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
+        total -= f.l_values_[static_cast<std::size_t>(p)] *
+                 x[static_cast<std::size_t>(f.l_row_idx_[static_cast<std::size_t>(p)])];
+      }
+      x[static_cast<std::size_t>(c)] = total;
+    }
+    // Inverse-permute back into the caller's vector (perm_[new] = old).
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      b[static_cast<std::size_t>(f.perm_[i])] = x[i];
+    }
+  }
+
+  static const std::vector<std::int32_t>& row_ptr(const SparseLdlt& f) { return f.l_row_ptr_; }
+  static const std::vector<std::int32_t>& row_cols(const SparseLdlt& f) { return f.l_row_cols_; }
+};
+
+namespace {
+
+bool bitwise_equal(const Vector& a, const Vector& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Solves several right-hand sides with both solves and expects the same
+/// bits: dense ones with ~40% exact zeros of either sign, all-zero ones of
+/// mixed sign, and one-hot ones (long runs of zeros in the forward pass).
+void expect_solve_matches_reference(const SparseLdlt& ldlt, Rng& rng, const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::size_t n = ldlt.d().size();
+  std::vector<Vector> rhs;
+  for (int k = 0; k < 3; ++k) {
+    Vector b(n);
+    for (double& v : b) {
+      const double u = rng.uniform();
+      v = u < 0.2 ? 0.0 : u < 0.4 ? -0.0 : rng.uniform(-1.0, 1.0);
+    }
+    rhs.push_back(std::move(b));
+  }
+  Vector zeros(n);
+  for (std::size_t i = 0; i < n; ++i) zeros[i] = i % 3 == 0 ? -0.0 : 0.0;
+  rhs.push_back(zeros);
+  for (int k = 0; k < 2 && n > 0; ++k) {
+    Vector one_hot = zeros;
+    one_hot[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))] =
+        rng.uniform(-2.0, 2.0);
+    rhs.push_back(std::move(one_hot));
+  }
+  for (std::size_t k = 0; k < rhs.size(); ++k) {
+    Vector expected = rhs[k];
+    SparseLdltProbe::reference_solve(ldlt, expected);
+    Vector got = rhs[k];
+    ldlt.solve_in_place(got);
+    EXPECT_TRUE(bitwise_equal(got, expected)) << "right-hand side " << k;
+  }
+}
+
+/// New values on the same pattern, as an adaptive-rho or sigma update
+/// makes them: positive diagonal entries grow by up to 2x and negative ones
+/// scale by 10^[-1, 1], which keeps a quasi-definite matrix quasi-definite.
+SparseMatrix rescaled_diagonal(SparseMatrix upper, Rng& rng) {
+  const auto col_ptr = upper.col_ptr();
+  const auto row_idx = upper.row_idx();
+  const std::span<double> values = upper.mutable_values();
+  for (std::int32_t c = 0; c < upper.cols(); ++c) {
+    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
+      if (row_idx[p] != c) continue;
+      double& v = values[static_cast<std::size_t>(p)];
+      v *= v > 0.0 ? 1.0 + rng.uniform() : std::pow(10.0, rng.uniform(-1.0, 1.0));
+    }
+  }
+  return upper;
+}
+
+/// factor() then refactor() with new values, each checked against the
+/// column-form solve.
+void expect_factor_and_refactor_match_reference(const SparseMatrix& upper, Rng& rng,
+                                                const std::string& label) {
+  SparseLdlt ldlt;
+  ASSERT_EQ(ldlt.factor(upper), SparseLdlt::Status::kOk) << label;
+  expect_solve_matches_reference(ldlt, rng, label + ", factor");
+  ASSERT_EQ(ldlt.refactor(rescaled_diagonal(upper, rng)), SparseLdlt::Status::kOk) << label;
+  expect_solve_matches_reference(ldlt, rng, label + ", refactor");
+}
+
+TEST(SolveDifferential, RandomKktsMatchColumnSolve) {
+  const std::pair<std::int32_t, std::int32_t> shapes[] = {
+      {10, 6}, {40, 24}, {150, 100}, {500, 300}, {900, 600}, {1800, 1200}};
+  Rng rng(700);
+  for (const auto& [n, m] : shapes) {
+    expect_factor_and_refactor_match_reference(
+        random_sparse_kkt_upper(n, m, rng), rng,
+        "random n=" + std::to_string(n) + " m=" + std::to_string(m));
+  }
+  expect_factor_and_refactor_match_reference(random_kkt_upper(30, 20, rng), rng, "dense 30x20");
+}
+
+TEST(SolveDifferential, PaperFullKktsMatchColumnSolve) {
+  Rng rng(701);
+  const auto window = paper_full_window(5, /*best_response=*/false);
+  expect_factor_and_refactor_match_reference(kkt_pattern_upper(window.problem()), rng,
+                                             "paper_full MPC window, W=5");
+  const auto response = paper_full_window(3, /*best_response=*/true);
+  const auto& problem = response.problem();
+  expect_factor_and_refactor_match_reference(kkt_pattern_upper(problem), rng,
+                                             "soft-demand best response, W=3");
+  // Polish-reduced KKTs over active sets from slack to congested.
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    const double share = 0.05 + 0.18 * static_cast<double>(s);
+    std::vector<bool> keep(problem.num_constraints());
+    for (std::size_t i = 0; i < keep.size(); ++i) {
+      keep[i] = problem.lower[i] == problem.upper[i] || rng.uniform() < share;
+    }
+    expect_factor_and_refactor_match_reference(kkt_pattern_upper(problem, keep), rng,
+                                               "polish active set " + std::to_string(s));
+  }
+}
+
+/// The upper triangle of a tree-structured SPD matrix on n vertices whose
+/// every vertex's parent has a higher index: eliminated in index order it
+/// has no fill, so nnz(L) = n - 1 whatever the tree.
+SparseMatrix tree_upper(const std::vector<std::int32_t>& parent, Rng& rng) {
+  const auto n = static_cast<std::int32_t>(parent.size()) + 1;
+  std::vector<Triplet> triplets;
+  for (std::int32_t i = 0; i < n; ++i) triplets.push_back({i, i, 4.0 + rng.uniform()});
+  for (std::int32_t i = 0; i + 1 < n; ++i) {
+    triplets.push_back({i, parent[static_cast<std::size_t>(i)], rng.uniform(-1.0, 1.0)});
+  }
+  return SparseMatrix::from_triplets(n, n, triplets);
+}
+
+TEST(SolveDifferential, NewPatternWithSameSizeRebuildsRowCopy) {
+  // A path and a random tree: the same n and nnz(L), different rows of L.
+  const std::int32_t n = 300;
+  Rng rng(702);
+  std::vector<std::int32_t> path(static_cast<std::size_t>(n - 1)), tree(path.size());
+  for (std::int32_t i = 0; i + 1 < n; ++i) {
+    path[static_cast<std::size_t>(i)] = i + 1;
+    tree[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(rng.uniform_int(i + 1, n - 1));
+  }
+  const SparseMatrix first = tree_upper(path, rng);
+  const SparseMatrix second = tree_upper(tree, rng);
+  SparseLdlt ldlt;
+  ASSERT_EQ(ldlt.factor(first, identity_permutation(n)), SparseLdlt::Status::kOk);
+  expect_solve_matches_reference(ldlt, rng, "path");
+  const auto path_cols = SparseLdltProbe::row_cols(ldlt);
+  ASSERT_EQ(ldlt.factor(second, identity_permutation(n)), SparseLdlt::Status::kOk);
+  EXPECT_EQ(ldlt.l_nnz(), n - 1);
+  EXPECT_NE(SparseLdltProbe::row_cols(ldlt), path_cols);
+  expect_solve_matches_reference(ldlt, rng, "tree after path");
+  ASSERT_EQ(ldlt.refactor(rescaled_diagonal(second, rng)), SparseLdlt::Status::kOk);
+  expect_solve_matches_reference(ldlt, rng, "tree, refactored");
+  // Columns ascend within every row of the copy.
+  const auto& row_ptr = SparseLdltProbe::row_ptr(ldlt);
+  const auto& cols = SparseLdltProbe::row_cols(ldlt);
+  for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+    EXPECT_TRUE(std::is_sorted(cols.begin() + row_ptr[r], cols.begin() + row_ptr[r + 1]));
+  }
 }
 
 TEST(SparseMatrix, FromCscAdoptsSortedColumnsAndRejectsBadOnes) {

@@ -1,10 +1,12 @@
-// Tests for the parallel solve layer: the deterministic thread pool, the
-// symbolic-reusing LDL^T refactorization, the ADMM structure cache, the
-// in-place WindowProgram parameter update, and — end to end — that the
-// competition game is bit-identical at any thread count and that warm
-// starting does not change the equilibrium it converges to.
+// Tests for the parallel solve layer: the deterministic thread pool and its
+// LPT lane dealing, the symbolic-reusing LDL^T refactorization, the ADMM
+// structure cache, the in-place WindowProgram parameter update, and — end to
+// end — that the competition game (alone and inside the multi-tenant
+// simulation) is bit-identical at any thread count and that warm starting
+// does not change the equilibrium it converges to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -21,6 +23,7 @@
 #include "game/competition.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "qp/admm_solver.hpp"
+#include "sim/multi_provider.hpp"
 #include "workload/demand.hpp"
 
 namespace gp {
@@ -37,6 +40,61 @@ using linalg::SparseLdlt;
 using linalg::SparseMatrix;
 using linalg::Triplet;
 using linalg::Vector;
+
+// ------------------------------------------------------------------ deal_lpt
+
+TEST(DealLpt, HeaviestFirstToTheLeastLoadedLane) {
+  // Order 0(5) 2(3) 3(3) 5(2) 1(1) 4(0); loads after each deal:
+  // 5|0, 5|3, 5|6, 7|6, 7|7, and the last job ties to lane 0.
+  const std::vector<double> weights{5.0, 1.0, 3.0, 3.0, 0.0, 2.0};
+  const auto dealt = deal_lpt(weights, 2);
+  ASSERT_EQ(dealt.size(), 2u);
+  EXPECT_EQ(dealt[0], (std::vector<std::size_t>{0, 5, 4}));
+  EXPECT_EQ(dealt[1], (std::vector<std::size_t>{2, 3, 1}));
+}
+
+TEST(DealLpt, TiesGoToTheLowerIndexAndLane) {
+  const std::vector<double> equal(5, 1.0);
+  const auto dealt = deal_lpt(equal, 2);
+  EXPECT_EQ(dealt[0], (std::vector<std::size_t>{0, 2, 4}));
+  EXPECT_EQ(dealt[1], (std::vector<std::size_t>{1, 3}));
+}
+
+TEST(DealLpt, MoreLanesThanJobsAndZeroWeights) {
+  const std::vector<double> two{1.0, 2.0};
+  const auto spread = deal_lpt(two, 4);
+  ASSERT_EQ(spread.size(), 4u);
+  EXPECT_EQ(spread[0], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(spread[1], (std::vector<std::size_t>{0}));
+  EXPECT_TRUE(spread[2].empty());
+  EXPECT_TRUE(spread[3].empty());
+  // Zero weights never raise a load: every job stays on lane 0, in order.
+  const std::vector<double> zeros(3, 0.0);
+  const auto piled = deal_lpt(zeros, 3);
+  EXPECT_EQ(piled[0], (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_TRUE(piled[1].empty());
+  EXPECT_TRUE(piled[2].empty());
+  EXPECT_EQ(deal_lpt({}, 2), (std::vector<std::vector<std::size_t>>(2)));
+  EXPECT_THROW(deal_lpt(two, 0), PreconditionError);
+}
+
+TEST(DealLpt, DealsEveryJobExactlyOnce) {
+  Rng rng(31);
+  for (std::size_t jobs : {1u, 7u, 40u}) {
+    std::vector<double> weights(jobs);
+    for (double& w : weights) w = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.0, 10.0);
+    for (std::size_t lanes = 1; lanes <= 6; ++lanes) {
+      const auto dealt = deal_lpt(weights, lanes);
+      ASSERT_EQ(dealt.size(), lanes);
+      std::vector<int> seen(jobs, 0);
+      for (const auto& lane : dealt) {
+        for (const std::size_t job : lane) ++seen.at(job);
+      }
+      EXPECT_EQ(seen, std::vector<int>(jobs, 1)) << jobs << " jobs, " << lanes << " lanes";
+      EXPECT_EQ(dealt, deal_lpt(weights, lanes));  // a pure function
+    }
+  }
+}
 
 // ---------------------------------------------------------------- ThreadPool
 
@@ -609,6 +667,84 @@ TEST(ParallelGame, WarmStartMatchesColdStartEquilibrium) {
       EXPECT_NEAR(warm_result.quotas[i][l], cold_result.quotas[i][l], 10.0)
           << "i=" << i << " l=" << l;
     }
+  }
+}
+
+
+/// A tenant on a V-network slice of a shared two-DC platform. Tenants with
+/// more access networks pose larger best-response programs, so four of them
+/// with V = 2, 3, 5 and 8 make Jacobi rounds whose jobs differ several-fold.
+sim::TenantConfig unequal_tenant(std::size_t num_an, double base_rate, int utc_offset) {
+  std::vector<std::string> an_names;
+  std::vector<std::vector<double>> latency(2);
+  std::vector<workload::DemandSource> networks;
+  for (std::size_t v = 0; v < num_an; ++v) {
+    an_names.push_back("an" + std::to_string(v));
+    latency[0].push_back(10.0 + 6.0 * static_cast<double>(v % 4));
+    latency[1].push_back(30.0 - 5.0 * static_cast<double>(v % 5));
+    networks.push_back({base_rate / static_cast<double>(v + 1), utc_offset,
+                        workload::DiurnalProfile()});
+  }
+  dspp::DsppModel model;
+  model.network = topology::NetworkModel({"dc0", "dc1"}, an_names, latency);
+  model.sla.mu = 100.0;
+  model.sla.max_latency_ms = 100.0;
+  model.reconfig_cost = {0.05, 0.05};
+  model.capacity = {1e12, 1e12};  // quotas govern capacity
+  model.server_size = 1.0;
+  return sim::TenantConfig{std::move(model), workload::DemandModel(std::move(networks)),
+                           std::make_unique<control::LastValuePredictor>()};
+}
+
+TEST(ParallelGame, MultiTenantPeriodsBitIdenticalAtAnyLaneCount) {
+  // The rounds deal best responses to lanes by measured wall time, which
+  // differs from run to run; what each lane computes must not.
+  auto run = [](std::size_t lanes) {
+    std::vector<sim::TenantConfig> tenants;
+    tenants.push_back(unequal_tenant(2, 150.0, -5));
+    tenants.push_back(unequal_tenant(3, 300.0, -6));
+    tenants.push_back(unequal_tenant(5, 500.0, -7));
+    tenants.push_back(unequal_tenant(8, 700.0, -8));
+    sim::MultiTenantConfig config;
+    config.periods = 6;
+    config.horizon = 3;
+    config.utc_start_hour = 17.0;
+    config.noisy_demand = true;
+    config.seed = 5;
+    config.game.epsilon = 0.01;
+    config.game.num_threads = lanes;
+    sim::MultiTenantSimulation simulation(
+        std::move(tenants),
+        workload::ServerPriceModel(topology::default_datacenter_sites(2),
+                                   workload::VmType::kMedium, workload::ElectricityPriceModel()),
+        Vector{31.0, 31.0}, config);
+    return simulation.run();
+  };
+  const sim::MultiTenantSummary serial = run(1);
+  ASSERT_EQ(serial.tenants.size(), 4u);
+  // The shared capacity binds in the busy hours, so rounds exchange quota.
+  EXPECT_GT(*std::max_element(serial.game_iterations.begin(), serial.game_iterations.end()),
+            1 + game::kStableIterationsRequired);
+  for (std::size_t lanes : {2u, 3u, 4u}) {
+    const sim::MultiTenantSummary parallel = run(lanes);
+    EXPECT_EQ(parallel.game_iterations, serial.game_iterations) << lanes << " lanes";
+    EXPECT_EQ(parallel.game_converged, serial.game_converged) << lanes << " lanes";
+    ASSERT_EQ(parallel.tenants.size(), serial.tenants.size());
+    for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
+      ASSERT_EQ(parallel.tenants[i].size(), serial.tenants[i].size());
+      for (std::size_t k = 0; k < serial.tenants[i].size(); ++k) {
+        const sim::TenantPeriodMetrics& a = parallel.tenants[i][k];
+        const sim::TenantPeriodMetrics& b = serial.tenants[i][k];
+        // Bit-exact, field by field.
+        EXPECT_EQ(a.demand, b.demand) << lanes << " lanes, tenant " << i << ", period " << k;
+        EXPECT_EQ(a.servers, b.servers) << lanes << " lanes, tenant " << i << ", period " << k;
+        EXPECT_EQ(a.cost, b.cost) << lanes << " lanes, tenant " << i << ", period " << k;
+        EXPECT_EQ(a.unserved, b.unserved) << lanes << " lanes, tenant " << i << ", period " << k;
+      }
+    }
+    EXPECT_EQ(parallel.tenant_total_costs, serial.tenant_total_costs) << lanes << " lanes";
+    EXPECT_EQ(parallel.total_cost, serial.total_cost) << lanes << " lanes";
+    EXPECT_EQ(parallel.total_unserved, serial.total_unserved) << lanes << " lanes";
   }
 }
 

@@ -340,6 +340,25 @@ TEST(AdmmHotLoop, WarmResolveMakesZeroHeapAllocations) {
       << "ADMM iteration loop allocated on a warm workspace";
 }
 
+TEST(AdmmHotLoop, AdaptiveRhoRefactorsStayAllocationFree) {
+  // Scaling q by 100 after a first solve keeps the factor (same matrices,
+  // same rho) but moves the residual balance enough that the adaptive rho
+  // refactors inside the loop. The refactor refreshes both copies of L in
+  // the buffers factor() sized, so the loop still allocates nothing.
+  Rng rng(83);
+  const qp::QpProblem problem = random_feasible_qp(60, 45, rng);
+  qp::AdmmSolver solver;
+  ASSERT_EQ(solver.solve(problem).status, qp::SolveStatus::kOptimal);
+  ASSERT_GT(alloc_probe_count(), 0);
+  qp::QpProblem scaled = problem;
+  for (double& v : scaled.q) v *= 100.0;
+  const auto result = solver.solve(scaled);
+  ASSERT_EQ(result.status, qp::SolveStatus::kOptimal);
+  ASSERT_TRUE(result.info.factorization_skipped);
+  ASSERT_GE(result.info.factorizations, 1) << "no in-loop rho refactor to measure";
+  EXPECT_EQ(result.info.hot_loop_allocations, 0);
+}
+
 TEST(AdmmHotLoop, WorkspaceReuseAcrossShrinkingProblemsStaysAllocationFree) {
   // A larger solve sizes the workspace; a smaller one must fit inside the
   // existing capacity (vector::assign reuses storage), so even its FIRST
