@@ -6,9 +6,9 @@
 //  1. Kernel A/B: the pre-PR iteration body (per-iteration result-vector
 //     allocations, CSC products, scalar loops with in-loop divisions) against
 //     the fused workspace path (AdmmWorkspace buffers, vector_ops kernels,
-//     mirror products), run once per AVAILABLE SIMD tier (scalar / avx2 /
-//     avx512, forced via simd::set_active_tier and routed through the SELL
-//     mirrors exactly like the solver). All runs consume identical synthetic
+//     SELL-mirror products), run once per AVAILABLE SIMD tier (scalar /
+//     avx2 / avx512, forced via simd::set_active_tier; the SELL products run
+//     on every tier, exactly like the solver). All runs consume identical synthetic
 //     KKT-solve outputs — the triangular solve itself is excluded, it is
 //     shared by both paths — so the final iterates must be BIT-identical on
 //     EVERY tier; the speedup is the iteration-throughput gate (>= 1.3x).
@@ -16,13 +16,13 @@
 //     (structure + factorization reuse) with ns/iteration and the alloc-probe
 //     count of heap allocations inside the hot loop. This binary installs
 //     operator new/delete hooks, so the warm count must be exactly zero.
-//  3. SpMV bandwidth: cold CSC A^T y (allocating, column-gather) vs the CSR
-//     mirror's A^T y (row-streaming) and A x (row-gather) vs the SELL
-//     mirrors on each tier, in effective GB/s with
+//  3. SpMV bandwidth: cold CSC A^T y (allocating, column-gather) vs the SELL
+//     mirrors' A x and A^T y on each tier, in effective GB/s with
 //     bytes = 12 * nnz + 8 * (rows + cols) per product. On hardware with a
-//     vector tier, the best SELL tier must beat the scalar-mirror pair by
-//     >= 1.25x (the floor travels as spmv.vector_speedup_min, 0.0 — i.e.
-//     informational — when no vector ISA is available).
+//     vector tier, the best vector SELL pair (A x + A^T y) must beat the
+//     scalar SELL pair by >= 1.25x (the floor travels as
+//     spmv.vector_speedup_min, 0.0 — i.e. informational — when no vector ISA
+//     is available).
 //  4. Cold LDL^T: SparseLdlt::factor on the solver's KKT matrix, ordering
 //     and symbolic analysis included (best of a few fresh factorizations) —
 //     the setup cost a structure change or a new polish active set pays.
@@ -74,7 +74,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using gp::linalg::RowMajorMirror;
 using gp::linalg::Vector;
 using gp::qp::kInfinity;
 
@@ -250,8 +249,8 @@ KernelRun run_legacy(const gp::qp::QpProblem& problem, const Vector& rho,
 }
 
 /// The post-PR iteration body: AdmmWorkspace buffers, fused vector_ops
-/// kernels, CSR-mirror products, reciprocal scalings hoisted out of the loop.
-/// Must reproduce run_legacy bit-for-bit.
+/// kernels, SELL-mirror products (built outside the timed loop), reciprocal
+/// scalings hoisted out of the loop. Must reproduce run_legacy bit-for-bit.
 KernelRun run_fused(const gp::qp::QpProblem& problem, const Vector& rho,
                     const Vector& e_scale, const Vector& d_scale, double cost_scale,
                     const std::vector<Vector>& solves, int iters) {
@@ -261,16 +260,9 @@ KernelRun run_fused(const gp::qp::QpProblem& problem, const Vector& rho,
   KernelRun run;
   gp::qp::AdmmWorkspace ws;
   ws.resize(n, m);
-  const RowMajorMirror mirror(problem.a);
-  // Route the A products exactly as the solver does: SELL mirrors on the
-  // vector tiers, the CSR mirror on scalar (built OUTSIDE the timed loop).
-  const bool vector_spmv =
-      gp::linalg::simd::active_tier() != gp::linalg::simd::Tier::kScalar;
   gp::linalg::SellMirror a_sell, at_sell;
-  if (vector_spmv) {
-    a_sell.build(problem.a);
-    at_sell.build_transposed(problem.a);
-  }
+  a_sell.build(problem.a);
+  at_sell.build_transposed(problem.a);
   for (std::size_t j = 0; j < n; ++j) ws.inv_d[j] = 1.0 / d_scale[j];
   for (std::size_t i = 0; i < m; ++i) ws.inv_e[i] = 1.0 / e_scale[i];
   const double inv_c = 1.0 / cost_scale;
@@ -300,19 +292,10 @@ KernelRun run_fused(const gp::qp::QpProblem& problem, const Vector& rho,
         linalg::admm_dual_update_delta(rho, ws.z_candidate, ws.z_next, ws.y, ws.delta_y);
     std::swap(ws.z, ws.z_next);
 
-    if (vector_spmv) {
-      a_sell.multiply_into(1.0, ws.x, ws.ax);
-    } else {
-      mirror.multiply_into(1.0, ws.x, ws.ax);
-    }
+    a_sell.multiply_into(1.0, ws.x, ws.ax);
     std::fill(ws.px.begin(), ws.px.end(), 0.0);
     problem.p.multiply_accumulate(1.0, ws.x, ws.px);
-    if (vector_spmv) {
-      at_sell.multiply_into(1.0, ws.y, ws.aty);
-    } else {
-      std::fill(ws.aty.begin(), ws.aty.end(), 0.0);
-      mirror.multiply_transposed_accumulate(1.0, ws.y, ws.aty);
-    }
+    at_sell.multiply_into(1.0, ws.y, ws.aty);
 
     double prim_res = 0.0, prim_norm = 0.0;
     linalg::inf_norm_scaled_residual(ws.ax, ws.z, ws.inv_e, prim_res, prim_norm);
@@ -322,12 +305,7 @@ KernelRun run_fused(const gp::qp::QpProblem& problem, const Vector& rho,
     sink += prim_res + prim_norm + dual_res + dual_norm;
 
     if (delta_y_norm > gp::qp::kAdmmEpsInfeasible) {
-      if (vector_spmv) {
-        at_sell.multiply_into(1.0, ws.delta_y, ws.at_dy);
-      } else {
-        std::fill(ws.at_dy.begin(), ws.at_dy.end(), 0.0);
-        mirror.multiply_transposed_accumulate(1.0, ws.delta_y, ws.at_dy);
-      }
+      at_sell.multiply_into(1.0, ws.delta_y, ws.at_dy);
       double support = 0.0;
       for (std::size_t i = 0; i < m; ++i) {
         const double dy = ws.delta_y[i];
@@ -339,11 +317,7 @@ KernelRun run_fused(const gp::qp::QpProblem& problem, const Vector& rho,
     if (delta_x_norm > gp::qp::kAdmmEpsInfeasible) {
       std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
       problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
-      if (vector_spmv) {
-        a_sell.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      } else {
-        mirror.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      }
+      a_sell.multiply_into(1.0, ws.delta_x, ws.a_dx);
       sink += linalg::norm_inf(ws.p_dx) + linalg::norm_inf(ws.a_dx) +
               linalg::dot(problem.q, ws.delta_x);
     }
@@ -496,15 +470,15 @@ int main() {
               "admm.spmv_ns=%lld admm.spmv_gb_s=%.2f\n",
               obs_allocs, obs_spmv_ns, obs_spmv_gb_s);
 
-  // --- 3. SpMV bandwidth: cold CSC A^T vs the CSR mirror vs the SELL
-  //        mirrors on every tier (both orientations, bitwise-checked). ---
-  const RowMajorMirror mirror(problem.a);
+  // --- 3. SpMV bandwidth: cold CSC A^T vs the SELL mirrors on every tier
+  //        (both orientations, bitwise-checked against the CSC products). ---
   gp::linalg::SellMirror a_sell, at_sell;
   a_sell.build(problem.a);
   at_sell.build_transposed(problem.a);
   const Vector yv = synth_solution(m, 7);
   const Vector xv = synth_solution(n, 9);
-  Vector acc_n(n, 0.0), acc_m(m, 0.0);
+  const Vector ref_ax = problem.a.multiply(xv);
+  const Vector ref_aty = problem.a.multiply_transposed(yv);
   Vector sell_n(n, 0.0), sell_m(m, 0.0);
   double guard = 0.0;
 
@@ -514,26 +488,8 @@ int main() {
     guard += aty[static_cast<std::size_t>(r) % n];
   }
   const double csc_at_ms = ms_since(t0);
-  t0 = Clock::now();
-  for (int r = 0; r < kSpmvReps; ++r) {
-    std::fill(acc_n.begin(), acc_n.end(), 0.0);
-    mirror.multiply_transposed_accumulate(1.0, yv, acc_n);
-    guard += acc_n[static_cast<std::size_t>(r) % n];
-  }
-  const double mirror_at_ms = ms_since(t0);
-  t0 = Clock::now();
-  for (int r = 0; r < kSpmvReps; ++r) {
-    std::fill(acc_m.begin(), acc_m.end(), 0.0);
-    mirror.multiply_accumulate(1.0, xv, acc_m);
-    guard += acc_m[static_cast<std::size_t>(r) % m];
-  }
-  const double mirror_ax_ms = ms_since(t0);
-
-  std::printf("\n# spmv (%d reps): csc A^T %.3f ms (%.2f GB/s), mirror A^T %.3f ms "
-              "(%.2f GB/s), mirror Ax %.3f ms (%.2f GB/s) [guard %.3g]\n",
-              kSpmvReps, csc_at_ms, gbps(problem.a, csc_at_ms, kSpmvReps), mirror_at_ms,
-              gbps(problem.a, mirror_at_ms, kSpmvReps), mirror_ax_ms,
-              gbps(problem.a, mirror_ax_ms, kSpmvReps), guard);
+  std::printf("\n# spmv (%d reps): csc A^T %.3f ms (%.2f GB/s)\n", kSpmvReps, csc_at_ms,
+              gbps(problem.a, csc_at_ms, kSpmvReps));
 
   // SELL per tier: the layout is tier-independent, only the kernel changes.
   struct TierSpmv {
@@ -548,7 +504,7 @@ int main() {
     row.tier = t;
     a_sell.multiply_into(1.0, xv, sell_m);
     at_sell.multiply_into(1.0, yv, sell_n);
-    sell_identical = sell_identical && sell_m == acc_m && sell_n == acc_n;
+    sell_identical = sell_identical && sell_m == ref_ax && sell_n == ref_aty;
     t0 = Clock::now();
     for (int r = 0; r < kSpmvReps; ++r) {
       a_sell.multiply_into(1.0, xv, sell_m);
@@ -569,23 +525,25 @@ int main() {
   simd::set_active_tier(entry_tier);
 
   // Machine-aware bandwidth gate: the best vector SELL tier against the
-  // scalar CSR-mirror pair (one Ax + one A^T y — the per-check work the
-  // solver's residual section does). 0.0 floor = informational only.
-  const double mirror_pair_ms = mirror_ax_ms + mirror_at_ms;
+  // scalar SELL pair (one Ax + one A^T y — the per-check work the solver's
+  // residual section does, on the path a machine without AVX2 takes).
+  // 0.0 floor = informational only.
+  double scalar_pair_ms = 0.0;
   double best_vector_pair_ms = 0.0;
   for (const TierSpmv& row : tier_spmv) {
-    if (row.tier == simd::Tier::kScalar) continue;
     const double pair = row.ax_ms + row.at_ms;
-    if (best_vector_pair_ms == 0.0 || pair < best_vector_pair_ms) {
+    if (row.tier == simd::Tier::kScalar) {
+      scalar_pair_ms = pair;
+    } else if (best_vector_pair_ms == 0.0 || pair < best_vector_pair_ms) {
       best_vector_pair_ms = pair;
     }
   }
   const bool has_vector_tier = simd::tier_available(simd::Tier::kAvx2) ||
                                simd::tier_available(simd::Tier::kAvx512);
   const double vector_speedup =
-      best_vector_pair_ms > 0.0 ? mirror_pair_ms / best_vector_pair_ms : 0.0;
+      best_vector_pair_ms > 0.0 ? scalar_pair_ms / best_vector_pair_ms : 0.0;
   const double vector_speedup_min = has_vector_tier ? 1.25 : 0.0;
-  std::printf("# spmv vector speedup x%.2f (best sell tier vs scalar mirror, "
+  std::printf("# spmv vector speedup x%.2f (best vector sell tier vs scalar sell, "
               "floor %.2f%s) [guard %.3g]\n",
               vector_speedup, vector_speedup_min,
               has_vector_tier ? "" : " = informational", guard);
@@ -704,10 +662,6 @@ int main() {
                  "  \"spmv\": {\"reps\": %d,\n    \"csc_at\": {\"wall_ms\": %.3f, "
                  "\"gb_s\": %.2f},\n",
                  kSpmvReps, csc_at_ms, gbps(problem.a, csc_at_ms, kSpmvReps));
-    std::fprintf(json, "    \"mirror_at\": {\"wall_ms\": %.3f, \"gb_s\": %.2f},\n",
-                 mirror_at_ms, gbps(problem.a, mirror_at_ms, kSpmvReps));
-    std::fprintf(json, "    \"mirror_ax\": {\"wall_ms\": %.3f, \"gb_s\": %.2f},\n",
-                 mirror_ax_ms, gbps(problem.a, mirror_ax_ms, kSpmvReps));
     std::fprintf(json, "    \"sell\": {");
     for (std::size_t k = 0; k < tier_spmv.size(); ++k) {
       std::fprintf(json,

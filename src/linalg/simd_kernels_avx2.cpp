@@ -4,7 +4,7 @@
 // the TU degrades to a null table and dispatch clamps to scalar.
 #include "linalg/simd_kernels.hpp"
 
-#if defined(__AVX2__) && !defined(GEOPLACE_SIMD_DISABLE_AVX2)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 

@@ -4,7 +4,7 @@
 // the build lacks the ISA, and dispatch clamps to the next tier down.
 #include "linalg/simd_kernels.hpp"
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__) && !defined(GEOPLACE_SIMD_DISABLE_AVX512)
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
 

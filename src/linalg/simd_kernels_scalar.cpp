@@ -184,21 +184,24 @@ double s_admm_dual_update_delta(const double* rho, const double* zc, const doubl
 
 // Scalar SELL SpMV: the portable reference the vector tiers match bit for
 // bit (identical per-lane term sequences; the pads contribute ±0 no-ops).
+// The chunk's eight row accumulators advance together, entry j of every
+// lane before entry j + 1, so the eight add chains overlap instead of
+// running back to back; each lane's own sequence is unchanged.
 void s_sell_multiply_into(const SellView& m, double alpha, const double* x, double* y) {
   for (std::int32_t c = 0; c < m.num_chunks; ++c) {
     const std::int64_t base = m.chunk_ptr[c];
     const std::int64_t width = (m.chunk_ptr[c + 1] - base) / kSellChunk;
+    double acc[kSellChunk] = {};
+    for (std::int64_t j = 0; j < width; ++j) {
+      const std::int64_t e = base + j * kSellChunk;
+      for (int l = 0; l < kSellChunk; ++l) {
+        const double xc = alpha * x[m.col_idx[e + l]];
+        acc[l] += m.values[e + l] * xc;
+      }
+    }
     const std::int32_t r0 = c * kSellChunk;
     const std::int32_t live = std::min<std::int32_t>(kSellChunk, m.rows - r0);
-    for (std::int32_t l = 0; l < live; ++l) {
-      double acc = 0.0;
-      for (std::int64_t j = 0; j < width; ++j) {
-        const std::int64_t e = base + j * kSellChunk + l;
-        const double xc = alpha * x[m.col_idx[e]];
-        acc += m.values[e] * xc;
-      }
-      y[r0 + l] = acc;
-    }
+    for (std::int32_t l = 0; l < live; ++l) y[r0 + l] = acc[l];
   }
 }
 

@@ -213,7 +213,7 @@ double admm_dual_update_delta_t(const double* rho, const double* zc, const doubl
 // SELL SpMV: chunks of kSellChunk rows, entries j-major, zero-value pads
 // (sparse_simd.cpp documents why the pads are bitwise no-ops). Gathers x per
 // lane; per lane the term sequence and its association acc += v * (alpha * x)
-// match the scalar CSR mirror exactly.
+// match the scalar tier's s_sell_multiply_into exactly.
 template <class V>
 void sell_multiply_into_t(const SellView& m, double alpha, const double* x, double* y) {
   constexpr int kW = static_cast<int>(V::width);

@@ -123,12 +123,10 @@ void SparseMatrix::multiply_transposed_accumulate(double alpha, std::span<const 
                                                   std::span<double> y) const {
   require(x.size() == static_cast<std::size_t>(rows_), "multiply_transposed: x size mismatch");
   require(y.size() == static_cast<std::size_t>(cols_), "multiply_transposed: y size mismatch");
-  // Per-term accumulation (acc += v * (alpha * x_r), rows ascending) so the
-  // result is bit-identical to RowMajorMirror::multiply_transposed_accumulate,
-  // which consumes the same terms in the same per-column order. Terms with
-  // alpha * x_r == 0.0 are skipped on BOTH paths (the mirror skips the whole
-  // row): ADMM dual vectors are zero on every inactive row, so this saves
-  // most of the A^T y and A^T delta_y work mid-solve.
+  // Per-term accumulation (acc += v * (alpha * x_r), rows ascending): the
+  // association SellMirror's A^T orientation uses too, so the two agree
+  // bitwise (sparse_simd.hpp). Terms with alpha * x_r == 0.0 are skipped:
+  // dual vectors are zero on every inactive row.
   for (std::int32_t c = 0; c < cols_; ++c) {
     double acc = y[static_cast<std::size_t>(c)];
     for (std::int32_t p = col_ptr_[c]; p < col_ptr_[c + 1]; ++p) {
@@ -249,116 +247,6 @@ Vector SparseMatrix::row_inf_norms() const {
     }
   }
   return norms;
-}
-
-// ------------------------------------------------------------ RowMajorMirror
-
-void RowMajorMirror::build(const SparseMatrix& a) {
-  rows_ = a.rows();
-  cols_ = a.cols();
-  const auto col_ptr = a.col_ptr();
-  const auto row_idx = a.row_idx();
-  const auto values = a.values();
-  const auto nnz = static_cast<std::size_t>(a.nnz());
-
-  src_col_ptr_.assign(col_ptr.begin(), col_ptr.end());
-  src_row_idx_.assign(row_idx.begin(), row_idx.end());
-
-  row_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
-  col_idx_.resize(nnz);
-  values_.resize(nnz);
-  csc_pos_.resize(nnz);
-
-  // Count entries per row, prefix-sum, then place column-by-column — the
-  // standard CSC -> CSR transposition. Within a row, columns come out
-  // ascending because the CSC columns are visited in order.
-  for (std::size_t p = 0; p < nnz; ++p) {
-    ++row_ptr_[static_cast<std::size_t>(row_idx[p]) + 1];
-  }
-  for (std::size_t r = 1; r <= static_cast<std::size_t>(rows_); ++r) {
-    row_ptr_[r] += row_ptr_[r - 1];
-  }
-  std::vector<std::int32_t> next(row_ptr_.begin(), row_ptr_.end() - 1);
-  for (std::int32_t c = 0; c < cols_; ++c) {
-    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-      const auto dst = static_cast<std::size_t>(next[static_cast<std::size_t>(row_idx[p])]++);
-      col_idx_[dst] = c;
-      values_[dst] = values[p];
-      csc_pos_[dst] = p;
-    }
-  }
-}
-
-bool RowMajorMirror::pattern_matches(const SparseMatrix& a) const {
-  if (!built() || a.rows() != rows_ || a.cols() != cols_) return false;
-  const auto col_ptr = a.col_ptr();
-  const auto row_idx = a.row_idx();
-  return std::equal(col_ptr.begin(), col_ptr.end(), src_col_ptr_.begin(),
-                    src_col_ptr_.end()) &&
-         std::equal(row_idx.begin(), row_idx.end(), src_row_idx_.begin(), src_row_idx_.end());
-}
-
-void RowMajorMirror::update_values(const SparseMatrix& a) {
-  require(a.nnz() == nnz() && a.rows() == rows_ && a.cols() == cols_,
-          "RowMajorMirror::update_values: shape mismatch");
-  const auto values = a.values();
-  for (std::size_t k = 0; k < values_.size(); ++k) {
-    values_[k] = values[static_cast<std::size_t>(csc_pos_[k])];
-  }
-}
-
-void RowMajorMirror::multiply_accumulate(double alpha, std::span<const double> x,
-                                         std::span<double> y) const {
-  require(x.size() == static_cast<std::size_t>(cols_), "mirror multiply: x size mismatch");
-  require(y.size() == static_cast<std::size_t>(rows_), "mirror multiply: y size mismatch");
-  // Row gather. Per output element, terms arrive in ascending column order
-  // with the same zero-skip and the same v * (alpha * x_c) association as
-  // the CSC scatter path — hence bit-identical results.
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    double acc = y[static_cast<std::size_t>(r)];
-    for (std::int32_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      const double xc = alpha * x[static_cast<std::size_t>(col_idx_[p])];
-      if (xc == 0.0) continue;
-      acc += values_[p] * xc;
-    }
-    y[static_cast<std::size_t>(r)] = acc;
-  }
-}
-
-void RowMajorMirror::multiply_into(double alpha, std::span<const double> x,
-                                   std::span<double> y) const {
-  require(x.size() == static_cast<std::size_t>(cols_), "mirror multiply: x size mismatch");
-  require(y.size() == static_cast<std::size_t>(rows_), "mirror multiply: y size mismatch");
-  // Identical arithmetic to multiply_accumulate on a zeroed output (each
-  // row's accumulator starts at 0.0 either way); only the fill is saved.
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::int32_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      const double xc = alpha * x[static_cast<std::size_t>(col_idx_[p])];
-      if (xc == 0.0) continue;
-      acc += values_[p] * xc;
-    }
-    y[static_cast<std::size_t>(r)] = acc;
-  }
-}
-
-void RowMajorMirror::multiply_transposed_accumulate(double alpha, std::span<const double> x,
-                                                    std::span<double> y) const {
-  require(x.size() == static_cast<std::size_t>(rows_), "mirror transposed: x size mismatch");
-  require(y.size() == static_cast<std::size_t>(cols_), "mirror transposed: y size mismatch");
-  // Stream the rows of A: one sequential read of x, accumulation into the
-  // column-indexed output (hot in cache when cols << rows, the constraint-
-  // matrix case). Per output column, terms arrive in ascending row order
-  // with the same v * (alpha * x_r) association and the same xr == 0.0
-  // term skip as the CSC path — here the skip drops whole rows, which is
-  // where the mirror earns its keep on ADMM duals (zero on inactive rows).
-  for (std::int32_t r = 0; r < rows_; ++r) {
-    const double xr = alpha * x[static_cast<std::size_t>(r)];
-    if (xr == 0.0) continue;
-    for (std::int32_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      y[static_cast<std::size_t>(col_idx_[p])] += values_[p] * xr;
-    }
-  }
 }
 
 }  // namespace gp::linalg

@@ -104,64 +104,4 @@ class SparseMatrix {
   std::vector<double> values_;         // size nnz
 };
 
-/// Row-major (CSR) mirror of a CSC SparseMatrix, for the memory-access
-/// patterns CSC serves badly: A x as a per-row gather (unit-stride writes,
-/// no scatter) and A^T x as a stream over the rows of A (one sequential
-/// read of x, accumulation into the small column-indexed output).
-///
-/// The pattern is built once per structure (build()); when only the values
-/// change — the ADMM structure-cache case — update_values() refreshes the
-/// mirror in place with no allocation. Products are BIT-identical to the
-/// CSC SparseMatrix::multiply{,_transposed}_accumulate paths: per output
-/// element, terms are consumed in the same order with the same per-term
-/// operations (verified to 0 ULP by tests/test_perf_kernels).
-class RowMajorMirror {
- public:
-  RowMajorMirror() = default;
-  explicit RowMajorMirror(const SparseMatrix& a) { build(a); }
-
-  /// Rebuilds pattern + values from `a` (allocates; once per structure).
-  void build(const SparseMatrix& a);
-
-  /// True when `a` has exactly the pattern this mirror was built from.
-  bool pattern_matches(const SparseMatrix& a) const;
-
-  /// Refreshes values from `a`, which must satisfy pattern_matches(a).
-  /// Allocation-free.
-  void update_values(const SparseMatrix& a);
-
-  bool built() const { return rows_ >= 0; }
-  std::int32_t rows() const { return rows_; }
-  std::int32_t cols() const { return cols_; }
-  std::int64_t nnz() const { return static_cast<std::int64_t>(values_.size()); }
-
-  std::span<const std::int32_t> row_ptr() const { return row_ptr_; }
-  std::span<const std::int32_t> col_idx() const { return col_idx_; }
-  std::span<const double> values() const { return values_; }
-
-  /// y += alpha * A x, gathering along rows (unit-stride writes to y).
-  void multiply_accumulate(double alpha, std::span<const double> x, std::span<double> y) const;
-
-  /// y = alpha * A x, overwriting y. Each row's gather starts from 0.0 —
-  /// exactly what zero-fill-then-multiply_accumulate computes, minus the
-  /// fill pass over y.
-  void multiply_into(double alpha, std::span<const double> x, std::span<double> y) const;
-
-  /// y += alpha * A^T x, streaming the rows of A (unit-stride read of x).
-  void multiply_transposed_accumulate(double alpha, std::span<const double> x,
-                                      std::span<double> y) const;
-
- private:
-  std::int32_t rows_ = -1;  // -1 until build(); distinguishes a 0 x 0 build
-  std::int32_t cols_ = 0;
-  std::vector<std::int32_t> row_ptr_;   // size rows+1
-  std::vector<std::int32_t> col_idx_;   // size nnz, ascending within a row
-  std::vector<double> values_;          // size nnz
-  std::vector<std::int32_t> csc_pos_;   // mirror entry -> index into a.values()
-  // Source CSC pattern, for pattern_matches() (robust against callers whose
-  // own cache state is stale).
-  std::vector<std::int32_t> src_col_ptr_;
-  std::vector<std::int32_t> src_row_idx_;
-};
-
 }  // namespace gp::linalg

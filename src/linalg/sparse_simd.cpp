@@ -12,9 +12,8 @@ constexpr int kChunk = simd::kSellChunk;
 }
 
 void SellMirror::build(const SparseMatrix& a) {
-  // CSC -> CSR transposition (count, prefix-sum, place), as in
-  // RowMajorMirror::build; the CSR arrays are scratch here — build_from_rows
-  // repacks them into the SELL layout.
+  // CSC -> CSR transposition (count, prefix-sum, place); the CSR arrays are
+  // scratch here — build_from_rows repacks them into the SELL layout.
   const auto col_ptr = a.col_ptr();
   const auto row_idx = a.row_idx();
   const auto nnz = static_cast<std::size_t>(a.nnz());

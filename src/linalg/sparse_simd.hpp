@@ -6,15 +6,14 @@
 // their x operands. Rows shorter than their chunk's widest row are padded
 // with value 0.0 and an in-range column index.
 //
-// Bit-identity with the scalar CSR mirror (RowMajorMirror::multiply_into on
-// the same matrix): per row, terms are consumed in the same ascending-column
-// order with the same acc += v * (alpha * x_c) association, and the two
-// paths differ only in terms that are exactly ±0 — the pads (v = 0.0) here,
-// and the skipped alpha * x_c == 0.0 terms there. Adding ±0 never changes an
-// accumulator that starts at +0 (it can never become -0: a sum rounds to -0
-// only when both operands are -0), so for finite inputs the stored bits are
-// identical. The same argument covers the transposed orientation against
-// zero-fill + multiply_transposed_accumulate.
+// Bit-identity with the CSC products (SparseMatrix::multiply_accumulate
+// and multiply_transposed_accumulate into a zeroed output): per output
+// element, terms are consumed in the same ascending order with the same
+// acc += v * (alpha * x) association, and the two paths differ only in terms
+// that are exactly ±0 — the pads (v = 0.0) here, and the skipped
+// alpha * x == 0.0 terms there. Adding ±0 never changes an accumulator that
+// starts at +0 (it can never become -0: a sum rounds to -0 only when both
+// operands are -0), so for finite inputs the stored bits are identical.
 //
 // The multiply kernels dispatch on the active SIMD tier (simd_dispatch.hpp)
 // and are bit-identical across tiers: each lane runs the same IEEE sequence,

@@ -1,7 +1,6 @@
 #include "linalg/vector_ops.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "linalg/simd_kernels.hpp"
@@ -21,15 +20,8 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return total;
 }
 
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
 double norm_inf(std::span<const double> a) {
   return simd::kernels().norm_inf(a.data(), a.size());
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  require(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 void scale(double alpha, std::span<double> x) {
@@ -49,8 +41,6 @@ Vector sub(std::span<const double> a, std::span<const double> b) {
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
   return out;
 }
-
-Vector constant(std::size_t size, double value) { return Vector(size, value); }
 
 Vector project_box(std::span<const double> x, std::span<const double> lo,
                    std::span<const double> hi) {

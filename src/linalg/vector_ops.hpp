@@ -15,14 +15,8 @@ using Vector = std::vector<double>;
 /// is the portable reference every build and SIMD tier reproduces exactly.
 double dot(std::span<const double> a, std::span<const double> b);
 
-/// Euclidean norm.
-double norm2(std::span<const double> a);
-
 /// Infinity norm (max |a_i|); 0 for empty input.
 double norm_inf(std::span<const double> a);
-
-/// y += alpha * x. Requires equal sizes.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 /// x *= alpha.
 void scale(double alpha, std::span<double> x);
@@ -32,9 +26,6 @@ Vector add(std::span<const double> a, std::span<const double> b);
 
 /// Element-wise out = a - b.
 Vector sub(std::span<const double> a, std::span<const double> b);
-
-/// Constant vector of the given size.
-Vector constant(std::size_t size, double value);
 
 /// Element-wise projection of x onto the box [lo, hi] (vectors of equal
 /// size). Named distinctly from std::clamp, which ADL would otherwise find

@@ -8,7 +8,6 @@
 
 #include "common/alloc_probe.hpp"
 #include "common/error.hpp"
-#include "linalg/simd_dispatch.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -361,28 +360,17 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   for (std::size_t i = 0; i < m; ++i) ws.inv_e[i] = 1.0 / scaling.e[i];
   const double inv_c = 1.0 / scaling.cost_scale;
 
-  // CSR mirror of the scaled constraint matrix: pattern built once per
-  // structure, values refreshed in place on every later solve.
-  if (a_mirror_.pattern_matches(problem.a)) {
-    a_mirror_.update_values(problem.a);
+  // SELL mirrors of the scaled A and A^T: pattern built once per structure,
+  // values refreshed in place on every later solve.
+  if (a_sell_.pattern_matches(problem.a)) {
+    a_sell_.update_values(problem.a);
   } else {
-    a_mirror_.build(problem.a);
+    a_sell_.build(problem.a);
   }
-  // On the vector SIMD tiers the same products run through SELL mirrors of
-  // A and A^T instead (bit-identical to the CSR paths — sparse_simd.hpp);
-  // pattern once, values refreshed per solve, never built on scalar runs.
-  const bool vector_spmv = linalg::simd::active_tier() != linalg::simd::Tier::kScalar;
-  if (vector_spmv) {
-    if (a_sell_.pattern_matches(problem.a)) {
-      a_sell_.update_values(problem.a);
-    } else {
-      a_sell_.build(problem.a);
-    }
-    if (at_sell_.pattern_matches(problem.a)) {
-      at_sell_.update_values(problem.a);
-    } else {
-      at_sell_.build_transposed(problem.a);
-    }
+  if (at_sell_.pattern_matches(problem.a)) {
+    at_sell_.update_values(problem.a);
+  } else {
+    at_sell_.build_transposed(problem.a);
   }
 
   // Per-row rho: stiffer on equality rows, zero-safe on free rows. When the
@@ -460,7 +448,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   if (warm_x_.size() == n && warm_y_.size() == m) {
     for (std::size_t j = 0; j < n; ++j) x[j] = warm_x_[j] / scaling.d[j];
     for (std::size_t i = 0; i < m; ++i) y[i] = warm_y_[i] * scaling.cost_scale / scaling.e[i];
-    a_mirror_.multiply_accumulate(1.0, x, ws.z);
+    a_sell_.multiply_into(1.0, x, ws.z);
     linalg::project_box_into(ws.z, problem.lower, problem.upper, ws.z);
   }
   warm_x_.clear();
@@ -524,23 +512,13 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
 
     if (!check) continue;
 
-    // --- Residuals in UNSCALED quantities, via the CSR mirror. ---
+    // --- Residuals in UNSCALED quantities, via the SELL mirrors. ---
     std::chrono::steady_clock::time_point spmv_start{};
     if (time_spmv) spmv_start = std::chrono::steady_clock::now();
-    if (vector_spmv) {
-      a_sell_.multiply_into(1.0, x, ws.ax);
-    } else {
-      a_mirror_.multiply_into(1.0, x, ws.ax);
-    }
+    a_sell_.multiply_into(1.0, x, ws.ax);
     std::fill(ws.px.begin(), ws.px.end(), 0.0);
     problem.p.multiply_accumulate(1.0, x, ws.px);
-    if (vector_spmv) {
-      // SELL overwrite == zero-fill + transposed-accumulate, bitwise.
-      at_sell_.multiply_into(1.0, y, ws.aty);
-    } else {
-      std::fill(ws.aty.begin(), ws.aty.end(), 0.0);
-      a_mirror_.multiply_transposed_accumulate(1.0, y, ws.aty);
-    }
+    at_sell_.multiply_into(1.0, y, ws.aty);
     if (time_spmv) {
       spmv_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
                      std::chrono::steady_clock::now() - spmv_start)
@@ -579,12 +557,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     // --- Infeasibility certificates (on scaled deltas, normalized; the
     // deltas and their norms came out of the *_delta update kernels). ---
     if (delta_y_norm > kAdmmEpsInfeasible) {
-      if (vector_spmv) {
-        at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
-      } else {
-        std::fill(ws.at_dy.begin(), ws.at_dy.end(), 0.0);
-        a_mirror_.multiply_transposed_accumulate(1.0, ws.delta_y, ws.at_dy);
-      }
+      at_sell_.multiply_into(1.0, ws.delta_y, ws.at_dy);
       double support = 0.0;
       bool valid = true;
       for (std::size_t i = 0; i < m; ++i) {
@@ -607,11 +580,7 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
     if (delta_x_norm > kAdmmEpsInfeasible) {
       std::fill(ws.p_dx.begin(), ws.p_dx.end(), 0.0);
       problem.p.multiply_accumulate(1.0, ws.delta_x, ws.p_dx);
-      if (vector_spmv) {
-        a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      } else {
-        a_mirror_.multiply_into(1.0, ws.delta_x, ws.a_dx);
-      }
+      a_sell_.multiply_into(1.0, ws.delta_x, ws.a_dx);
       const double q_dx = linalg::dot(problem.q, ws.delta_x);
       bool certificate = linalg::norm_inf(ws.p_dx) <= kAdmmEpsInfeasible * delta_x_norm &&
                          q_dx <= -kAdmmEpsInfeasible * delta_x_norm;
@@ -677,8 +646,8 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   if (time_spmv && spmv_ns > 0 && spmv_sections > 0) {
     // Effective bandwidth of the residual-cadence SpMV section, using the
     // same per-product cost model as micro_admm_kernels' gbps() (12 bytes
-    // per stored entry + 8 per input/output element, true nnz — pads on the
-    // vector tiers are throughput, not work). bytes / ns == GB/s.
+    // per stored entry + 8 per input/output element, true nnz — SELL pads
+    // are throughput, not work). bytes / ns == GB/s.
     const auto nnz_a = static_cast<double>(problem.a.nnz());
     const auto nnz_p = static_cast<double>(problem.p.nnz());
     const double dm = static_cast<double>(m);

@@ -168,15 +168,11 @@ class AdmmSolver final : public QpSolver {
   // in place (each -1/rho_i is the LAST entry of column n+i, because every
   // A^T-block row in that column is < n) instead of reassembling triplets.
   linalg::SparseMatrix kkt_upper_;
-  // CSR mirror of the SCALED constraint matrix: residual and certificate
-  // products run through it (pattern built once per structure, values
-  // refreshed allocation-free per solve).
-  linalg::RowMajorMirror a_mirror_;
-  // SELL mirrors of the SCALED constraint matrix (A and A^T orientations)
-  // for the vector SIMD tiers: the residual and certificate products route
-  // through them when active_tier() != scalar. Bit-identical to the CSR
-  // mirror paths (see sparse_simd.hpp), so tier choice never changes solver
-  // results. Built lazily — a scalar-pinned run never pays for them.
+  // SELL mirrors of the SCALED constraint matrix (A and A^T orientations):
+  // every A product of a solve (warm-start A x, residual A x and A^T y,
+  // certificate A^T delta_y and A delta_x) runs through them on every SIMD
+  // tier, bit-identical across tiers (see sparse_simd.hpp). Pattern built
+  // once per structure, values refreshed allocation-free per solve.
   linalg::SellMirror a_sell_;
   linalg::SellMirror at_sell_;
   // Polish step and its kept reduced-KKT factorization (used only when

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/dense_factor.hpp"
@@ -22,90 +23,14 @@ constexpr int kMaxIterations = 100;
 constexpr double kRegularization = 1e-9;  ///< static KKT regularization
 constexpr double kStepFraction = 0.99;    ///< fraction-to-boundary
 
-/// Zero-and-scatter a CSC matrix into preallocated dense storage — the
-/// allocation-free equivalent of SparseMatrix::to_dense().
-void scatter_dense(const linalg::SparseMatrix& a, DenseMatrix& out) {
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    const auto row = out.row(r);
-    std::fill(row.begin(), row.end(), 0.0);
-  }
-  const auto col_ptr = a.col_ptr();
-  const auto row_idx = a.row_idx();
-  const auto values = a.values();
-  for (std::int32_t c = 0; c < a.cols(); ++c) {
-    for (std::int32_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-      out(static_cast<std::size_t>(row_idx[p]), static_cast<std::size_t>(c)) = values[p];
-    }
-  }
-}
+/// Row of the inequality block and where it came from in the two-sided
+/// form (G x <= h rows: a_i x <= upper_i, or -a_i x <= -lower_i).
+struct InequalityRow {
+  std::size_t source_row = 0;  ///< row in the original A
+  bool is_upper = false;       ///< true: a_i x <= upper; false: -a_i x <= -lower
+};
 
 }  // namespace
-
-bool IpmSolver::cache_matches(const QpProblem& problem,
-                              const std::vector<std::uint8_t>& row_kind) const {
-  if (!has_cache_ || row_kind != cached_row_kind_) return false;
-  const auto same = [](std::span<const std::int32_t> a, const std::vector<std::int32_t>& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  };
-  return same(problem.p.col_ptr(), cached_p_col_ptr_) &&
-         same(problem.p.row_idx(), cached_p_row_idx_) &&
-         same(problem.a.col_ptr(), cached_a_col_ptr_) &&
-         same(problem.a.row_idx(), cached_a_row_idx_);
-}
-
-void IpmSolver::invalidate_cache() {
-  has_cache_ = false;
-  cached_p_col_ptr_.clear();
-  cached_p_row_idx_.clear();
-  cached_a_col_ptr_.clear();
-  cached_a_row_idx_.clear();
-  cached_row_kind_.clear();
-}
-
-void IpmSolver::rebuild_structure(const QpProblem& problem,
-                                  std::vector<std::uint8_t> row_kind) {
-  const std::size_t n = problem.num_variables();
-  const std::size_t m = problem.num_constraints();
-  equality_rows_.clear();
-  inequality_rows_.clear();
-  for (std::size_t i = 0; i < m; ++i) {
-    if (row_kind[i] == 1) {
-      equality_rows_.push_back(i);
-      continue;
-    }
-    if ((row_kind[i] & 2) != 0) inequality_rows_.push_back({i, true});
-    if ((row_kind[i] & 4) != 0) inequality_rows_.push_back({i, false});
-  }
-  a_dense_ = DenseMatrix(m, n);
-  p_dense_ = DenseMatrix(n, n);
-  e_mat_ = DenseMatrix(equality_rows_.size(), n);
-  g_mat_ = DenseMatrix(inequality_rows_.size(), n);
-  f_.assign(equality_rows_.size(), 0.0);
-  h_.assign(inequality_rows_.size(), 0.0);
-  cached_p_col_ptr_.assign(problem.p.col_ptr().begin(), problem.p.col_ptr().end());
-  cached_p_row_idx_.assign(problem.p.row_idx().begin(), problem.p.row_idx().end());
-  cached_a_col_ptr_.assign(problem.a.col_ptr().begin(), problem.a.col_ptr().end());
-  cached_a_row_idx_.assign(problem.a.row_idx().begin(), problem.a.row_idx().end());
-  cached_row_kind_ = std::move(row_kind);
-  has_cache_ = true;
-}
-
-void IpmSolver::refresh_values(const QpProblem& problem) {
-  const std::size_t n = problem.num_variables();
-  scatter_dense(problem.a, a_dense_);
-  scatter_dense(problem.p, p_dense_);
-  for (std::size_t r = 0; r < equality_rows_.size(); ++r) {
-    const std::size_t src = equality_rows_[r];
-    for (std::size_t c = 0; c < n; ++c) e_mat_(r, c) = a_dense_(src, c);
-    f_[r] = problem.upper[src];
-  }
-  for (std::size_t r = 0; r < inequality_rows_.size(); ++r) {
-    const auto& row = inequality_rows_[r];
-    const double sign = row.is_upper ? 1.0 : -1.0;
-    for (std::size_t c = 0; c < n; ++c) g_mat_(r, c) = sign * a_dense_(row.source_row, c);
-    h_[r] = row.is_upper ? problem.upper[row.source_row] : -problem.lower[row.source_row];
-  }
-}
 
 QpResult IpmSolver::solve(const QpProblem& problem) {
   obs::Span span("ipm.solve");
@@ -113,32 +38,34 @@ QpResult IpmSolver::solve(const QpProblem& problem) {
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
 
-  // --- Split the two-sided rows into equalities and one-sided inequalities,
-  // reusing the cached dense materializations when the structure (sparsity
-  // patterns + bound classification) is unchanged; only values are refreshed
-  // then. A bound flipping between equality / one-sided / free rebuilds.
-  std::vector<std::uint8_t> row_kind(m);
+  // --- Split the two-sided rows into equalities and one-sided inequalities.
+  std::vector<std::size_t> equality_rows;
+  std::vector<InequalityRow> inequality_rows;
   for (std::size_t i = 0; i < m; ++i) {
     if (problem.lower[i] == problem.upper[i]) {
-      row_kind[i] = 1;
-    } else {
-      row_kind[i] = static_cast<std::uint8_t>((problem.upper[i] < kInfinity ? 2 : 0) |
-                                              (problem.lower[i] > -kInfinity ? 4 : 0));
+      equality_rows.push_back(i);
+      continue;
     }
+    if (problem.upper[i] < kInfinity) inequality_rows.push_back({i, true});
+    if (problem.lower[i] > -kInfinity) inequality_rows.push_back({i, false});
   }
-  const bool structure_hit = cache_matches(problem, row_kind);
-  if (!structure_hit) rebuild_structure(problem, std::move(row_kind));
-  refresh_values(problem);
-
-  const std::vector<std::size_t>& equality_rows = equality_rows_;
-  const std::vector<InequalityRow>& inequality_rows = inequality_rows_;
   const std::size_t pe = equality_rows.size();
   const std::size_t mi = inequality_rows.size();
-  const DenseMatrix& e_mat = e_mat_;
-  const DenseMatrix& g_mat = g_mat_;
-  const DenseMatrix& p_dense = p_dense_;
-  const Vector& f = f_;
-  const Vector& h = h_;
+  const DenseMatrix a_dense = problem.a.to_dense();
+  const DenseMatrix p_dense = problem.p.to_dense();
+  DenseMatrix e_mat(pe, n), g_mat(mi, n);
+  Vector f(pe), h(mi);
+  for (std::size_t r = 0; r < pe; ++r) {
+    const std::size_t src = equality_rows[r];
+    for (std::size_t c = 0; c < n; ++c) e_mat(r, c) = a_dense(src, c);
+    f[r] = problem.upper[src];
+  }
+  for (std::size_t r = 0; r < mi; ++r) {
+    const auto& row = inequality_rows[r];
+    const double sign = row.is_upper ? 1.0 : -1.0;
+    for (std::size_t c = 0; c < n; ++c) g_mat(r, c) = sign * a_dense(row.source_row, c);
+    h[r] = row.is_upper ? problem.upper[row.source_row] : -problem.lower[row.source_row];
+  }
 
   // --- Starting point.
   Vector x(n, 0.0);
@@ -294,14 +221,11 @@ QpResult IpmSolver::solve(const QpProblem& problem) {
                                            static_cast<double>(result.status));
     obs::ConvergenceRecorder::dump_failure("ipm.unsolved");
   }
-  // One dense KKT factorization per Mehrotra iteration; the structure cache
-  // only saves the setup materializations, never a factor.
+  // One dense KKT factorization per Mehrotra iteration.
   result.info.factorizations = iteration;
-  result.info.cache_hits = structure_hit ? 1 : 0;
   auto& registry = obs::Registry::global();
   if (registry.enabled()) {
     registry.counter("ipm.solves").add(1);
-    registry.counter("ipm.structure_hits").add(structure_hit ? 1 : 0);
     registry.counter("ipm.iterations").add(iteration);
     registry.histogram("ipm.iterations_per_solve").record(iteration);
     registry.histogram("ipm.solve_ms").record(span.elapsed_ms());
@@ -312,7 +236,6 @@ QpResult IpmSolver::solve(const QpProblem& problem) {
     frame->solver_primal_residual = result.primal_residual;
     frame->solver_dual_residual = result.dual_residual;
     frame->solver_factorizations += result.info.factorizations;
-    frame->solver_cache_hits += result.info.cache_hits;
   }
   return result;
 }

@@ -1,11 +1,13 @@
 // Tests for the allocation-free ADMM hot loop and its kernels: bitwise
-// equivalence of the CSR mirror against the CSC reference products, of the
-// fused/multi-lane vector_ops kernels against naive scalar transcriptions,
-// the zero-heap-allocation contract of the warm iteration loop, and the
-// cross-tier SIMD contract — every production kernel and both SELL SpMV
-// orientations bit-identical on every available tier (scalar/avx2/avx512),
-// with the tail sweep n = 0..17 covering every vector-remainder shape, and
-// the exponential-draw kernel neg_log_div within 1 ulp of std::log.
+// equivalence of the fused/multi-lane vector_ops kernels against naive
+// scalar transcriptions, the zero-heap-allocation contract of the warm
+// iteration loop, and the cross-tier SIMD contract — every production
+// kernel and both SELL SpMV orientations bit-identical on every available
+// tier (scalar/avx2/avx512) and to the CSC reference products, with the
+// tail sweep n = 0..17 covering every vector-remainder shape, full ADMM
+// solves (a random QP and the paper_full MPC window) bit-identical across
+// tiers, and the exponential-draw kernel neg_log_div within 1 ulp of
+// std::log.
 //
 // This binary installs counting operator new / operator delete so the
 // solver's SolveInfo::hot_loop_allocations field reports real measurements
@@ -25,12 +27,13 @@
 #include "common/alloc_probe.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dspp/window_program.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/sparse_simd.hpp"
 #include "linalg/vector_ops.hpp"
 #include "qp/admm_solver.hpp"
-#include "qp/ipm_solver.hpp"
+#include "scenario/registry.hpp"
 
 // gcc tracks pointers from the replaced (malloc-backed) operator new into
 // the replaced (free-backed) operator delete when it inlines gtest's factory
@@ -61,7 +64,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace gp {
 namespace {
 
-using linalg::RowMajorMirror;
 using linalg::SparseMatrix;
 using linalg::Triplet;
 using linalg::Vector;
@@ -130,80 +132,6 @@ qp::QpProblem random_feasible_qp(std::size_t n, std::size_t m, Rng& rng) {
     problem.upper[r] = ax0[r] + rng.uniform(0.1, 1.0);
   }
   return problem;
-}
-
-// ------------------------------------------------ CSR mirror vs CSC products
-
-TEST(MirrorProducts, MultiplyMatchesCscBitwise) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    const auto rows = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const auto cols = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const SparseMatrix a = random_sparse(rows, cols, 0.25, rng);
-    const RowMajorMirror mirror(a);
-    const Vector x = random_with_zeros(static_cast<std::size_t>(cols), rng);
-    const double alpha = rng.uniform(-2.0, 2.0);
-
-    Vector csc(static_cast<std::size_t>(rows), 0.0);
-    a.multiply_accumulate(alpha, x, csc);
-    Vector via_mirror(static_cast<std::size_t>(rows), 0.0);
-    mirror.multiply_accumulate(alpha, x, via_mirror);
-    expect_bits_equal(csc, via_mirror);
-  }
-}
-
-TEST(MirrorProducts, MultiplyTransposedMatchesCscBitwise) {
-  for (std::uint64_t seed = 11; seed <= 18; ++seed) {
-    Rng rng(seed);
-    const auto rows = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const auto cols = static_cast<std::int32_t>(rng.uniform_int(1, 40));
-    const SparseMatrix a = random_sparse(rows, cols, 0.25, rng);
-    const RowMajorMirror mirror(a);
-    const Vector x = random_with_zeros(static_cast<std::size_t>(rows), rng);
-    const double alpha = rng.uniform(-2.0, 2.0);
-
-    Vector csc(static_cast<std::size_t>(cols), 0.0);
-    a.multiply_transposed_accumulate(alpha, x, csc);
-    Vector via_mirror(static_cast<std::size_t>(cols), 0.0);
-    mirror.multiply_transposed_accumulate(alpha, x, via_mirror);
-    expect_bits_equal(csc, via_mirror);
-  }
-}
-
-TEST(MirrorProducts, MultiplyIntoMatchesFillThenAccumulate) {
-  Rng rng(21);
-  const SparseMatrix a = random_sparse(30, 25, 0.3, rng);
-  const RowMajorMirror mirror(a);
-  const Vector x = random_with_zeros(25, rng);
-
-  Vector filled(30, 0.0);
-  mirror.multiply_accumulate(1.5, x, filled);
-  Vector direct(30, 123.0);  // stale contents must be overwritten, not summed
-  mirror.multiply_into(1.5, x, direct);
-  expect_bits_equal(filled, direct);
-}
-
-TEST(MirrorProducts, UpdateValuesMatchesRebuild) {
-  Rng rng(31);
-  const SparseMatrix a = random_sparse(20, 15, 0.3, rng);
-  RowMajorMirror mirror(a);
-
-  // Same pattern, new values (scaling preserves sparsity structure).
-  SparseMatrix scaled = a;
-  Vector row_scale(20), col_scale(15);
-  for (auto& v : row_scale) v = rng.uniform(0.5, 2.0);
-  for (auto& v : col_scale) v = rng.uniform(0.5, 2.0);
-  scaled.scale_rows_cols(row_scale, col_scale);
-
-  ASSERT_TRUE(mirror.pattern_matches(scaled));
-  mirror.update_values(scaled);
-  const RowMajorMirror rebuilt(scaled);
-  ASSERT_EQ(mirror.nnz(), rebuilt.nnz());
-  const auto updated = mirror.values();
-  const auto fresh = rebuilt.values();
-  for (std::size_t k = 0; k < updated.size(); ++k) {
-    expect_bits_equal(updated[k], fresh[k]);
-  }
 }
 
 // -------------------------------------- multi-lane kernels vs scalar loops
@@ -545,7 +473,7 @@ TEST(SimdTiers, NegLogDivWithinOneUlpOfStdLog) {
   EXPECT_THROW(linalg::neg_log_div(u, 0.0, u), PreconditionError);
 }
 
-TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
+TEST(SimdTiers, SellMirrorBothOrientationsMatchCscBitwise) {
   TierGuard guard;
   const auto tiers = available_tiers();
   // Shapes straddling the 8-row SELL chunk (partial last chunk, exactly one
@@ -554,7 +482,6 @@ TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
   for (const auto& shape : shapes) {
     Rng rng(3000 + static_cast<std::uint64_t>(shape[0]));
     const SparseMatrix a = random_sparse(shape[0], shape[1], 0.2, rng);
-    const RowMajorMirror mirror(a);
     linalg::SellMirror sell, sell_t;
     sell.build(a);
     sell_t.build_transposed(a);
@@ -563,9 +490,9 @@ TEST(SimdTiers, SellMirrorBothOrientationsMatchCsrMirrorBitwise) {
     const double alpha = rng.uniform(-2.0, 2.0);
 
     Vector ref_ax(static_cast<std::size_t>(a.rows()), 0.0);
-    mirror.multiply_into(alpha, x, ref_ax);
+    a.multiply_accumulate(alpha, x, ref_ax);
     Vector ref_aty(static_cast<std::size_t>(a.cols()), 0.0);
-    mirror.multiply_transposed_accumulate(alpha, y, ref_aty);
+    a.multiply_transposed_accumulate(alpha, y, ref_aty);
 
     for (simd::Tier t : tiers) {
       ASSERT_EQ(simd::set_active_tier(t), t);
@@ -646,6 +573,51 @@ TEST(SimdTiers, FullAdmmSolveBitIdenticalAcrossTiers) {
   }
 }
 
+/// paper_full's W = 5 MPC window with its first period at `utc_hour`, from
+/// a one-server-per-pair state.
+dspp::WindowProgram paper_full_window(double utc_hour) {
+  static const scenario::ScenarioBundle bundle = scenario::build(scenario::preset("paper_full"));
+  static const dspp::PairIndex pairs(bundle.model);
+  dspp::WindowInputs inputs;
+  inputs.initial_state.assign(pairs.num_pairs(), 1.0);
+  for (std::size_t t = 0; t < 5; ++t) {
+    inputs.demand.push_back(bundle.demand.mean_rates(utc_hour + static_cast<double>(t)));
+    inputs.price.push_back(bundle.prices.server_prices(utc_hour + static_cast<double>(t)));
+  }
+  return {bundle.model, pairs, std::move(inputs)};
+}
+
+TEST(SimdTiers, PaperFullMpcWindowBitIdenticalAcrossTiers) {
+  // The production shape: the capacity rows and many sign rows are slack,
+  // so about a third of the converged dual is exactly zero and the A^T y
+  // products multiply those zeros (terms the CSC product skips). Two
+  // receding-horizon steps on one solver per tier; the second runs the
+  // warm-start A x and the cached structure.
+  TierGuard guard;
+  const dspp::WindowProgram first = paper_full_window(9.0);
+  const dspp::WindowProgram second = paper_full_window(10.0);
+  qp::AdmmSettings settings;
+  settings.auto_warm_start = true;
+  std::vector<qp::QpResult> ref;
+  for (simd::Tier t : available_tiers()) {
+    ASSERT_EQ(simd::set_active_tier(t), t);
+    SCOPED_TRACE(simd::tier_name(t));
+    qp::AdmmSolver solver(settings);
+    const std::vector<qp::QpResult> got = {solver.solve(first.problem()),
+                                           solver.solve(second.problem())};
+    for (const qp::QpResult& r : got) ASSERT_EQ(r.status, qp::SolveStatus::kOptimal);
+    if (ref.empty()) {
+      ref = got;  // available_tiers() starts at scalar
+      continue;
+    }
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].iterations, ref[k].iterations);
+      expect_bits_equal(ref[k].x, got[k].x);
+      expect_bits_equal(ref[k].y, got[k].y);
+    }
+  }
+}
+
 TEST(SimdDispatch, TierNamesRoundTripAndActivationClamps) {
   TierGuard guard;
   for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
@@ -663,25 +635,6 @@ TEST(SimdDispatch, TierNamesRoundTripAndActivationClamps) {
   EXPECT_TRUE(simd::tier_available(simd::Tier::kScalar));
   EXPECT_LE(static_cast<int>(simd::detected_tier()),
             static_cast<int>(simd::Tier::kAvx512));
-}
-
-// ------------------------------------------------------- IPM structure cache
-
-TEST(IpmCache, CachedResolveBitIdenticalToFreshSolver) {
-  Rng rng(101);
-  const qp::QpProblem problem = random_feasible_qp(25, 18, rng);
-
-  qp::IpmSolver caching;
-  const auto first = caching.solve(problem);
-  ASSERT_EQ(first.status, qp::SolveStatus::kOptimal);
-  const auto cached = caching.solve(problem);  // structure-cache hit
-  ASSERT_EQ(cached.status, qp::SolveStatus::kOptimal);
-
-  qp::IpmSolver fresh;
-  const auto reference = fresh.solve(problem);
-  ASSERT_EQ(reference.status, qp::SolveStatus::kOptimal);
-  expect_bits_equal(reference.x, cached.x);
-  expect_bits_equal(reference.y, cached.y);
 }
 
 }  // namespace

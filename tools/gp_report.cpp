@@ -13,6 +13,8 @@
 //     rolling median (window kSpikeWindow, needs >= kSpikeMinHistory
 //     history) — the "why did period 37 spike" question answered offline;
 //   - unsolved streaks: maximal runs of solved == 0;
+//   - SLA drops: periods with demand whose analytic SLA compliance falls
+//     below kSlaFloor (at least half the demand misses its latency bound);
 //   - forecast-error regressions: the second half's mean one-step demand
 //     forecast error at least kForecastRegressionFactor x the first
 //     half's (and above an absolute floor), plus per-period outliers
@@ -50,6 +52,7 @@ constexpr double kForecastRegressionFactor = 2.0;
 constexpr double kForecastFloor = 0.02;
 constexpr double kLatencySpikeFactor = 2.0;
 constexpr double kLatencyFloorMs = 1.0;
+constexpr double kSlaFloor = 0.5;
 
 /// Extracts the value following `"key":` in a single-line JSON object
 /// (same tolerant scanner as trace_report; both writers emit one object
@@ -176,6 +179,7 @@ struct Anomalies {
   std::vector<std::size_t> cost_spikes;            ///< period indices
   std::vector<std::size_t> latency_spikes;         ///< period indices (req_* view)
   std::vector<std::pair<std::size_t, std::size_t>> unsolved_streaks;  ///< (start, len)
+  std::vector<std::size_t> sla_drops;              ///< period indices
   std::vector<std::size_t> forecast_outliers;      ///< period indices
   bool forecast_regressed = false;
   double forecast_first_half = 0.0;
@@ -183,7 +187,7 @@ struct Anomalies {
 
   std::size_t count() const {
     return cost_spikes.size() + latency_spikes.size() + unsolved_streaks.size() +
-           forecast_outliers.size() + (forecast_regressed ? 1 : 0);
+           sla_drops.size() + forecast_outliers.size() + (forecast_regressed ? 1 : 0);
   }
 };
 
@@ -245,6 +249,16 @@ Anomalies detect(const Segment& segment) {
     }
   }
 
+  // SLA drops. Compliance is a share of the period's demand, so a period
+  // without demand measures nothing (the engine writes 1.0 there).
+  if (const auto* sla = segment.column("sla_compliance")) {
+    for (std::size_t k = 0; k < sla->size(); ++k) {
+      if (segment.at("demand_total", k) > 0.0 && (*sla)[k] < kSlaFloor) {
+        found.sla_drops.push_back(k);
+      }
+    }
+  }
+
   // Forecast-error trend and outliers (err < 0 means "no forecast").
   if (const auto* errs = segment.column("forecast_rel_err")) {
     std::vector<double> valid;
@@ -297,6 +311,10 @@ void print_anomalies(const Anomalies& found) {
   }
   for (const auto& [start, length] : found.unsolved_streaks) {
     std::printf("#   unsolved streak: period %zu, length %zu\n", start, length);
+  }
+  if (!found.sla_drops.empty()) {
+    std::printf("#   SLA drops (compliance < %.2f): periods %s\n", kSlaFloor,
+                join_indices(found.sla_drops).c_str());
   }
   if (found.forecast_regressed) {
     std::printf("#   forecast error regressed: mean %.4f -> %.4f (first/second half)\n",
@@ -408,9 +426,10 @@ int self_test() {
 
   // 48 synthetic periods: steady cost 100 with a 5x spike at period 20, an
   // unsolved streak at 30..32, a forecast error that doubles in the second
-  // half (0.01 -> 0.08), and an empirical request-latency spike at period
-  // 40 (p95 jumps 20ms -> 90ms; periods 10..11 carry no request simulation
-  // so the detector must skip them, not read them as 0ms).
+  // half (0.01 -> 0.08), an empirical request-latency spike at period 40
+  // (p95 jumps 20ms -> 90ms; periods 10..11 carry no request simulation so
+  // the detector must skip them, not read them as 0ms), and an SLA drop at
+  // period 44 (compliance 0.999 -> 0.2).
   std::vector<gp::obs::TelemetryFrame> frames(48);
   for (std::size_t k = 0; k < frames.size(); ++k) {
     auto& f = frames[k];
@@ -423,7 +442,7 @@ int self_test() {
     f.forecast_rel_err = k == 0 ? -1.0 : (k < 24 ? 0.01 : 0.08);
     f.solver_iterations = 25.0;
     f.solver_primal_residual = 1e-4;
-    f.sla_compliance = 0.999;
+    f.sla_compliance = k == 44 ? 0.2 : 0.999;
     f.req_simulated = (k == 10 || k == 11) ? 0.0 : 1.0;
     f.req_worst_p95_ms = f.req_simulated == 0.0 ? 0.0 : (k == 40 ? 90.0 : 20.0);
     f.pool_busy_ms = 12.0;
@@ -466,6 +485,8 @@ int self_test() {
   expect(found.unsolved_streaks.size() == 1 && found.unsolved_streaks[0].first == 30 &&
              found.unsolved_streaks[0].second == 3,
          "the planted unsolved streak is detected");
+  expect(found.sla_drops.size() == 1 && found.sla_drops[0] == 44,
+         "the planted SLA drop (and only it) is detected");
   expect(found.forecast_regressed, "the planted forecast regression is detected");
 
   // A clean constant-cost timeline must report no anomalies.
