@@ -4,14 +4,18 @@
 // minimum-degree ordering on window KKT systems (the ADMM KKT and a polish
 // reduced KKT).
 //
-// These justify the solver architecture: the sparse ADMM path is the
-// production solver (near-linear in nonzeros per iteration after one
-// factorization), the dense IPM is the small-problem cross-checker (cubic).
+// These justify the solver architecture: a hard-demand MPC window with
+// slack capacity is solved network by network (BM_SeparableWindow, next to
+// ADMM on the same paper_full and scale_smoke windows); every other window
+// takes the sparse ADMM path (near-linear in nonzeros per iteration after
+// one factorization); the dense IPM is the small-problem cross-checker
+// (cubic).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "dspp/separable_window.hpp"
 #include "dspp/window_program.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "qp/admm_solver.hpp"
@@ -82,6 +86,86 @@ BENCHMARK(BM_IpmWindow)
     ->Args({2, 6, 5})
     ->Args({4, 12, 5})
     ->Unit(benchmark::kMillisecond);
+
+/// One MPC window of a preset (index 0 = paper_full, 1 = scale_smoke): the
+/// mean-demand and price forecasts of hours 9..13 from the cheapest
+/// placement of hour 8, the morning ramp.
+struct PresetWindow {
+  explicit PresetWindow(const char* name) : bundle(scenario::build(scenario::preset(name))) {}
+  scenario::ScenarioBundle bundle;
+  std::unique_ptr<dspp::PairIndex> pairs;
+  dspp::WindowInputs inputs;
+};
+
+const PresetWindow& preset_window(std::int64_t which) {
+  static std::vector<std::unique_ptr<PresetWindow>> windows(2);
+  auto& window = windows[static_cast<std::size_t>(which)];
+  if (window == nullptr) {
+    window = std::make_unique<PresetWindow>(which == 0 ? "paper_full" : "scale_smoke");
+    window->pairs = std::make_unique<dspp::PairIndex>(window->bundle.model);
+    const auto& model = window->bundle.model;
+    window->inputs.initial_state.assign(window->pairs->num_pairs(), 0.0);
+    const auto demand = window->bundle.demand.mean_rates(8.0);
+    const auto price = window->bundle.prices.server_prices(8.0);
+    for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
+      std::size_t best = 0;
+      double best_cost = 0.0;
+      for (const std::size_t pair : window->pairs->pairs_of_access_network(v)) {
+        const double cost =
+            price[window->pairs->datacenter_of(pair)] * window->pairs->coefficient(pair);
+        if (best_cost == 0.0 || cost < best_cost) {
+          best = pair;
+          best_cost = cost;
+        }
+      }
+      window->inputs.initial_state[best] = demand[v] * window->pairs->coefficient(best);
+    }
+    for (std::size_t t = 0; t < 5; ++t) {
+      const double hour = 9.0 + static_cast<double>(t);
+      window->inputs.demand.push_back(window->bundle.demand.mean_rates(hour));
+      window->inputs.price.push_back(window->bundle.prices.server_prices(hour));
+    }
+  }
+  return *window;
+}
+
+// Args: (preset, warm) with preset 0 = paper_full, 1 = scale_smoke; warm 1
+// starts every solve from the previous one's active set, as the MPC loop
+// does.
+void BM_SeparableWindow(benchmark::State& state) {
+  const PresetWindow& window = preset_window(state.range(0));
+  const bool warm = state.range(1) == 1;
+  dspp::SeparableWindow solver(window.bundle.model, *window.pairs);
+  int steps = 0;
+  for (auto _ : state) {
+    const auto outcome = solver.solve(window.inputs, warm, 1);
+    if (outcome != dspp::SeparableOutcome::kCertified) state.SkipWithError("not certified");
+    steps = solver.last_active_set_steps();
+    benchmark::DoNotOptimize(steps);
+  }
+  state.counters["networks"] = static_cast<double>(solver.num_networks());
+  state.counters["active_set_steps"] = static_cast<double>(steps);
+}
+BENCHMARK(BM_SeparableWindow)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+// The same windows by ADMM (structure-cached, as the MPC loop runs it).
+void BM_AdmmPresetWindow(benchmark::State& state) {
+  const PresetWindow& window = preset_window(state.range(0));
+  const dspp::WindowProgram program(window.bundle.model, *window.pairs, window.inputs);
+  qp::AdmmSolver solver;
+  for (auto _ : state) {
+    auto solution = program.solve(solver);
+    benchmark::DoNotOptimize(solution.objective);
+    if (!solution.ok()) state.SkipWithError("ADMM failed");
+  }
+  state.counters["vars"] = static_cast<double>(program.problem().num_variables());
+}
+BENCHMARK(BM_AdmmPresetWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The upper triangle of a window program's KKT matrix (4 DCs x num_cities,
 /// horizon 8). ADMM shape: [[P + sigma I, A^T], [A, -diag(1/rho)]] over every

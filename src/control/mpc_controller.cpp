@@ -105,6 +105,7 @@ MpcStepResult MpcController::step(const Vector& state, const Vector& demand,
   MpcStepResult result;
   result.status = solution.status;
   result.solver_iterations = solution.solver_iterations;
+  result.active_set_steps = solution.active_set_steps;
   if (!solution.ok()) {
     // Keep the previous allocation when the window program fails; the
     // caller can inspect `status` (e.g. primal infeasible under a quota).

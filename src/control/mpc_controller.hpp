@@ -47,7 +47,8 @@ struct MpcStepResult {
   double window_objective = 0.0;
   linalg::Vector capacity_price;  ///< max capacity dual per DC over the window
   double unserved_next = 0.0;     ///< planned unserved demand at k+1 (soft mode)
-  int solver_iterations = 0;
+  int solver_iterations = 0;     ///< ADMM iterations (0 on a separable window)
+  int active_set_steps = 0;      ///< separable window: PDAS + safeguard iterations
 };
 
 /// Receding-horizon controller (see file comment). Thread-compatible: one
@@ -86,6 +87,12 @@ class MpcController {
   /// solver. provision_for's one-shot solve is not counted.
   const qp::AdmmCacheStats& solver_cache_stats() const {
     return window_solver_.cache_stats();
+  }
+
+  /// Which path solved each step's window: separable solves and ADMM
+  /// fallbacks by reason (see dspp::WindowPathStats).
+  const dspp::WindowPathStats& window_path_stats() const {
+    return window_solver_.path_stats();
   }
 
   /// Minimal feasible allocation for a demand vector (cheapest placement

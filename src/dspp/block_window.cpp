@@ -7,6 +7,8 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 
 namespace gp::dspp {
 
@@ -35,7 +37,11 @@ BlockWindowSolver::BlockWindowSolver(const DsppModel& model, const PairIndex& pa
   require(settings_.consensus_tolerance > 0.0,
           "BlockWindowSolver: consensus_tolerance must be > 0");
   num_blocks_ = std::min(settings_.num_blocks, pairs.num_datacenters());
-  if (num_blocks_ > 1) build_blocks();
+  if (num_blocks_ > 1) {
+    build_blocks();
+  } else if (SeparableWindow::applies_to(model, pairs)) {
+    separable_.emplace(model, pairs);
+  }
 }
 
 const qp::AdmmCacheStats& BlockWindowSolver::cache_stats() const {
@@ -205,12 +211,63 @@ void BlockWindowSolver::write_block_parameters(std::size_t b, const WindowInputs
 }
 
 WindowSolution BlockWindowSolver::solve_exact(WindowInputs inputs) {
+  const bool metrics_on = obs::metrics_enabled();
+  long long* reason = nullptr;
+  const char* reason_name = nullptr;
+  bool warm_from_separable = false;
+  if (inputs.soft_demand_penalty > 0.0) {
+    reason = &path_stats_.fallback_soft_demand;
+    reason_name = "window.fallback.soft_demand";
+  } else if (!separable_) {
+    reason = &path_stats_.fallback_zero_reconfig;
+    reason_name = "window.fallback.zero_reconfig";
+  } else {
+    const SeparableOutcome outcome =
+        separable_->solve(inputs, settings_.reuse_solver_state, settings_.max_lanes);
+    path_stats_.safeguard_runs += separable_->last_safeguard_runs();
+    if (metrics_on) {
+      auto& registry = obs::Registry::global();
+      registry.counter("window.safeguard_runs").add(separable_->last_safeguard_runs());
+      auto& steps = registry.histogram("window.active_set_steps");
+      for (std::size_t v = 0; v < separable_->num_networks(); ++v) {
+        steps.record(separable_->last_steps(v));
+      }
+    }
+    if (outcome == SeparableOutcome::kCertified) {
+      ++path_stats_.separable;
+      if (metrics_on) obs::Registry::global().counter("window.separable_solves").add(1);
+      return separable_->solution(inputs);
+    }
+    warm_from_separable = true;
+    if (outcome == SeparableOutcome::kCapacityViolated) {
+      reason = &path_stats_.fallback_capacity;
+      reason_name = "window.fallback.capacity";
+    } else {
+      reason = &path_stats_.fallback_uncertified;
+      reason_name = "window.fallback.uncertified";
+    }
+  }
+  ++*reason;
+  if (metrics_on) {
+    auto& registry = obs::Registry::global();
+    registry.counter("window.fallback_solves").add(1);
+    registry.counter(reason_name).add(1);
+  }
+  if (obs::TelemetryFrame* frame = obs::timeline_frame()) frame->window_fallback = 1.0;
+
   if (settings_.reuse_solver_state && program_) {
     program_->update(*model_, *pairs_, inputs);
   } else {
     program_.emplace(*model_, *pairs_, std::move(inputs));
   }
-  return program_->solve(exact_solver_);
+  if (warm_from_separable) {
+    linalg::Vector z, y;
+    separable_->warm_start_point(*program_, z, y);
+    exact_solver_.warm_start(std::move(z), std::move(y));
+  }
+  WindowSolution solution = program_->solve(exact_solver_);
+  if (warm_from_separable) solution.active_set_steps = separable_->last_active_set_steps();
+  return solution;
 }
 
 WindowSolution BlockWindowSolver::solve_consensus(const WindowInputs& inputs) {

@@ -19,16 +19,24 @@
 // factorization outright.
 //
 // num_blocks = 1 is the exact path, and the one every repeated window solve
-// in the library takes (MpcController, the game's best responses): a
-// persistent WindowProgram, parameter-updated in place, solved by one
-// AdmmSolver configured by `solver` as given. Block solves run on the
-// deterministic thread pool with results written to per-block slots, so
-// solutions are bit-identical at any GEOPLACE_THREADS / max_lanes setting.
+// in the library takes (MpcController, the game's best responses). A
+// hard-demand window whose pairs all have c_l > 0 is first solved network by
+// network (dspp::SeparableWindow, DESIGN.md §12) and accepted under a KKT
+// certificate with every capacity row slack. Every other window — soft
+// demand (each best response), a c = 0 pair, a binding capacity row or an
+// uncertified network — goes to a persistent WindowProgram,
+// parameter-updated in place and solved by one AdmmSolver configured by
+// `solver` as given; after a failed separable attempt that solver is
+// warm-started from the separable point. Block and network solves run on
+// the deterministic thread pool with results written to per-block or
+// per-network slots, so solutions are bit-identical at any
+// GEOPLACE_THREADS / max_lanes setting.
 #pragma once
 
 #include <memory>
 #include <optional>
 
+#include "dspp/separable_window.hpp"
 #include "dspp/window_program.hpp"
 #include "qp/admm_solver.hpp"
 
@@ -51,12 +59,29 @@ struct BlockWindowSettings {
   double consensus_tolerance = 1e-3;
   /// Keep the window program (exact path) or the block programs and
   /// consensus state (block path) across solve() calls, updating their
-  /// parameters in place. Exact-path warm starts and structure caching come
-  /// from `solver`; block solvers always use both.
+  /// parameters in place. On the exact path this also starts each network's
+  /// separable solve from its previous active set shifted by one period;
+  /// ADMM warm starts and structure caching come from `solver`; block
+  /// solvers always use both.
   bool reuse_solver_state = true;
   /// Exact-path solver settings, used unchanged; also the per-block inner
   /// solver settings (with warm start and structure cache forced on).
   qp::AdmmSettings solver;
+};
+
+/// Which exact-path solver took each window, and why ADMM did.
+struct WindowPathStats {
+  long long separable = 0;               ///< certified per-network solves
+  long long fallback_capacity = 0;       ///< separable point broke a capacity row
+  long long fallback_zero_reconfig = 0;  ///< some pair has c_l = 0
+  long long fallback_soft_demand = 0;    ///< soft demand (the game's best responses)
+  long long fallback_uncertified = 0;    ///< some network failed its certificate
+  long long safeguard_runs = 0;          ///< networks the PDAS safeguard solved
+
+  long long fallbacks() const {
+    return fallback_capacity + fallback_zero_reconfig + fallback_soft_demand +
+           fallback_uncertified;
+  }
 };
 
 /// Solves window programs by block decomposition (see file comment).
@@ -78,6 +103,10 @@ class BlockWindowSolver {
 
   /// Consensus iterations the last solve() used (0 on the exact path).
   int last_consensus_iterations() const { return last_consensus_iterations_; }
+
+  /// Exact-path counts since construction: separable solves and ADMM
+  /// fallbacks by reason (all 0 on the consensus path).
+  const WindowPathStats& path_stats() const { return path_stats_; }
 
   /// Structure-cache counters of the underlying solver (the exact-path
   /// solver when num_blocks == 1, block 0's inner solver otherwise).
@@ -118,6 +147,8 @@ class BlockWindowSolver {
   // Exact path (num_blocks == 1).
   qp::AdmmSolver exact_solver_;
   std::optional<WindowProgram> program_;
+  std::optional<SeparableWindow> separable_;  ///< set when every pair has c_l > 0
+  WindowPathStats path_stats_;
 
   // Consensus path.
   std::vector<Block> blocks_;

@@ -230,6 +230,21 @@ std::size_t WindowProgram::u_variable(std::size_t t, std::size_t pair) const {
   return u_offset_ + t * num_pairs_ + pair;
 }
 
+std::size_t WindowProgram::state_row(std::size_t t, std::size_t pair) const {
+  require(t < horizon_ && pair < num_pairs_, "state_row: index out of range");
+  return t * num_pairs_ + pair;
+}
+
+std::size_t WindowProgram::demand_row(std::size_t t, std::size_t v) const {
+  require(t < horizon_ && v < num_v_, "demand_row: index out of range");
+  return demand_row_offset_ + t * num_v_ + v;
+}
+
+std::size_t WindowProgram::sign_row(std::size_t t, std::size_t pair) const {
+  require(t < horizon_ && pair < num_pairs_, "sign_row: index out of range");
+  return capacity_row_offset_ + horizon_ * num_l_ + t * num_pairs_ + pair;
+}
+
 WindowSolution WindowProgram::extract(const qp::QpResult& result) const {
   WindowSolution solution;
   solution.status = result.status;

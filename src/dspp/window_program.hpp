@@ -17,6 +17,13 @@
 //
 // The capacity-row duals lambda_{t,l} >= 0 are exposed: they are the prices
 // Algorithm 2 uses to negotiate quotas between providers.
+//
+// Only the capacity rows couple access networks; every other row touches
+// one network's pairs. BlockWindowSolver uses that: a hard-demand window is
+// first solved per network by dspp::SeparableWindow without assembling this
+// program, and the program below is built and handed to ADMM only when that
+// path does not certify the window (soft demand, a c = 0 pair, a binding
+// capacity row). DESIGN.md §12.
 #pragma once
 
 #include <optional>
@@ -43,7 +50,8 @@ struct WindowSolution {
   std::vector<linalg::Vector> capacity_duals;  ///< [t][l], >= 0
   std::vector<linalg::Vector> unserved;        ///< [t][v] slack (empty when hard)
   double objective = 0.0;
-  int solver_iterations = 0;
+  int solver_iterations = 0;  ///< ADMM iterations (0 when the separable path solved it)
+  int active_set_steps = 0;   ///< separable path: PDAS + safeguard iterations, all networks
 
   bool ok() const { return status == qp::SolveStatus::kOptimal; }
 
@@ -82,6 +90,13 @@ class WindowProgram {
 
   /// Index of the u_{t, pair} variable within problem().
   std::size_t u_variable(std::size_t t, std::size_t pair) const;
+
+  /// Rows of problem(): the state equation of (t, pair), the demand row of
+  /// (t, v) and the sign row x_{t, pair} >= 0. Used to lay a structured
+  /// primal-dual point out as a solver warm start.
+  std::size_t state_row(std::size_t t, std::size_t pair) const;
+  std::size_t demand_row(std::size_t t, std::size_t v) const;
+  std::size_t sign_row(std::size_t t, std::size_t pair) const;
 
   /// Maps a raw solver result back into the structured window solution.
   WindowSolution extract(const qp::QpResult& result) const;

@@ -67,6 +67,10 @@ namespace gp::obs {
 // alongside the analytic evaluation (sim::simulate_day), 0 otherwise; they
 // sit next to sla_compliance/mean_latency_ms so gp_report can put the
 // M/M/1 closed form and the simulated request stream on one axis.
+// demand_total is the demand observed in period k; demand_served_total is
+// period k+1's, the demand the row's servers, cost and SLA are measured
+// against. window_fallback is 1 when the period's exact MPC window went to
+// ADMM and 0 when the separable path certified it (dspp/block_window.hpp).
 // The pool_* columns are per-period DELTAS of the global thread pool's lane
 // telemetry (common/thread_pool): busy/idle/queue-wait milliseconds summed
 // over lanes, chunks executed, and pool_util = busy / (busy + idle) in
@@ -77,6 +81,7 @@ namespace gp::obs {
   X(period)                    \
   X(utc_hour)                  \
   X(demand_total)              \
+  X(demand_served_total)       \
   X(servers_total)             \
   X(dc_active)                 \
   X(dc_max_share)              \
@@ -96,6 +101,7 @@ namespace gp::obs {
   X(solver_cache_hits)         \
   X(solver_factorization_skipped) \
   X(solved)                    \
+  X(window_fallback)           \
   X(policy_ms)                 \
   X(sla_ms)                    \
   X(period_ms)                 \

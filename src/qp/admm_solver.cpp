@@ -98,18 +98,10 @@ SparseMatrix kkt_upper(const SparseMatrix& p, double top, const SparseMatrix& a,
                                 std::move(values));
 }
 
-/// Max-norm KKT residual pair (primal violation, dual stationarity).
-std::pair<double, double> kkt_residuals(const QpProblem& problem, const Vector& x,
-                                        const Vector& y) {
-  const double primal = problem.constraint_violation(x);
-  const Vector px = problem.p.multiply(x);
-  const Vector aty = problem.a.multiply_transposed(y);
-  double dual = 0.0;
-  for (std::size_t j = 0; j < problem.num_variables(); ++j) {
-    dual = std::max(dual, std::abs(px[j] + problem.q[j] + aty[j]));
-  }
-  return {primal, dual};
-}
+/// A polished point whose wrong-signed duals exceed this (relative to
+/// 1 + ||q||_inf) is counted as admm.polish_wrong_sign: the acceptance test
+/// compares only primal violation and stationarity, so such a point can win.
+constexpr double kPolishDualSignTolerance = 1e-9;
 
 }  // namespace
 
@@ -194,10 +186,17 @@ bool ActiveSetPolisher::polish(const QpProblem& problem, Vector& x, Vector& y) {
   for (std::size_t r = 0; r < k; ++r) {
     y_polished[static_cast<std::size_t>(active_rows[r])] = solution[n + r];
   }
-  // Accept only if the polished point is a strictly better KKT point.
-  const auto [p_old, d_old] = kkt_residuals(problem, x, y);
-  const auto [p_new, d_new] = kkt_residuals(problem, x_polished, y_polished);
-  if (std::max(p_new, d_new) < std::max(p_old, d_old)) {
+  // Accept only if the polished point is a strictly better KKT point by
+  // primal violation and stationarity.
+  const KktCertificate old_cert = kkt_certificate(problem, x, y);
+  const KktCertificate new_cert = kkt_certificate(problem, x_polished, y_polished);
+  if (std::max(new_cert.primal, new_cert.stationarity) <
+      std::max(old_cert.primal, old_cert.stationarity)) {
+    if (new_cert.dual_sign > kPolishDualSignTolerance * (1.0 + linalg::norm_inf(problem.q)) &&
+        obs::metrics_enabled()) {
+      // The dual-sign hole: the accepted point is not a KKT point.
+      obs::Registry::global().counter("admm.polish_wrong_sign").add(1);
+    }
     x = std::move(x_polished);
     y = std::move(y_polished);
     return true;
@@ -666,9 +665,9 @@ QpResult AdmmSolver::solve_with(const QpProblem& original, bool use_cache) {
   if (settings_.polish && result.status == SolveStatus::kOptimal) {
     obs::Span polish_span("admm.polish");
     if (polisher_.polish(original, result.x, result.y)) {
-      const auto [primal, dual] = kkt_residuals(original, result.x, result.y);
-      result.primal_residual = primal;
-      result.dual_residual = dual;
+      const KktCertificate cert = kkt_certificate(original, result.x, result.y);
+      result.primal_residual = cert.primal;
+      result.dual_residual = cert.stationarity;
     }
     cache_stats_.polish_factorizations = polisher_.factorizations();
     cache_stats_.polish_reuses = polisher_.reuses();

@@ -39,4 +39,21 @@ double QpProblem::constraint_violation(std::span<const double> x) const {
   return worst;
 }
 
+KktCertificate kkt_certificate(const QpProblem& problem, std::span<const double> x,
+                               std::span<const double> y) {
+  require(x.size() == problem.num_variables() && y.size() == problem.num_constraints(),
+          "kkt_certificate: size mismatch");
+  KktCertificate cert;
+  const linalg::Vector ax = problem.a.multiply(x);
+  for (std::size_t i = 0; i < ax.size(); ++i) {
+    certify_row(cert, ax[i], problem.lower[i], problem.upper[i], y[i]);
+  }
+  const linalg::Vector px = problem.p.multiply(x);
+  const linalg::Vector aty = problem.a.multiply_transposed(y);
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    cert.stationarity = std::max(cert.stationarity, std::abs(px[j] + problem.q[j] + aty[j]));
+  }
+  return cert;
+}
+
 }  // namespace gp::qp

@@ -11,6 +11,8 @@
 // instances of this type.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "linalg/sparse_matrix.hpp"
@@ -39,5 +41,40 @@ struct QpProblem {
   /// Max constraint violation at x (infinity norm of the bound excess).
   double constraint_violation(std::span<const double> x) const;
 };
+
+/// The four KKT residuals of a primal-dual point, in QpResult's dual sign
+/// convention (y_i > 0 pushes on row i's upper bound, y_i < 0 on its lower).
+/// All four are max-norms; the point is a KKT point when all are 0.
+struct KktCertificate {
+  double primal = 0.0;           ///< bound excess of A x
+  double stationarity = 0.0;     ///< || P x + q + A'y ||_inf
+  double dual_sign = 0.0;        ///< y_i > 0 on a row with no upper bound, y_i < 0 on one with no lower
+  double complementarity = 0.0;  ///< |y_i| times the gap to the bound y_i pushes on
+};
+
+/// Folds one row's primal, dual-sign and complementarity terms into `cert`
+/// (row value ax, bounds [lower, upper], dual y). Shared by kkt_certificate
+/// and by solvers that certify a structured problem without assembling it.
+inline void certify_row(KktCertificate& cert, double ax, double lower, double upper, double y) {
+  cert.primal = std::max({cert.primal, lower - ax, ax - upper});
+  if (y > 0.0) {
+    if (upper < kInfinity) {
+      cert.complementarity = std::max(cert.complementarity, y * std::abs(upper - ax));
+    } else {
+      cert.dual_sign = std::max(cert.dual_sign, y);
+    }
+  } else if (y < 0.0) {
+    if (lower > -kInfinity) {
+      cert.complementarity = std::max(cert.complementarity, -y * std::abs(ax - lower));
+    } else {
+      cert.dual_sign = std::max(cert.dual_sign, -y);
+    }
+  }
+}
+
+/// Full KKT test of (x, y) for `problem`: primal violation, stationarity,
+/// dual sign and complementarity (see KktCertificate).
+KktCertificate kkt_certificate(const QpProblem& problem, std::span<const double> x,
+                               std::span<const double> y);
 
 }  // namespace gp::qp

@@ -236,6 +236,9 @@ SimulationSummary SimulationEngine::run(const PlacementPolicy& policy,
     if (frame != nullptr) frame->sla_ms = sla_ms;
     if (frame != nullptr) {
       frame->demand_total = metrics.total_demand;
+      double served = 0.0;
+      for (const double d : next_demand) served += d;
+      frame->demand_served_total = served;
       frame->servers_total = metrics.total_servers;
       double max_dc = 0.0, active = 0.0;
       for (double s : metrics.servers_per_dc) {

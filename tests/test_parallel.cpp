@@ -19,11 +19,13 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "dspp/separable_window.hpp"
 #include "dspp/window_program.hpp"
 #include "game/competition.hpp"
 #include "linalg/sparse_ldlt.hpp"
 #include "qp/admm_solver.hpp"
 #include "sim/multi_provider.hpp"
+#include "topology/continental.hpp"
 #include "workload/demand.hpp"
 
 namespace gp {
@@ -745,6 +747,56 @@ TEST(ParallelGame, MultiTenantPeriodsBitIdenticalAtAnyLaneCount) {
     EXPECT_EQ(parallel.tenant_total_costs, serial.tenant_total_costs) << lanes << " lanes";
     EXPECT_EQ(parallel.total_cost, serial.total_cost) << lanes << " lanes";
     EXPECT_EQ(parallel.total_unserved, serial.total_unserved) << lanes << " lanes";
+  }
+}
+
+TEST(SeparableWindowLanes, BitIdenticalAcrossLaneCounts) {
+  // scale_smoke's shape (20 DCs x 120 networks, <= 6 pairs each): a warm
+  // sequence of windows, dealt over 1..4 lanes, lands bit-identically.
+  topology::ContinentalSpec spec;
+  spec.num_datacenters = 20;
+  spec.num_access_networks = 120;
+  spec.seed = 77;
+  const topology::ContinentalTopology topo = topology::generate_continental(spec);
+  dspp::DsppModel model;
+  model.network = topology::NetworkModel::from_geography(topo.sites, topo.cities);
+  model.sla.max_latency_ms = 45.0;
+  model.reconfig_cost.assign(20, 0.01);
+  model.capacity.assign(20, 2000.0);
+  model.candidates_per_an = 6;
+  const dspp::PairIndex pairs(model);
+
+  std::vector<std::vector<Vector>> runs;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    dspp::SeparableWindow separable(model, pairs);
+    Rng rng(5);
+    Vector state(pairs.num_pairs(), 1.0);
+    std::vector<Vector> trajectory;
+    for (int step = 0; step < 4; ++step) {
+      dspp::WindowInputs inputs;
+      inputs.initial_state = state;
+      for (std::size_t t = 0; t < 5; ++t) {
+        Vector demand(model.num_access_networks());
+        for (double& d : demand) d = rng.uniform(0.0, 80.0);
+        inputs.demand.push_back(std::move(demand));
+        Vector price(model.num_datacenters());
+        for (double& p : price) p = rng.uniform(0.05, 0.3);
+        inputs.price.push_back(std::move(price));
+      }
+      ASSERT_EQ(separable.solve(inputs, /*warm=*/true, lanes),
+                dspp::SeparableOutcome::kCertified);
+      const dspp::WindowSolution solution = separable.solution(inputs);
+      trajectory.insert(trajectory.end(), solution.x.begin(), solution.x.end());
+      trajectory.push_back(Vector{solution.objective});
+      state = solution.x.front();
+    }
+    runs.push_back(std::move(trajectory));
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[r][i], runs[0][i]) << "lanes=" << r + 1 << " row=" << i;  // bitwise
+    }
   }
 }
 

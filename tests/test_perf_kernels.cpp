@@ -27,6 +27,7 @@
 #include "common/alloc_probe.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "dspp/separable_window.hpp"
 #include "dspp/window_program.hpp"
 #include "linalg/simd_dispatch.hpp"
 #include "linalg/sparse_matrix.hpp"
@@ -53,6 +54,19 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too (std::stable_sort's temporary buffer takes one and
+// returns it through the sized delete below), so every new/delete pair
+// stays on malloc/free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  gp::alloc_probe_bump();
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  gp::alloc_probe_bump();
+  return std::malloc(size ? size : 1);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -266,6 +280,25 @@ TEST(AdmmHotLoop, WarmResolveMakesZeroHeapAllocations) {
   EXPECT_TRUE(warm.info.factorization_skipped);
   EXPECT_EQ(warm.info.hot_loop_allocations, 0)
       << "ADMM iteration loop allocated on a warm workspace";
+}
+
+TEST(SeparableWindowHotLoop, WarmSolveMakesZeroHeapAllocations) {
+  // paper_full's MPC window: after the sizing solve, a warm separable solve
+  // (shifted active sets, per-network workspaces) allocates nothing.
+  const scenario::ScenarioBundle bundle = scenario::build(scenario::preset("paper_full"));
+  const dspp::PairIndex pairs(bundle.model);
+  dspp::WindowInputs inputs;
+  inputs.initial_state.assign(pairs.num_pairs(), 1.0);
+  for (std::size_t t = 0; t < 5; ++t) {
+    inputs.demand.push_back(bundle.demand.mean_rates(static_cast<double>(t + 9)));
+    inputs.price.push_back(bundle.prices.server_prices(static_cast<double>(t + 9)));
+  }
+  dspp::SeparableWindow separable(bundle.model, pairs);
+  ASSERT_EQ(separable.solve(inputs, /*warm=*/true, 1), dspp::SeparableOutcome::kCertified);
+  ASSERT_GT(alloc_probe_count(), 0);
+  const long long before = alloc_probe_count();
+  ASSERT_EQ(separable.solve(inputs, /*warm=*/true, 1), dspp::SeparableOutcome::kCertified);
+  EXPECT_EQ(alloc_probe_count() - before, 0) << "a warm separable solve allocated";
 }
 
 TEST(AdmmHotLoop, AdaptiveRhoRefactorsStayAllocationFree) {

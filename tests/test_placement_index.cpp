@@ -255,7 +255,9 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
   settings.solver.auto_warm_start = true;
   dspp::BlockWindowSolver block_solver(model, pairs, settings);
 
-  // The exact sequence MpcController historically ran.
+  // The exact sequence MpcController historically ran. Soft demand keeps
+  // every window on the ADMM path (a hard-demand window with slack capacity
+  // is solved network by network instead), which this test pins bitwise.
   qp::AdmmSettings solver_settings;
   solver_settings.auto_warm_start = true;
   solver_settings.cache_structure = true;
@@ -264,6 +266,7 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
 
   for (std::uint64_t step = 0; step < 3; ++step) {
     dspp::WindowInputs inputs = random_window_inputs(model, pairs, 4, 100 + step);
+    inputs.soft_demand_penalty = 50.0;
     const dspp::WindowSolution block = block_solver.solve(inputs);
     if (program) {
       program->update(model, pairs, inputs);
@@ -278,7 +281,10 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
       ASSERT_EQ(block.u[t], exact.u[t]) << "step=" << step << " t=" << t;
     }
     EXPECT_EQ(block_solver.last_consensus_iterations(), 0) << "exact path";
+    EXPECT_GT(block.solver_iterations, 0);
   }
+  EXPECT_EQ(block_solver.path_stats().fallback_soft_demand, 3);
+  EXPECT_EQ(block_solver.path_stats().separable, 0);
 }
 
 TEST(BlockWindowSolver, ConsensusServesDemandWithinTolerance) {

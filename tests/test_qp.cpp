@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "qp/admm_solver.hpp"
 #include "qp/ipm_solver.hpp"
 #include "qp/scaling.hpp"
@@ -500,4 +501,72 @@ TEST(Ipm, TightToleranceOnEqualityQp) {
 }
 
 }  // namespace
+/// min 1/2 x^2 - x  s.t.  x >= 0: optimum x = 1 with a slack sign row.
+QpProblem planted_wrong_sign_problem() {
+  QpProblem problem;
+  problem.p = SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}});
+  problem.q = {-1.0};
+  problem.a = SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}});
+  problem.lower = {0.0};
+  problem.upper = {kInfinity};
+  return problem;
+}
+
+TEST(KktCertificate, PlantedWrongSignDualIsCaught) {
+  // x = 0 with y = +1 on the lower-bounded row zeroes the primal violation
+  // and the stationarity residual (0 - 1 + 1 = 0): the two residuals the
+  // ADMM convergence and polish tests look at read ~0, yet the point is
+  // not optimal. Only the dual-sign test sees it.
+  const QpProblem problem = planted_wrong_sign_problem();
+  const Vector x{1e-15};
+  const Vector y{1.0 + 1e-15};
+  const KktCertificate planted = kkt_certificate(problem, x, y);
+  EXPECT_LE(planted.primal, 1e-14);
+  EXPECT_LE(planted.stationarity, 1e-14);
+  EXPECT_NEAR(planted.dual_sign, 1.0, 1e-12);
+
+  // The true optimum passes all four tests; y = -1 at x = 0 violates
+  // stationarity, and a pushing dual on a slack row breaks complementarity.
+  const KktCertificate optimum = kkt_certificate(problem, Vector{1.0}, Vector{0.0});
+  EXPECT_EQ(optimum.primal, 0.0);
+  EXPECT_EQ(optimum.stationarity, 0.0);
+  EXPECT_EQ(optimum.dual_sign, 0.0);
+  EXPECT_EQ(optimum.complementarity, 0.0);
+  EXPECT_NEAR(kkt_certificate(problem, Vector{2.0}, Vector{-0.5}).complementarity, 1.0, 1e-15);
+
+  // Equality and two-sided rows accept either sign.
+  QpProblem boxed = problem;
+  boxed.upper = {0.0};
+  EXPECT_EQ(kkt_certificate(boxed, Vector{0.0}, Vector{1.0}).dual_sign, 0.0);
+}
+
+TEST(KktCertificate, PolishCountsAcceptedWrongSignPoints) {
+  // Fed an iterate near x = 0 with a negative dual, the polisher treats the
+  // sign row as active, solves x = 0, y = +1 and accepts it: its primal and
+  // stationarity residuals beat the iterate's. The registry counts it.
+  auto& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto& wrong_sign = registry.counter("admm.polish_wrong_sign");
+  const long long before = wrong_sign.value();
+
+  const QpProblem problem = planted_wrong_sign_problem();
+  Vector x{1e-5};
+  Vector y{-1e-3};
+  ActiveSetPolisher polisher;
+  EXPECT_TRUE(polisher.polish(problem, x, y));
+  EXPECT_NEAR(x[0], 0.0, 1e-12);
+  EXPECT_NEAR(y[0], 1.0, 1e-6);
+  EXPECT_EQ(wrong_sign.value(), before + 1);
+
+  // A correct polish does not count.
+  QpProblem right = problem;
+  right.q = {1.0};  // optimum x = 0 with y = -1
+  x = {1e-5};
+  y = {-0.9};
+  EXPECT_TRUE(polisher.polish(right, x, y));
+  EXPECT_EQ(wrong_sign.value(), before + 1);
+  registry.set_enabled(was_enabled);
+}
+
 }  // namespace gp::qp

@@ -309,6 +309,7 @@ TEST(SimulationEngine, TimelineMatchesPerPeriodSummary) {
 
   const auto frames = obs::TimelineWriter::local().frames();
   ASSERT_EQ(frames.size(), summary.periods.size());
+  long long fallback_rows = 0;
   for (std::size_t k = 0; k < frames.size(); ++k) {
     const PeriodMetrics& period = summary.periods[k];
     EXPECT_DOUBLE_EQ(frames[k].period, static_cast<double>(k));
@@ -321,8 +322,19 @@ TEST(SimulationEngine, TimelineMatchesPerPeriodSummary) {
     EXPECT_EQ(frames[k].mean_latency_ms, period.mean_latency_ms);
     EXPECT_EQ(frames[k].unserved_rate, period.unserved_rate);
     EXPECT_EQ(frames[k].solved, period.solved ? 1.0 : 0.0);
-    // The MPC step runs at least one ADMM solve per period.
-    EXPECT_GE(frames[k].solver_iterations, 1.0);
+    // The row's servers and cost are measured against period k+1's demand.
+    if (k + 1 < frames.size()) {
+      EXPECT_EQ(frames[k].demand_served_total, summary.periods[k + 1].total_demand);
+    }
+    // Each period's window is solved by exactly one path: the separable
+    // per-network solve (no ADMM iteration) or the ADMM fallback.
+    if (frames[k].window_fallback == 1.0) {
+      EXPECT_GE(frames[k].solver_iterations, 1.0);
+      ++fallback_rows;
+    } else {
+      EXPECT_EQ(frames[k].window_fallback, 0.0);
+      EXPECT_EQ(frames[k].solver_iterations, 0.0);
+    }
     EXPECT_GT(frames[k].policy_ms, 0.0);
     EXPECT_GT(frames[k].period_ms, 0.0);
   }
@@ -330,6 +342,10 @@ TEST(SimulationEngine, TimelineMatchesPerPeriodSummary) {
   // relative error afterwards (the persistence predictor lags the ramps).
   EXPECT_EQ(frames[0].forecast_rel_err, -1.0);
   EXPECT_GE(frames[1].forecast_rel_err, 0.0);
+  // The controller's path counts agree with the timeline, one solve a period.
+  const dspp::WindowPathStats& paths = controller.window_path_stats();
+  EXPECT_EQ(paths.separable + paths.fallbacks(), static_cast<long long>(frames.size()));
+  EXPECT_EQ(paths.fallbacks(), fallback_rows);
 
   // A second run clears the thread ring: frames never accumulate across
   // runs (the sweep relies on this to snapshot per-run sidecars).

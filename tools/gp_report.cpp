@@ -9,9 +9,16 @@
 // GEOPLACE_TIMELINE=<path> appends).
 //
 // Anomaly detectors, per segment:
-//   - cost spikes: total period cost above kSpikeFactor x the trailing
-//     rolling median (window kSpikeWindow, needs >= kSpikeMinHistory
-//     history) — the "why did period 37 spike" question answered offline;
+//   - cost spikes: total period cost per unit of the demand it served
+//     (demand_served_total) above kSpikeFactor x the median of its
+//     neighbours, kSpikeHalfWindow periods on each side (needs >=
+//     kSpikeMinHistory of them) — the "why did period 37 spike" question
+//     answered offline. Normalising by demand keeps the diurnal ramp, where
+//     cost follows demand, from reading as a spike; the centred window
+//     (a Hampel-style filter, possible because the report reads whole
+//     runs) keeps the day/night price level shift from reading as one.
+//     Periods that served no demand are skipped, and a timeline recorded
+//     before the column existed falls back to raw cost;
 //   - unsolved streaks: maximal runs of solved == 0;
 //   - SLA drops: periods with demand whose analytic SLA compliance falls
 //     below kSlaFloor (at least half the demand misses its latency bound);
@@ -47,6 +54,7 @@ namespace {
 
 constexpr double kSpikeFactor = 2.0;
 constexpr std::size_t kSpikeWindow = 9;
+constexpr std::size_t kSpikeHalfWindow = 4;
 constexpr std::size_t kSpikeMinHistory = 4;
 constexpr double kForecastRegressionFactor = 2.0;
 constexpr double kForecastFloor = 0.02;
@@ -195,13 +203,34 @@ Anomalies detect(const Segment& segment) {
   Anomalies found;
   const std::vector<double> total = total_cost_of(segment);
 
-  // Cost spikes vs the trailing rolling median.
-  for (std::size_t k = kSpikeMinHistory; k < total.size(); ++k) {
-    const std::size_t begin = k > kSpikeWindow ? k - kSpikeWindow : 0;
-    const double median =
-        median_of(std::vector<double>(total.begin() + static_cast<std::ptrdiff_t>(begin),
-                                      total.begin() + static_cast<std::ptrdiff_t>(k)));
-    if (median > 0.0 && total[k] > kSpikeFactor * median) found.cost_spikes.push_back(k);
+  // Cost spikes: cost per served demand vs the median of its neighbours.
+  {
+    const auto* served = segment.column("demand_served_total");
+    std::vector<std::size_t> periods;  // periods with a unit cost
+    std::vector<double> unit_cost;     // aligned with `periods`
+    for (std::size_t k = 0; k < total.size(); ++k) {
+      if (served == nullptr) {
+        periods.push_back(k);
+        unit_cost.push_back(total[k]);
+      } else if (k < served->size() && std::isfinite((*served)[k]) && (*served)[k] > 0.0) {
+        periods.push_back(k);
+        unit_cost.push_back(total[k] / (*served)[k]);
+      }
+    }
+    std::vector<double> neighbours;
+    for (std::size_t i = 0; i < unit_cost.size(); ++i) {
+      neighbours.clear();
+      const std::size_t begin = i > kSpikeHalfWindow ? i - kSpikeHalfWindow : 0;
+      const std::size_t end = std::min(unit_cost.size(), i + kSpikeHalfWindow + 1);
+      for (std::size_t j = begin; j < end; ++j) {
+        if (j != i) neighbours.push_back(unit_cost[j]);
+      }
+      if (neighbours.size() < kSpikeMinHistory) continue;
+      const double median = median_of(neighbours);
+      if (median > 0.0 && unit_cost[i] > kSpikeFactor * median) {
+        found.cost_spikes.push_back(periods[i]);
+      }
+    }
   }
 
   // Empirical latency spikes: periods where the request-level simulator's
@@ -302,7 +331,9 @@ std::string join_indices(const std::vector<std::size_t>& indices, std::size_t li
 void print_anomalies(const Anomalies& found) {
   std::printf("# anomalies: %zu\n", found.count());
   if (!found.cost_spikes.empty()) {
-    std::printf("#   cost spikes (> %.1fx rolling median): periods %s\n", kSpikeFactor,
+    std::printf("#   cost spikes (cost per served demand > %.1fx neighbours' median): "
+                "periods %s\n",
+                kSpikeFactor,
                 join_indices(found.cost_spikes).c_str());
   }
   if (!found.latency_spikes.empty()) {
@@ -436,6 +467,7 @@ int self_test() {
     f.period = static_cast<double>(k);
     f.utc_hour = 0.5 * static_cast<double>(k);
     f.demand_total = 1000.0 + static_cast<double>(k);
+    f.demand_served_total = f.demand_total + 1.0;
     f.cost_resource = k == 20 ? 500.0 : 100.0;
     f.cost_reconfig = 1.25;
     f.solved = (k >= 30 && k <= 32) ? 0.0 : 1.0;
@@ -488,6 +520,29 @@ int self_test() {
   expect(found.sla_drops.size() == 1 && found.sla_drops[0] == 44,
          "the planted SLA drop (and only it) is detected");
   expect(found.forecast_regressed, "the planted forecast regression is detected");
+
+  // A diurnal ramp: demand climbs fivefold over periods 8..12 and cost
+  // follows it, so cost per served demand stays flat and nothing fires (a
+  // raw-cost detector against the trailing median fires at period 10). A
+  // real spike at period 18, triple cost on unchanged demand, must fire.
+  std::vector<gp::obs::TelemetryFrame> ramp(24);
+  for (std::size_t k = 0; k < ramp.size(); ++k) {
+    const double step = static_cast<double>(std::min<std::size_t>(std::max<std::size_t>(k, 8), 12) - 8);
+    ramp[k].period = static_cast<double>(k);
+    ramp[k].demand_served_total = 100.0 * (1.0 + step);
+    ramp[k].demand_total = ramp[k].demand_served_total;
+    ramp[k].cost_resource = 0.01 * ramp[k].demand_served_total * (k == 18 ? 3.0 : 1.0);
+    ramp[k].solved = 1.0;
+    ramp[k].sla_compliance = 1.0;
+  }
+  std::ostringstream ramp_out;
+  gp::obs::write_timeline_jsonl(ramp_out, ramp);
+  std::istringstream ramp_in(ramp_out.str());
+  const ParsedFile ramp_file = parse(ramp_in);
+  const Anomalies ramp_found =
+      ramp_file.segments.empty() ? Anomalies{} : detect(ramp_file.segments[0]);
+  expect(ramp_found.cost_spikes.size() == 1 && ramp_found.cost_spikes[0] == 18,
+         "the diurnal ramp does not fire; the planted spike on it does");
 
   // A clean constant-cost timeline must report no anomalies.
   std::vector<gp::obs::TelemetryFrame> clean(24);
