@@ -4,15 +4,16 @@
 // minimum-degree ordering on window KKT systems (the ADMM KKT and a polish
 // reduced KKT).
 //
-// These justify the solver architecture: a hard-demand MPC window with
-// slack capacity is solved network by network (BM_SeparableWindow, next to
-// ADMM on the same paper_full and scale_smoke windows); every other window
-// takes the sparse ADMM path (near-linear in nonzeros per iteration after
-// one factorization); the dense IPM is the small-problem cross-checker
-// (cubic).
+// These justify the solver architecture: a window with slack capacity is
+// solved network by network (BM_SeparableWindow, next to ADMM on the same
+// paper_full and scale_smoke MPC windows; BM_SoftBestResponse for a soft
+// tenant_day best response); every other window takes the sparse ADMM path
+// (near-linear in nonzeros per iteration after one factorization); the
+// dense IPM is the small-problem cross-checker (cubic).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "dspp/separable_window.hpp"
@@ -21,6 +22,7 @@
 #include "qp/admm_solver.hpp"
 #include "qp/ipm_solver.hpp"
 #include "scenario/registry.hpp"
+#include "workload/demand.hpp"
 
 namespace {
 
@@ -97,48 +99,63 @@ struct PresetWindow {
   dspp::WindowInputs inputs;
 };
 
+/// Window inputs over hours 9 .. 8 + horizon, starting from the cheapest
+/// placement (min p_l a_lv per network) of hour 8's demand: the morning ramp.
+dspp::WindowInputs morning_window(const dspp::PairIndex& pairs,
+                                  const workload::DemandModel& demand_model,
+                                  const workload::ServerPriceModel& prices, std::size_t horizon) {
+  dspp::WindowInputs inputs;
+  inputs.initial_state.assign(pairs.num_pairs(), 0.0);
+  const auto demand = demand_model.mean_rates(8.0);
+  const auto price = prices.server_prices(8.0);
+  for (std::size_t v = 0; v < pairs.num_access_networks(); ++v) {
+    std::size_t best = 0;
+    double best_cost = 0.0;
+    for (const std::size_t pair : pairs.pairs_of_access_network(v)) {
+      const double cost = price[pairs.datacenter_of(pair)] * pairs.coefficient(pair);
+      if (best_cost == 0.0 || cost < best_cost) {
+        best = pair;
+        best_cost = cost;
+      }
+    }
+    inputs.initial_state[best] = demand[v] * pairs.coefficient(best);
+  }
+  for (std::size_t t = 0; t < horizon; ++t) {
+    const double hour = 9.0 + static_cast<double>(t);
+    inputs.demand.push_back(demand_model.mean_rates(hour));
+    inputs.price.push_back(prices.server_prices(hour));
+  }
+  return inputs;
+}
+
 const PresetWindow& preset_window(std::int64_t which) {
   static std::vector<std::unique_ptr<PresetWindow>> windows(2);
   auto& window = windows[static_cast<std::size_t>(which)];
   if (window == nullptr) {
     window = std::make_unique<PresetWindow>(which == 0 ? "paper_full" : "scale_smoke");
     window->pairs = std::make_unique<dspp::PairIndex>(window->bundle.model);
-    const auto& model = window->bundle.model;
-    window->inputs.initial_state.assign(window->pairs->num_pairs(), 0.0);
-    const auto demand = window->bundle.demand.mean_rates(8.0);
-    const auto price = window->bundle.prices.server_prices(8.0);
-    for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
-      std::size_t best = 0;
-      double best_cost = 0.0;
-      for (const std::size_t pair : window->pairs->pairs_of_access_network(v)) {
-        const double cost =
-            price[window->pairs->datacenter_of(pair)] * window->pairs->coefficient(pair);
-        if (best_cost == 0.0 || cost < best_cost) {
-          best = pair;
-          best_cost = cost;
-        }
-      }
-      window->inputs.initial_state[best] = demand[v] * window->pairs->coefficient(best);
-    }
-    for (std::size_t t = 0; t < 5; ++t) {
-      const double hour = 9.0 + static_cast<double>(t);
-      window->inputs.demand.push_back(window->bundle.demand.mean_rates(hour));
-      window->inputs.price.push_back(window->bundle.prices.server_prices(hour));
-    }
+    window->inputs =
+        morning_window(*window->pairs, window->bundle.demand, window->bundle.prices, 5);
   }
   return *window;
 }
 
 // Args: (preset, warm) with preset 0 = paper_full, 1 = scale_smoke; warm 1
 // starts every solve from the previous one's active set, as the MPC loop
-// does.
+// does. The solves alternate between two copies of the window one ulp of
+// price apart: an MPC step's inputs always move, so a warm solve never
+// keeps the last relaxation here.
 void BM_SeparableWindow(benchmark::State& state) {
   const PresetWindow& window = preset_window(state.range(0));
   const bool warm = state.range(1) == 1;
   dspp::SeparableWindow solver(window.bundle.model, *window.pairs);
+  std::array<dspp::WindowInputs, 2> inputs{window.inputs, window.inputs};
+  inputs[1].price[0][0] = std::nextafter(inputs[1].price[0][0], 1.0);
+  std::size_t next = 0;
   int steps = 0;
   for (auto _ : state) {
-    const auto outcome = solver.solve(window.inputs, warm, 1);
+    const auto outcome = solver.solve(inputs[next], warm, 1);
+    next ^= 1;
     if (outcome != dspp::SeparableOutcome::kCertified) state.SkipWithError("not certified");
     steps = solver.last_active_set_steps();
     benchmark::DoNotOptimize(steps);
@@ -166,6 +183,56 @@ void BM_AdmmPresetWindow(benchmark::State& state) {
   state.counters["vars"] = static_cast<double>(program.problem().num_variables());
 }
 BENCHMARK(BM_AdmmPresetWindow)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// A best response of perfbench's tenant_day: its tenant 0 (paper_full with
+/// a 32 ms SLA, reconfiguration weight 0.002, 2e-5 requests/s per
+/// inhabitant) on a W = 3 soft window (penalty 5, the game's default) under
+/// the equal quota split 110 / 4 per DC, which the morning ramp leaves slack.
+struct SoftBestResponse {
+  SoftBestResponse() : bundle(scenario::build(scenario::preset("paper_full"))) {
+    bundle.model.sla.max_latency_ms = 32.0;
+    bundle.model.reconfig_cost.assign(bundle.model.num_datacenters(), 0.002);
+    pairs = std::make_unique<dspp::PairIndex>(bundle.model);
+    const auto demand = workload::DemandModel::from_cities(bundle.cities, 2.0e-5,
+                                                           workload::DiurnalProfile());
+    inputs = morning_window(*pairs, demand, bundle.prices, 3);
+    inputs.capacity_override = linalg::Vector(bundle.model.num_datacenters(), 110.0 / 4.0);
+    inputs.soft_demand_penalty = 5.0;
+  }
+  scenario::ScenarioBundle bundle;
+  std::unique_ptr<dspp::PairIndex> pairs;
+  dspp::WindowInputs inputs;
+};
+
+// Args: path 0 = separable, a new window (cold active sets); 1 = separable,
+// a later Jacobi round of the same window (only the quota moved: the kept
+// relaxation and a quota re-check); 2 = ADMM as the game configures it
+// (polished, structure-cached), started from zero.
+void BM_SoftBestResponse(benchmark::State& state) {
+  static const SoftBestResponse window;
+  const std::int64_t path = state.range(0);
+  if (path < 2) {
+    dspp::SeparableWindow solver(window.bundle.model, *window.pairs);
+    for (auto _ : state) {
+      const auto outcome = solver.solve(window.inputs, path == 1, 1);
+      if (outcome != dspp::SeparableOutcome::kCertified) state.SkipWithError("not certified");
+      benchmark::DoNotOptimize(solver.last_active_set_steps());
+    }
+    state.counters["networks"] = static_cast<double>(solver.num_networks());
+    return;
+  }
+  const dspp::WindowProgram program(window.bundle.model, *window.pairs, window.inputs);
+  qp::AdmmSettings settings;
+  settings.polish = true;
+  qp::AdmmSolver solver(settings);
+  for (auto _ : state) {
+    auto solution = program.solve(solver);
+    benchmark::DoNotOptimize(solution.objective);
+    if (!solution.ok()) state.SkipWithError("ADMM failed");
+  }
+  state.counters["vars"] = static_cast<double>(program.problem().num_variables());
+}
+BENCHMARK(BM_SoftBestResponse)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 /// The upper triangle of a window program's KKT matrix (4 DCs x num_cities,
 /// horizon 8). ADMM shape: [[P + sigma I, A^T], [A, -diag(1/rho)]] over every

@@ -215,22 +215,24 @@ WindowSolution BlockWindowSolver::solve_exact(WindowInputs inputs) {
   long long* reason = nullptr;
   const char* reason_name = nullptr;
   bool warm_from_separable = false;
-  if (inputs.soft_demand_penalty > 0.0) {
-    reason = &path_stats_.fallback_soft_demand;
-    reason_name = "window.fallback.soft_demand";
-  } else if (!separable_) {
+  if (!separable_) {
     reason = &path_stats_.fallback_zero_reconfig;
     reason_name = "window.fallback.zero_reconfig";
   } else {
     const SeparableOutcome outcome =
         separable_->solve(inputs, settings_.reuse_solver_state, settings_.max_lanes);
-    path_stats_.safeguard_runs += separable_->last_safeguard_runs();
-    if (metrics_on) {
-      auto& registry = obs::Registry::global();
-      registry.counter("window.safeguard_runs").add(separable_->last_safeguard_runs());
-      auto& steps = registry.histogram("window.active_set_steps");
-      for (std::size_t v = 0; v < separable_->num_networks(); ++v) {
-        steps.record(separable_->last_steps(v));
+    if (separable_->last_reused()) {
+      ++path_stats_.relaxation_reused;
+      if (metrics_on) obs::Registry::global().counter("window.relaxation_reused").add(1);
+    } else {
+      path_stats_.safeguard_runs += separable_->last_safeguard_runs();
+      if (metrics_on) {
+        auto& registry = obs::Registry::global();
+        registry.counter("window.safeguard_runs").add(separable_->last_safeguard_runs());
+        auto& steps = registry.histogram("window.active_set_steps");
+        for (std::size_t v = 0; v < separable_->num_networks(); ++v) {
+          steps.record(separable_->last_steps(v));
+        }
       }
     }
     if (outcome == SeparableOutcome::kCertified) {
@@ -238,10 +240,17 @@ WindowSolution BlockWindowSolver::solve_exact(WindowInputs inputs) {
       if (metrics_on) obs::Registry::global().counter("window.separable_solves").add(1);
       return separable_->solution(inputs);
     }
-    warm_from_separable = true;
+    // A hard window's ADMM starts from the separable point. A soft one (a
+    // best response) starts from its own last iterate: measured on
+    // tenant_day, that needs fewer iterations than the separable point,
+    // which ignores the binding quota.
+    warm_from_separable = inputs.soft_demand_penalty == 0.0;
     if (outcome == SeparableOutcome::kCapacityViolated) {
       reason = &path_stats_.fallback_capacity;
       reason_name = "window.fallback.capacity";
+    } else if (outcome == SeparableOutcome::kSlackNeeded) {
+      reason = &path_stats_.fallback_slack;
+      reason_name = "window.fallback.slack";
     } else {
       reason = &path_stats_.fallback_uncertified;
       reason_name = "window.fallback.uncertified";
@@ -266,7 +275,7 @@ WindowSolution BlockWindowSolver::solve_exact(WindowInputs inputs) {
     exact_solver_.warm_start(std::move(z), std::move(y));
   }
   WindowSolution solution = program_->solve(exact_solver_);
-  if (warm_from_separable) solution.active_set_steps = separable_->last_active_set_steps();
+  if (separable_) solution.active_set_steps = separable_->last_active_set_steps();
   return solution;
 }
 

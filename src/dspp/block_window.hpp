@@ -19,18 +19,20 @@
 // factorization outright.
 //
 // num_blocks = 1 is the exact path, and the one every repeated window solve
-// in the library takes (MpcController, the game's best responses). A
-// hard-demand window whose pairs all have c_l > 0 is first solved network by
-// network (dspp::SeparableWindow, DESIGN.md §12) and accepted under a KKT
-// certificate with every capacity row slack. Every other window — soft
-// demand (each best response), a c = 0 pair, a binding capacity row or an
+// in the library takes (MpcController, the game's best responses). A window
+// whose pairs all have c_l > 0 is first solved network by network
+// (dspp::SeparableWindow, DESIGN.md §12) and accepted under a KKT
+// certificate with every capacity row slack and, under soft demand, every
+// demand dual within the penalty. Every other window — a c = 0 pair, a
+// binding capacity row, a soft window that leaves demand unserved or an
 // uncertified network — goes to a persistent WindowProgram,
 // parameter-updated in place and solved by one AdmmSolver configured by
-// `solver` as given; after a failed separable attempt that solver is
-// warm-started from the separable point. Block and network solves run on
-// the deterministic thread pool with results written to per-block or
-// per-network slots, so solutions are bit-identical at any
-// GEOPLACE_THREADS / max_lanes setting.
+// `solver` as given. After a failed separable attempt on a hard window that
+// solver is warm-started from the separable point; a soft window (a best
+// response) starts from the solver's own last iterate, as `solver` asks.
+// Block and network solves run on the deterministic thread pool with
+// results written to per-block or per-network slots, so solutions are
+// bit-identical at any GEOPLACE_THREADS / max_lanes setting.
 #pragma once
 
 #include <memory>
@@ -60,7 +62,8 @@ struct BlockWindowSettings {
   /// Keep the window program (exact path) or the block programs and
   /// consensus state (block path) across solve() calls, updating their
   /// parameters in place. On the exact path this also starts each network's
-  /// separable solve from its previous active set shifted by one period;
+  /// separable solve from its previous active set shifted by one period
+  /// (or keeps the last relaxation when only the quota moved);
   /// ADMM warm starts and structure caching come from `solver`; block
   /// solvers always use both.
   bool reuse_solver_state = true;
@@ -74,13 +77,13 @@ struct WindowPathStats {
   long long separable = 0;               ///< certified per-network solves
   long long fallback_capacity = 0;       ///< separable point broke a capacity row
   long long fallback_zero_reconfig = 0;  ///< some pair has c_l = 0
-  long long fallback_soft_demand = 0;    ///< soft demand (the game's best responses)
+  long long fallback_slack = 0;          ///< soft window with a demand dual above the penalty
   long long fallback_uncertified = 0;    ///< some network failed its certificate
   long long safeguard_runs = 0;          ///< networks the PDAS safeguard solved
+  long long relaxation_reused = 0;       ///< separable attempts that kept the last relaxation
 
   long long fallbacks() const {
-    return fallback_capacity + fallback_zero_reconfig + fallback_soft_demand +
-           fallback_uncertified;
+    return fallback_capacity + fallback_zero_reconfig + fallback_slack + fallback_uncertified;
   }
 };
 
@@ -93,7 +96,8 @@ class BlockWindowSolver {
                     BlockWindowSettings settings);
 
   /// Solves the window program for these inputs. In reuse mode, programs
-  /// are parameter-updated in place; solvers warm-start from the previous
+  /// are parameter-updated in place, the separable path keeps its active
+  /// sets and last relaxation, and solvers warm-start from the previous
   /// call when their settings ask for it (always, for block solvers). Soft
   /// demand (soft_demand_penalty > 0) requires num_blocks == 1 (consensus
   /// mode already relaxes demand).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 
 #include "common/error.hpp"
@@ -29,6 +30,11 @@ constexpr double kPivotFloor = 1e-13;
 /// A unit costs ~0.2 us and waking a lane tens of us, so paper_full (370
 /// units) stays on the calling thread and scale_smoke (3,600) takes 3 lanes.
 constexpr std::size_t kWorkPerLane = 1024;
+
+/// Bitwise equality of two equally long runs of doubles (-0.0 != 0.0).
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
 
 }  // namespace
 
@@ -496,6 +502,41 @@ bool SeparableWindow::certified(const Network& net) const {
          cert.complementarity <= kCertificateTolerance * primal_scale * dual_scale;
 }
 
+bool SeparableWindow::within_penalty(const Network& net, double penalty) const {
+  double primal_scale = 0.0, dual_scale = 0.0;
+  scales(net, primal_scale, dual_scale);
+  const double limit = penalty + kCertificateTolerance * dual_scale;
+  return std::all_of(net.lambda.begin(), net.lambda.end(),
+                     [limit](double lambda) { return lambda <= limit; });
+}
+
+bool SeparableWindow::same_relaxation(const WindowInputs& inputs) const {
+  if (!same_bits(inputs.initial_state.data(), kept_state_.data(), kept_state_.size())) {
+    return false;
+  }
+  const std::size_t num_v = pairs_->num_access_networks();
+  const std::size_t num_l = pairs_->num_datacenters();
+  for (std::size_t t = 0; t < horizon_; ++t) {
+    if (!same_bits(inputs.demand[t].data(), &kept_demand_[t * num_v], num_v) ||
+        !same_bits(inputs.price[t].data(), &kept_price_[t * num_l], num_l)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SeparableWindow::keep_relaxation(const WindowInputs& inputs) {
+  const std::size_t num_v = pairs_->num_access_networks();
+  const std::size_t num_l = pairs_->num_datacenters();
+  kept_state_.assign(inputs.initial_state.begin(), inputs.initial_state.end());
+  kept_demand_.resize(horizon_ * num_v);
+  kept_price_.resize(horizon_ * num_l);
+  for (std::size_t t = 0; t < horizon_; ++t) {
+    std::copy(inputs.demand[t].begin(), inputs.demand[t].end(), &kept_demand_[t * num_v]);
+    std::copy(inputs.price[t].begin(), inputs.price[t].end(), &kept_price_[t * num_l]);
+  }
+}
+
 void SeparableWindow::solve_network(Network& net, bool warm) const {
   net.steps = 0;
   net.safeguarded = false;
@@ -512,29 +553,10 @@ void SeparableWindow::solve_network(Network& net, bool warm) const {
   net.has_active_set = true;
 }
 
-SeparableOutcome SeparableWindow::solve(const WindowInputs& inputs, bool warm,
-                                        std::size_t max_lanes) {
-  obs::Span span("window.separable");
-  const std::size_t w = inputs.demand.size();
+bool SeparableWindow::solve_relaxation(const WindowInputs& inputs, bool warm,
+                                       std::size_t max_lanes) {
+  const std::size_t w = horizon_;
   const std::size_t num_v = pairs_->num_access_networks();
-  require(w >= 1, "SeparableWindow: empty demand forecast");
-  require(inputs.soft_demand_penalty == 0.0, "SeparableWindow: soft demand is not separable");
-  require(inputs.price.size() == w, "SeparableWindow: price horizon != demand horizon");
-  require(inputs.initial_state.size() == pairs_->num_pairs(),
-          "SeparableWindow: initial state size != pair count");
-  for (const auto& d : inputs.demand) {
-    require(d.size() == num_v, "SeparableWindow: demand vector size != V");
-    for (const double value : d) require(value >= 0.0, "SeparableWindow: negative demand");
-  }
-  for (const auto& p : inputs.price) {
-    require(p.size() == pairs_->num_datacenters(), "SeparableWindow: price vector size != L");
-  }
-
-  if (w != horizon_) {
-    horizon_ = w;
-    for (Network& net : networks_) size_network(net);
-    dealt_lanes_ = 0;
-  }
   const std::size_t pool_lanes = max_lanes > 0 ? max_lanes : ThreadPool::global().max_lanes();
   const std::size_t work_lanes = (pairs_->num_pairs() * w + kWorkPerLane - 1) / kWorkPerLane;
   const std::size_t lanes = std::max<std::size_t>(1, std::min({pool_lanes, num_v, work_lanes}));
@@ -573,8 +595,50 @@ SeparableOutcome SeparableWindow::solve(const WindowInputs& inputs, bool warm,
     last_safeguard_runs_ += net.safeguarded ? 1 : 0;
     all_certified &= net.certified;
   }
-  if (!all_certified) return SeparableOutcome::kUncertified;
+  return all_certified;
+}
 
+SeparableOutcome SeparableWindow::solve(const WindowInputs& inputs, bool warm,
+                                        std::size_t max_lanes) {
+  obs::Span span("window.separable");
+  const std::size_t w = inputs.demand.size();
+  const std::size_t num_v = pairs_->num_access_networks();
+  require(w >= 1, "SeparableWindow: empty demand forecast");
+  require(inputs.soft_demand_penalty >= 0.0, "SeparableWindow: negative demand penalty");
+  require(inputs.price.size() == w, "SeparableWindow: price horizon != demand horizon");
+  require(inputs.initial_state.size() == pairs_->num_pairs(),
+          "SeparableWindow: initial state size != pair count");
+  for (const auto& d : inputs.demand) {
+    require(d.size() == num_v, "SeparableWindow: demand vector size != V");
+    for (const double value : d) require(value >= 0.0, "SeparableWindow: negative demand");
+  }
+  for (const auto& p : inputs.price) {
+    require(p.size() == pairs_->num_datacenters(), "SeparableWindow: price vector size != L");
+  }
+
+  if (w != horizon_) {
+    horizon_ = w;
+    for (Network& net : networks_) size_network(net);
+    dealt_lanes_ = 0;
+    relaxation_kept_ = false;
+  }
+  // The relaxation reads neither the quota nor the penalty: with the same
+  // state, demand and price, the kept one is the last solve's answer.
+  last_reused_ = warm && relaxation_kept_ && same_relaxation(inputs);
+  if (last_reused_) {
+    last_steps_ = 0;
+    last_safeguard_runs_ = 0;
+  } else {
+    relaxation_kept_ = solve_relaxation(inputs, warm, max_lanes);
+    if (!relaxation_kept_) return SeparableOutcome::kUncertified;
+    keep_relaxation(inputs);
+  }
+
+  if (inputs.soft_demand_penalty > 0.0) {
+    for (const Network& net : networks_) {
+      if (!within_penalty(net, inputs.soft_demand_penalty)) return SeparableOutcome::kSlackNeeded;
+    }
+  }
   const std::span<const double> capacity =
       inputs.capacity_override.has_value() ? std::span<const double>(*inputs.capacity_override)
                                            : std::span<const double>(model_->capacity);
@@ -600,6 +664,9 @@ WindowSolution SeparableWindow::solution(const WindowInputs& inputs) const {
   solution.x.assign(w, Vector(num_pairs, 0.0));
   solution.u.assign(w, Vector(num_pairs, 0.0));
   solution.capacity_duals.assign(w, Vector(pairs_->num_datacenters(), 0.0));
+  if (inputs.soft_demand_penalty > 0.0) {
+    solution.unserved.assign(w, Vector(pairs_->num_access_networks(), 0.0));
+  }
   for (std::size_t pair = 0; pair < num_pairs; ++pair) {
     const Network& net = networks_[pairs_->access_network_of(pair)];
     const std::size_t base = local_of_pair_[pair] * w;

@@ -1,4 +1,4 @@
-// Exact per-network solve of a hard-demand window program (DESIGN.md §12).
+// Exact per-network solve of a window program (DESIGN.md §12).
 //
 // In the window QP (window_program.hpp) every state, demand and sign row
 // touches the pairs of ONE access network; only the capacity rows couple
@@ -33,6 +33,21 @@
 // feasible for the full window, hence optimal, and every capacity dual is
 // exactly 0. Otherwise the caller solves the full window by ADMM.
 //
+// Soft demand (Algorithm 2's best responses) adds an unserved slack
+// xi_t >= 0 to each demand row, Sum_j x_tj / a_j + xi_t >= D_t, at pi per
+// unit. The relaxation above is solved unchanged (it reads neither pi nor
+// the capacity rows). If its demand duals satisfy lambda_t <= pi, then
+// (x*, xi = 0) with slack-sign dual pi - lambda_t >= 0 meets the soft
+// window's KKT conditions, so a soft window is accepted under one more
+// test: every lambda_t <= pi + kCertificateTolerance * (dual scale).
+//
+// Between Jacobi rounds of Algorithm 2 only the quota moves, and the
+// relaxation does not read it. A warm solve whose initial state, demand and
+// price are bitwise those of the last certified solve therefore keeps that
+// relaxation and re-runs only the two tests: the lambda <= pi test and the
+// capacity rows. So a round that starts contended can certify once its
+// quota has grown, with the point the solve returned for these inputs.
+//
 // Networks are dealt to pool lanes by LPT on n_v W and each writes only its
 // own slot, so the result is bit-identical at any lane count.
 #pragma once
@@ -49,10 +64,11 @@ namespace gp::dspp {
 enum class SeparableOutcome {
   kCertified,         ///< every network certified, every capacity row slack
   kCapacityViolated,  ///< networks certified, but their sum breaks a capacity row
+  kSlackNeeded,       ///< soft window: some demand dual exceeds the penalty
   kUncertified,       ///< some network failed the KKT certificate
 };
 
-/// Per-network exact solver of a hard-demand window (see file comment).
+/// Per-network exact solver of a window (see file comment).
 /// Thread-compatible: one instance per window solver. Keeps each network's
 /// workspace and last active set across solve() calls; after the first solve
 /// at a horizon and lane count, a solve allocates nothing.
@@ -73,23 +89,29 @@ class SeparableWindow {
   /// The model and pair index must outlive the solver; requires applies_to.
   SeparableWindow(const DsppModel& model, const PairIndex& pairs);
 
-  /// Solves every network's relaxation of the hard-demand window `inputs`.
-  /// `warm` starts each network from its previous active set shifted by one
-  /// period; `max_lanes` caps the pool lanes (0 = all).
+  /// Solves every network's relaxation of the window `inputs` and tests it
+  /// against the window (see SeparableOutcome). `warm` starts each network
+  /// from its previous active set shifted by one period, or keeps the last
+  /// relaxation when the initial state, demand and price are bitwise
+  /// unchanged; `max_lanes` caps the pool lanes (0 = all).
   SeparableOutcome solve(const WindowInputs& inputs, bool warm, std::size_t max_lanes);
 
   /// The last solve's point as a window solution: x, u = x_t - x_{t-1},
-  /// zero capacity duals, the objective including c u_0^2, status kOptimal.
-  /// Meaningful after a kCertified solve.
+  /// zero capacity duals, zero unserved demand [t][v] when the window is
+  /// soft, the objective including c u_0^2, status kOptimal. Meaningful
+  /// after a kCertified solve.
   WindowSolution solution(const WindowInputs& inputs) const;
 
   /// The last solve's point in `program`'s variable and row layout (duals in
   /// the QP's sign convention, capacity duals 0): the warm start of the ADMM
-  /// fallback.
+  /// fallback of a hard window.
   void warm_start_point(const WindowProgram& program, linalg::Vector& z,
                         linalg::Vector& y) const;
 
-  /// PDAS plus safeguard iterations of the last solve, summed over networks.
+  /// Whether the last solve kept the previous relaxation (no network solved).
+  bool last_reused() const { return last_reused_; }
+  /// PDAS plus safeguard iterations of the last solve, summed over networks
+  /// (0 when it kept the previous relaxation).
   int last_active_set_steps() const { return last_steps_; }
   /// Networks the safeguard solved in the last solve.
   int last_safeguard_runs() const { return last_safeguard_runs_; }
@@ -155,6 +177,15 @@ class SeparableWindow {
   /// (primal) and 1 + the largest gradient term (dual).
   void scales(const Network& net, double& primal, double& dual) const;
   bool certified(const Network& net) const;
+  /// Solves every network on pool lanes; true when all certified.
+  bool solve_relaxation(const WindowInputs& inputs, bool warm, std::size_t max_lanes);
+  /// The network's demand duals within pi (soft windows; see file comment).
+  bool within_penalty(const Network& net, double penalty) const;
+  /// Whether `inputs` has the initial state, demand and price of the kept
+  /// relaxation, bit for bit.
+  bool same_relaxation(const WindowInputs& inputs) const;
+  /// Keeps the initial state, demand and price the relaxation was solved for.
+  void keep_relaxation(const WindowInputs& inputs);
 
   const DsppModel* model_ = nullptr;
   const PairIndex* pairs_ = nullptr;
@@ -165,6 +196,11 @@ class SeparableWindow {
   std::vector<std::vector<std::size_t>> lane_networks_;
   int last_steps_ = 0;
   int last_safeguard_runs_ = 0;
+  bool last_reused_ = false;
+  // The relaxation's inputs (demand [t][v] and price [t][l] flattened), set
+  // when every network certified; relaxation_kept_ says they are valid.
+  linalg::Vector kept_state_, kept_demand_, kept_price_;
+  bool relaxation_kept_ = false;
 };
 
 }  // namespace gp::dspp

@@ -96,11 +96,14 @@ dspp::WindowSolution CompetitionGame::best_response(std::size_t i, const Vector&
   inputs.price = provider.price;
   inputs.capacity_override = quota;
   inputs.soft_demand_penalty = settings_.soft_demand_penalty;
-  // Across game iterations only the quota changes (across set_window() calls
-  // only the window inputs), so after the first build each call is a
-  // parameter update: the structure cache removes the setup cost (scaling,
-  // ordering, factorization), and the default warm start begins ADMM at
-  // this provider's previous solution instead of at zero.
+  // Most best responses leave every quota slack: the responder then solves
+  // the window network by network and reports zero capacity duals. Across
+  // game iterations only the quota changes, so later rounds keep that
+  // relaxation and only re-check the quota rows. A binding quota goes to
+  // ADMM, where each call after the first build is a parameter update: the
+  // structure cache removes the setup cost (scaling, ordering,
+  // factorization), and the default warm start begins at this provider's
+  // previous ADMM solution instead of at zero.
   dspp::WindowSolution solution = responders_[i].solve(std::move(inputs));
   if (obs::metrics_enabled()) {
     obs::Registry::global().histogram("game.best_response_ms").record(span.elapsed_ms());

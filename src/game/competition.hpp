@@ -127,8 +127,9 @@ class CompetitionGame {
   /// Best response of provider i under its quota; returns the solution.
   /// Thread-safe across DISTINCT i: each provider has its own window
   /// solver, so Jacobi rounds run concurrently and each keeps its own
-  /// program, cached KKT structure, polish factorization and (by default)
-  /// warm-start iterate across game iterations and set_window() calls.
+  /// separable relaxation and active sets, program, cached KKT structure,
+  /// polish factorization and (by default) warm-start iterate across game
+  /// iterations and set_window() calls.
   dspp::WindowSolution best_response(std::size_t i, const linalg::Vector& quota);
 
   /// Shape checks on provider i's window inputs, shared by the constructor

@@ -85,13 +85,16 @@ MultiTenantSummary MultiTenantSimulation::run() {
 
     // --- Negotiate (Algorithm 2) and apply the first step. ---
     if (!game) {
-      // The first negotiation builds every tenant's solver state (scaling,
-      // orderings, factorizations), which then lives for the whole run. It
-      // runs on this thread alone so that state sits in one allocator arena
-      // instead of being spread over the pool lanes' arenas, where the
-      // later rounds' short-lived allocations fragment around it (perfbench
-      // tenant_day on a 4-vCPU VM: peak RSS 9.3 MB built on two lanes,
-      // 8.2-8.4 MB here).
+      // The first negotiation builds every tenant's solver state, which
+      // then lives for the whole run. It runs on this thread alone so that
+      // state sits in one allocator arena instead of being spread over the
+      // pool lanes' arenas, where the later rounds' short-lived allocations
+      // fragment around it (perfbench tenant_day on a 4-vCPU VM: peak RSS
+      // 9.3 MB built on two lanes, 8.2-8.4 MB here). A tenant whose quotas
+      // never bind in period 0 builds only its separable workspaces here;
+      // its ADMM state (program, scaling, factorizations) is built on a pool
+      // lane in the first round where a quota binds, which costs ~0.6 MB of
+      // peak RSS on tenant_day (none with MALLOC_ARENA_MAX=1 or one lane).
       // Results are bit-identical at any lane count.
       game::GameSettings first_period = config_.game;
       first_period.num_threads = 1;

@@ -117,19 +117,39 @@ TEST(MultiTenant, WarmStartedQuotasSettle) {
   EXPECT_LE(tail_sum, 3 * (floor_iterations + 2));
 }
 
-/// Three tenants with noisy demand sharing capacity that binds: some demand
-/// goes unserved, so every period negotiates contested quotas.
-MultiTenantSimulation contended_simulation(MultiTenantConfig config) {
+/// Three tenants with noisy demand sharing two DCs of `capacity` each. At 40
+/// per DC no quota binds and every best response is solved network by
+/// network; at 20 the quotas bind in some rounds, whose best responses reach
+/// ADMM. `admm_only` zeroes DC 1's reconfiguration cost, which sends every
+/// best response to ADMM (a c = 0 pair has no separable solve).
+MultiTenantSimulation contended_simulation(MultiTenantConfig config, double capacity,
+                                           bool admm_only = false) {
   std::vector<TenantConfig> tenants;
   tenants.push_back(make_tenant(500.0, 1.0, -5));
   tenants.push_back(make_tenant(400.0, 2.0, -6));
   tenants.push_back(make_tenant(300.0, 1.0, -8));
+  if (admm_only) {
+    for (TenantConfig& tenant : tenants) tenant.model.reconfig_cost[1] = 0.0;
+  }
   config.utc_start_hour = 8.0;
   config.noisy_demand = true;
   config.seed = 7;
   config.game.epsilon = 0.01;
-  return MultiTenantSimulation(std::move(tenants), shared_prices(), Vector{40.0, 40.0},
+  return MultiTenantSimulation(std::move(tenants), shared_prices(), Vector{capacity, capacity},
                                std::move(config));
+}
+
+/// The window.fallback.capacity count over `body`.
+template <typename Body>
+long long capacity_fallbacks(Body&& body) {
+  auto& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto& counter = registry.counter("window.fallback.capacity");
+  const long long before = counter.value();
+  body();
+  registry.set_enabled(was_enabled);
+  return counter.value() - before;
 }
 
 TEST(MultiTenant, BitIdenticalAcrossLanes) {
@@ -140,10 +160,12 @@ TEST(MultiTenant, BitIdenticalAcrossLanes) {
   one_lane.game.num_threads = 1;
   MultiTenantConfig four_lanes = default_config(10);
   four_lanes.game.num_threads = 4;
-  const auto a = contended_simulation(one_lane).run();
-  const auto b = contended_simulation(four_lanes).run();
+  MultiTenantSummary a;
+  const long long binding =
+      capacity_fallbacks([&] { a = contended_simulation(one_lane, 20.0).run(); });
+  const auto b = contended_simulation(four_lanes, 20.0).run();
 
-  EXPECT_GT(a.total_unserved, 0.0);  // capacity binds
+  EXPECT_GT(binding, 0);  // a quota binds, so ADMM solver state crosses periods too
   EXPECT_EQ(a.game_iterations, b.game_iterations);
   EXPECT_EQ(a.game_converged, b.game_converged);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
@@ -160,16 +182,17 @@ TEST(MultiTenant, BitIdenticalAcrossLanes) {
 }
 
 TEST(MultiTenant, WarmStartedBestResponsesCutIterations) {
-  // Best responses warm-start by default: each starts from its tenant's
-  // previous solution (previous round, or previous period). Turning that
-  // off restarts every solve from zero.
+  // ADMM best responses warm-start by default: each starts from its
+  // tenant's previous solution (previous round, or previous period).
+  // Turning that off restarts every solve from zero. A c = 0 DC keeps every
+  // best response on ADMM.
   auto& registry = obs::Registry::global();
   const bool metrics_were_enabled = registry.enabled();
   registry.set_enabled(true);
   auto& iterations = registry.counter("admm.iterations");
   const auto admm_iterations = [&](MultiTenantConfig config) {
     const long long before = iterations.value();
-    (void)contended_simulation(std::move(config)).run();
+    (void)contended_simulation(std::move(config), 40.0, /*admm_only=*/true).run();
     return iterations.value() - before;
   };
   MultiTenantConfig cold = default_config(10);

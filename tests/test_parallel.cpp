@@ -800,5 +800,62 @@ TEST(SeparableWindowLanes, BitIdenticalAcrossLaneCounts) {
   }
 }
 
+TEST(SeparableWindowLanes, SoftRoundsBitIdenticalAcrossLaneCounts) {
+  // Algorithm 2's rounds on scale_smoke's shape: per period, soft windows
+  // under a quota that binds, then grows (the kept relaxation certifies),
+  // dealt over 1..4 lanes: outcomes and solutions land bit-identically.
+  topology::ContinentalSpec spec;
+  spec.num_datacenters = 20;
+  spec.num_access_networks = 120;
+  spec.seed = 78;
+  const topology::ContinentalTopology topo = topology::generate_continental(spec);
+  dspp::DsppModel model;
+  model.network = topology::NetworkModel::from_geography(topo.sites, topo.cities);
+  model.sla.max_latency_ms = 45.0;
+  model.reconfig_cost.assign(20, 0.01);
+  model.capacity.assign(20, 1e12);
+  model.candidates_per_an = 6;
+  const dspp::PairIndex pairs(model);
+
+  std::vector<std::vector<Vector>> runs;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    dspp::SeparableWindow separable(model, pairs);
+    Rng rng(6);
+    Vector state(pairs.num_pairs(), 1.0);
+    std::vector<Vector> trajectory;
+    for (int period = 0; period < 3; ++period) {
+      dspp::WindowInputs inputs;
+      inputs.initial_state = state;
+      inputs.soft_demand_penalty = 5.0;
+      for (std::size_t t = 0; t < 5; ++t) {
+        Vector demand(model.num_access_networks());
+        for (double& d : demand) d = rng.uniform(0.0, 80.0);
+        inputs.demand.push_back(std::move(demand));
+        Vector price(model.num_datacenters());
+        for (double& p : price) p = rng.uniform(0.05, 0.3);
+        inputs.price.push_back(std::move(price));
+      }
+      for (const double quota : {1.0, 1e12}) {
+        inputs.capacity_override = Vector(model.num_datacenters(), quota);
+        const dspp::SeparableOutcome outcome = separable.solve(inputs, /*warm=*/true, lanes);
+        ASSERT_EQ(outcome, quota > 1.0 ? dspp::SeparableOutcome::kCertified
+                                       : dspp::SeparableOutcome::kCapacityViolated);
+        EXPECT_EQ(separable.last_reused(), quota > 1.0);
+      }
+      const dspp::WindowSolution solution = separable.solution(inputs);
+      trajectory.insert(trajectory.end(), solution.x.begin(), solution.x.end());
+      trajectory.push_back(Vector{solution.objective});
+      state = solution.x.front();
+    }
+    runs.push_back(std::move(trajectory));
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[r][i], runs[0][i]) << "lanes=" << r + 1 << " row=" << i;  // bitwise
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gp

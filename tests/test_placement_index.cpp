@@ -249,15 +249,16 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
   auto model = continental_model(12, 30, 41);
   model.candidates_per_an = 4;
   const dspp::PairIndex pairs(model);
+  // The exact sequence MpcController historically ran. A pair with c = 0
+  // keeps every window on the ADMM path (a window with slack capacity is
+  // otherwise solved network by network), which this test pins bitwise.
+  model.reconfig_cost[pairs.datacenter_of(0)] = 0.0;
 
   dspp::BlockWindowSettings settings;
   settings.num_blocks = 1;
   settings.solver.auto_warm_start = true;
   dspp::BlockWindowSolver block_solver(model, pairs, settings);
 
-  // The exact sequence MpcController historically ran. Soft demand keeps
-  // every window on the ADMM path (a hard-demand window with slack capacity
-  // is solved network by network instead), which this test pins bitwise.
   qp::AdmmSettings solver_settings;
   solver_settings.auto_warm_start = true;
   solver_settings.cache_structure = true;
@@ -283,7 +284,7 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
     EXPECT_EQ(block_solver.last_consensus_iterations(), 0) << "exact path";
     EXPECT_GT(block.solver_iterations, 0);
   }
-  EXPECT_EQ(block_solver.path_stats().fallback_soft_demand, 3);
+  EXPECT_EQ(block_solver.path_stats().fallback_zero_reconfig, 3);
   EXPECT_EQ(block_solver.path_stats().separable, 0);
 }
 

@@ -1,8 +1,9 @@
 // Differential tests of the separable window solver (dspp::SeparableWindow)
 // against the dense IPM and full ADMM on the same window program, on random
-// small windows and on the degenerate inputs that stall plain PDAS; plus the
-// exact-path routing of BlockWindowSolver (certified windows, capacity
-// fallback) and its KKT certificate.
+// small windows, hard and soft, and on the degenerate inputs that stall
+// plain PDAS; plus the exact-path routing of BlockWindowSolver (certified
+// windows, capacity and slack fallbacks, relaxation reuse) and its KKT
+// certificate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,6 +113,65 @@ void expect_matches_ipm(const dspp::DsppModel& model, const dspp::PairIndex& pai
   EXPECT_LE(cert.complementarity, tol) << label;
 }
 
+/// Best-response solver settings of the competition game (polished ADMM,
+/// warm-started from its own last iterate).
+dspp::BlockWindowSettings game_settings() {
+  dspp::BlockWindowSettings settings;
+  settings.solver.polish = true;
+  settings.solver.auto_warm_start = true;
+  return settings;
+}
+
+/// The largest demand dual lambda_t of `separable`'s last relaxation, read
+/// off its warm-start point on the hard program (y = -lambda on demand rows).
+double largest_demand_dual(const dspp::DsppModel& model, const dspp::PairIndex& pairs,
+                           const dspp::SeparableWindow& separable, dspp::WindowInputs inputs) {
+  inputs.soft_demand_penalty = 0.0;
+  const std::size_t horizon = inputs.demand.size();
+  const dspp::WindowProgram hard(model, pairs, std::move(inputs));
+  Vector z, y;
+  separable.warm_start_point(hard, z, y);
+  double largest = 0.0;
+  for (std::size_t t = 0; t < horizon; ++t) {
+    for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
+      largest = std::max(largest, -y[hard.demand_row(t, v)]);
+    }
+  }
+  return largest;
+}
+
+double total_unserved(const dspp::WindowSolution& solution) {
+  double total = 0.0;
+  for (const auto& row : solution.unserved) {
+    for (const double value : row) total += value;
+  }
+  return total;
+}
+
+/// Quotas under which the relaxation of `inputs` breaks exactly one DC's
+/// capacity: 80% of the busiest DC's peak use there, 500 elsewhere.
+Vector binding_quota(const dspp::DsppModel& model, const dspp::PairIndex& pairs,
+                     const dspp::WindowInputs& inputs) {
+  dspp::SeparableWindow separable(model, pairs);
+  EXPECT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified);
+  const dspp::WindowSolution relaxation = separable.solution(inputs);
+  double busiest = 0.0;
+  std::size_t busiest_l = 0;
+  for (const Vector& xt : relaxation.x) {
+    for (std::size_t l = 0; l < model.num_datacenters(); ++l) {
+      double used = 0.0;
+      for (const std::size_t pair : pairs.pairs_of_datacenter(l)) used += model.server_size * xt[pair];
+      if (used > busiest) {
+        busiest = used;
+        busiest_l = l;
+      }
+    }
+  }
+  Vector quota(model.num_datacenters(), 500.0);
+  quota[busiest_l] = 0.8 * busiest;
+  return quota;
+}
+
 TEST(SeparableWindow, MatchesIpmAndAdmmOnRandomWindows) {
   Rng rng(2027);
   for (int trial = 0; trial < 40; ++trial) {
@@ -137,8 +197,38 @@ TEST(SeparableWindow, MatchesIpmAndAdmmOnRandomWindows) {
     ASSERT_TRUE(full.ok()) << label;
     dspp::SeparableWindow separable(model, pairs);
     ASSERT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified);
-    EXPECT_LE(relative_gap(separable.solution(inputs).objective, full.objective), 1e-6)
-        << label;
+    const dspp::WindowSolution hard = separable.solution(inputs);
+    EXPECT_LE(relative_gap(hard.objective, full.objective), 1e-6) << label;
+
+    // The same window with soft demand at Algorithm 2's penalty (5 $ per
+    // unserved req/s, far above every demand dual here) is its relaxation:
+    // the same allocations, nothing unserved. Polished ADMM on the soft
+    // program checks it (the tight IPM does not always converge there: its
+    // penalty column dominates the IPM's scaling).
+    dspp::WindowInputs soft = inputs;
+    soft.soft_demand_penalty = 5.0;
+    ASSERT_EQ(separable.solve(soft, false, 1), dspp::SeparableOutcome::kCertified) << label;
+    const dspp::WindowSolution solution = separable.solution(soft);
+    EXPECT_EQ(solution.x, hard.x) << label;
+    EXPECT_EQ(solution.objective, hard.objective) << label;
+    ASSERT_EQ(solution.unserved.size(), horizon) << label;
+    for (const Vector& row : solution.unserved) EXPECT_EQ(row, Vector(num_v, 0.0)) << label;
+    const dspp::WindowProgram soft_program(model, pairs, soft);
+    qp::AdmmSolver soft_admm(settings);
+    const dspp::WindowSolution soft_full = soft_program.solve(soft_admm);
+    ASSERT_TRUE(soft_full.ok()) << label;
+    EXPECT_LE(relative_gap(solution.objective, soft_full.objective), 1e-6) << label;
+    EXPECT_LE(total_unserved(soft_full), 1e-6) << label;
+    double scale = 1.0;
+    for (const auto& xt : soft_full.x) {
+      for (const double x : xt) scale = std::max(scale, x);
+    }
+    for (std::size_t t = 0; t < horizon; ++t) {
+      for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
+        EXPECT_NEAR(solution.x[t][p], soft_full.x[t][p], 1e-5 * scale)
+            << label << " t=" << t << " p=" << p;
+      }
+    }
   }
 }
 
@@ -310,11 +400,16 @@ TEST(SeparableWindow, SoftDemandAndZeroReconfigTakeAdmm) {
   const dspp::PairIndex pairs(model);
   dspp::WindowInputs inputs = random_inputs(model, pairs, 3, rng);
   {
+    // A soft window reaches ADMM when its quota binds.
     dspp::BlockWindowSolver solver(model, pairs, dspp::BlockWindowSettings{});
-    inputs.soft_demand_penalty = 20.0;
-    EXPECT_TRUE(solver.solve(inputs).ok());
-    EXPECT_EQ(solver.path_stats().fallback_soft_demand, 1);
-    inputs.soft_demand_penalty = 0.0;
+    dspp::WindowInputs soft = inputs;
+    soft.soft_demand_penalty = 20.0;
+    soft.capacity_override = binding_quota(model, pairs, soft);
+    const dspp::WindowSolution solution = solver.solve(soft);
+    EXPECT_TRUE(solution.ok());
+    EXPECT_GT(solution.solver_iterations, 0);
+    EXPECT_EQ(solver.path_stats().fallback_capacity, 1);
+    EXPECT_EQ(solver.path_stats().separable, 0);
   }
   model.reconfig_cost[1] = 0.0;
   EXPECT_FALSE(dspp::SeparableWindow::applies_to(model, pairs));
@@ -349,6 +444,180 @@ TEST(SeparableWindow, WarmStepsMatchColdSolves) {
   }
 }
 
+TEST(SeparableWindow, SlackNeededFallsBackToAdmmAndMatchesIpm) {
+  // A penalty at half the largest demand dual: serving that demand costs
+  // more than leaving it unserved, so the relaxation is not the soft
+  // window's optimum and ADMM must find the unserved demand IPM finds.
+  Rng rng(31);
+  for (int trial = 0; trial < 4; ++trial) {
+    const dspp::DsppModel model = random_model(4, 5, 3, rng);
+    const dspp::PairIndex pairs(model);
+    dspp::WindowInputs inputs = random_inputs(model, pairs, 4, rng);
+    const std::string label = "trial " + std::to_string(trial);
+    dspp::SeparableWindow separable(model, pairs);
+    ASSERT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified) << label;
+    const double largest = largest_demand_dual(model, pairs, separable, inputs);
+    ASSERT_GT(largest, 0.0) << label;
+    inputs.soft_demand_penalty = 0.5 * largest;
+    EXPECT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kSlackNeeded) << label;
+
+    dspp::BlockWindowSolver solver(model, pairs, game_settings());
+    const dspp::WindowSolution solution = solver.solve(inputs);
+    ASSERT_TRUE(solution.ok()) << label;
+    EXPECT_GT(solution.solver_iterations, 0) << label;
+    EXPECT_EQ(solver.path_stats().fallback_slack, 1) << label;
+    EXPECT_EQ(solver.path_stats().separable, 0) << label;
+
+    qp::IpmSolver ipm(kTightIpm);
+    const dspp::WindowSolution reference = dspp::WindowProgram(model, pairs, inputs).solve(ipm);
+    ASSERT_TRUE(reference.ok()) << label;
+    EXPECT_LE(relative_gap(solution.objective, reference.objective), 1e-6) << label;
+    const double unserved = total_unserved(reference);
+    EXPECT_GT(unserved, 1.0) << label;
+    EXPECT_NEAR(total_unserved(solution), unserved, 1e-4 * unserved) << label;
+  }
+}
+
+TEST(SeparableWindow, PenaltyAtTheLargestDemandDualIsCertified) {
+  // lambda_t = pi exactly: (x*, xi = 0) is still optimal, so the window is
+  // its relaxation. A penalty 1e-4 below that dual needs slack.
+  Rng rng(37);
+  const dspp::DsppModel model = random_model(4, 5, 3, rng);
+  const dspp::PairIndex pairs(model);
+  dspp::WindowInputs inputs = random_inputs(model, pairs, 5, rng);
+  dspp::SeparableWindow separable(model, pairs);
+  ASSERT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified);
+  const double largest = largest_demand_dual(model, pairs, separable, inputs);
+  ASSERT_GT(largest, 0.0);
+
+  inputs.soft_demand_penalty = largest;
+  ASSERT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified);
+  const dspp::WindowSolution solution = separable.solution(inputs);
+  EXPECT_EQ(total_unserved(solution), 0.0);
+  qp::IpmSolver ipm(kTightIpm);
+  const dspp::WindowSolution reference = dspp::WindowProgram(model, pairs, inputs).solve(ipm);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_LE(relative_gap(solution.objective, reference.objective), 1e-7);
+
+  inputs.soft_demand_penalty = largest * (1.0 - 1e-4);
+  EXPECT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kSlackNeeded);
+}
+
+TEST(SeparableWindow, QuotaBindingSoftWindowsFallBackWithinGap) {
+  // Best responses whose quota binds: the busiest DC's quota is 80% of what
+  // the relaxation uses there. Polished ADMM must land within 1e-6 of IPM
+  // and price the binding quota.
+  Rng rng(2029);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t num_l = static_cast<std::size_t>(rng.uniform_int(2, 6));
+    const std::size_t num_v = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const std::size_t pairs_per_network =
+        static_cast<std::size_t>(rng.uniform_int(2, static_cast<std::int64_t>(num_l)));
+    const std::size_t horizon = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const dspp::DsppModel model = random_model(num_l, num_v, pairs_per_network, rng);
+    const dspp::PairIndex pairs(model);
+    dspp::WindowInputs inputs = random_inputs(model, pairs, horizon, rng);
+    inputs.soft_demand_penalty = 5.0;
+    inputs.capacity_override = binding_quota(model, pairs, inputs);
+    const std::string label = "trial " + std::to_string(trial) + " L=" +
+                              std::to_string(num_l) + " V=" + std::to_string(num_v) +
+                              " W=" + std::to_string(horizon);
+
+    dspp::BlockWindowSolver solver(model, pairs, game_settings());
+    const dspp::WindowSolution solution = solver.solve(inputs);
+    ASSERT_TRUE(solution.ok()) << label;
+    EXPECT_EQ(solver.path_stats().fallback_capacity, 1) << label;
+    qp::IpmSolver ipm(kTightIpm);
+    const dspp::WindowSolution reference = dspp::WindowProgram(model, pairs, inputs).solve(ipm);
+    ASSERT_TRUE(reference.ok()) << label;
+    EXPECT_LE(relative_gap(solution.objective, reference.objective), 1e-6) << label;
+    double price_sum = 0.0;
+    for (const double p : solution.capacity_price()) price_sum += p;
+    EXPECT_GT(price_sum, 0.0) << label;
+  }
+}
+
+TEST(SeparableWindow, RelaxationReuseAcrossRoundsIsBitwiseAFreshSolve) {
+  // Algorithm 2's rounds within one period: the busiest DC's quota binds
+  // in round 0 (ADMM), then grows; round 1 keeps the relaxation, re-checks
+  // the quota rows and certifies. Its answer is bit for bit what a fresh
+  // solver returns.
+  Rng rng(43);
+  const dspp::DsppModel model = random_model(4, 6, 3, rng);
+  const dspp::PairIndex pairs(model);
+  dspp::WindowInputs inputs = random_inputs(model, pairs, 5, rng);
+  inputs.soft_demand_penalty = 5.0;
+  const Vector tight = binding_quota(model, pairs, inputs);
+  const Vector slack(model.num_datacenters(), 500.0);
+
+  dspp::BlockWindowSolver rounds(model, pairs, game_settings());
+  inputs.capacity_override = tight;
+  ASSERT_TRUE(rounds.solve(inputs).ok());
+  EXPECT_EQ(rounds.path_stats().fallback_capacity, 1);
+  EXPECT_EQ(rounds.path_stats().relaxation_reused, 0);
+  inputs.capacity_override = slack;
+  const dspp::WindowSolution kept = rounds.solve(inputs);
+  EXPECT_EQ(rounds.path_stats().relaxation_reused, 1);
+  EXPECT_EQ(rounds.path_stats().separable, 1);
+
+  dspp::BlockWindowSolver fresh(model, pairs, game_settings());
+  const dspp::WindowSolution reference = fresh.solve(inputs);
+  EXPECT_EQ(fresh.path_stats().relaxation_reused, 0);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.x, reference.x);  // bitwise
+  EXPECT_EQ(kept.u, reference.u);
+  EXPECT_EQ(kept.unserved, reference.unserved);
+  EXPECT_EQ(kept.objective, reference.objective);
+  EXPECT_EQ(kept.active_set_steps, 0);  // no network was solved
+  EXPECT_GT(reference.active_set_steps, 0);
+
+  // One bit of one input drops the kept relaxation; a cold solve never
+  // keeps it.
+  inputs.price[2][1] = std::nextafter(inputs.price[2][1], 1.0);
+  ASSERT_TRUE(rounds.solve(inputs).ok());
+  EXPECT_EQ(rounds.path_stats().relaxation_reused, 1);
+  dspp::SeparableWindow separable(model, pairs);
+  ASSERT_EQ(separable.solve(inputs, true, 1), dspp::SeparableOutcome::kCertified);
+  EXPECT_FALSE(separable.last_reused());
+  ASSERT_EQ(separable.solve(inputs, true, 1), dspp::SeparableOutcome::kCertified);
+  EXPECT_TRUE(separable.last_reused());
+  EXPECT_EQ(separable.last_active_set_steps(), 0);
+  ASSERT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kCertified);
+  EXPECT_FALSE(separable.last_reused());
+}
+
+TEST(SeparableWindow, KeptRelaxationAfterAWarmStartMatchesAColdSolve) {
+  // Round 0 starts from the previous period's shifted active sets. The kept
+  // relaxation is that warm solve's; a cold solve may settle on another
+  // optimal active set where the window is degenerate (a pair free at
+  // x = 5.6e-16 instead of bound at 0 was seen), so the two agree to the
+  // certificate's precision rather than bitwise.
+  Rng rng(43);
+  const dspp::DsppModel model = random_model(4, 6, 3, rng);
+  const dspp::PairIndex pairs(model);
+  dspp::WindowInputs previous = random_inputs(model, pairs, 5, rng);
+  previous.soft_demand_penalty = 5.0;
+  dspp::WindowInputs inputs = random_inputs(model, pairs, 5, rng);
+  inputs.soft_demand_penalty = 5.0;
+
+  dspp::BlockWindowSolver rounds(model, pairs, game_settings());
+  ASSERT_TRUE(rounds.solve(previous).ok());
+  inputs.capacity_override = binding_quota(model, pairs, inputs);
+  ASSERT_TRUE(rounds.solve(inputs).ok());
+  inputs.capacity_override = Vector(model.num_datacenters(), 500.0);
+  const dspp::WindowSolution kept = rounds.solve(inputs);
+  EXPECT_EQ(rounds.path_stats().relaxation_reused, 1);
+
+  dspp::BlockWindowSolver fresh(model, pairs, game_settings());
+  const dspp::WindowSolution reference = fresh.solve(inputs);
+  EXPECT_LE(relative_gap(kept.objective, reference.objective), 1e-12);
+  for (std::size_t t = 0; t < inputs.demand.size(); ++t) {
+    for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
+      EXPECT_NEAR(kept.x[t][p], reference.x[t][p], 1e-9);
+    }
+  }
+}
+
 TEST(SeparableWindow, MpcStepReportsPathCountersAndSpan) {
   Rng rng(8);
   const dspp::DsppModel model = random_model(3, 4, 2, rng);
@@ -363,8 +632,11 @@ TEST(SeparableWindow, MpcStepReportsPathCountersAndSpan) {
   settings.horizon = 3;
   control::MpcController hard(model, settings, std::make_unique<control::LastValuePredictor>(),
                               std::make_unique<control::LastValuePredictor>());
+  // The soft controller's capacity binds, so its window reaches ADMM.
+  dspp::DsppModel tight = model;
+  tight.capacity.assign(model.num_datacenters(), 1e-3);
   settings.soft_demand_penalty = 10.0;
-  control::MpcController soft(model, settings, std::make_unique<control::LastValuePredictor>(),
+  control::MpcController soft(tight, settings, std::make_unique<control::LastValuePredictor>(),
                               std::make_unique<control::LastValuePredictor>());
   const Vector demand(model.num_access_networks(), 40.0);
   const Vector price(model.num_datacenters(), 0.1);
@@ -386,12 +658,13 @@ TEST(SeparableWindow, MpcStepReportsPathCountersAndSpan) {
 
   EXPECT_EQ(registry.counter("window.separable_solves").value(), 2);
   EXPECT_EQ(registry.counter("window.fallback_solves").value(), 1);
-  EXPECT_EQ(registry.counter("window.fallback.soft_demand").value(), 1);
-  EXPECT_EQ(registry.counter("window.fallback.capacity").value(), 0);
+  EXPECT_EQ(registry.counter("window.fallback.capacity").value(), 1);
+  EXPECT_EQ(registry.counter("window.fallback.slack").value(), 0);
+  EXPECT_EQ(registry.counter("window.relaxation_reused").value(), 0);
   EXPECT_EQ(registry.histogram("window.active_set_steps").count(),
-            2 * model.num_access_networks());
-  // Spans close inner-first: each window.separable precedes its mpc.step,
-  // one level deeper.
+            3 * model.num_access_networks());
+  // Spans close inner-first: each window.separable (every step tries the
+  // separable path) precedes its mpc.step, one level deeper.
   int nested = 0;
   for (std::size_t i = 0; i + 1 < events.size(); ++i) {
     if (events[i].name != "window.separable") continue;
@@ -402,7 +675,7 @@ TEST(SeparableWindow, MpcStepReportsPathCountersAndSpan) {
       break;
     }
   }
-  EXPECT_EQ(nested, 2);
+  EXPECT_EQ(nested, 3);
 }
 
 }  // namespace
