@@ -1,5 +1,5 @@
 // Planet-scale performance study of the geo-tree placement index and the
-// block-decomposed window QP (BENCH_scale.json).
+// window solve (BENCH_scale.json).
 //
 // The continental geography at 200 data centers x 2000 access networks,
 // measured three ways:
@@ -9,16 +9,15 @@
 //      index versus the PlacementIndex-pruned index (k = 8 candidates per
 //      network). Placement decisions are identical (the pruned set contains
 //      each network's nearest data center); only the pair count differs.
-//   2. Window-QP solve growth. The block-decomposed window solver
-//      (8 blocks, warm receding-horizon steady state, min-of-3, single
-//      lane) at 100x1000 and at 200x2000. Both scales run a FIXED outer
-//      consensus budget (the tolerance is set too tight to hit early), so
-//      every solve does an identical iteration count and the growth
-//      exponent log2(t_B / t_A) isolates how the per-solve cost scales
-//      when the topology doubles in BOTH dimensions — iteration counts to
-//      converge are data-dependent and are pinned by the unit tests, not
-//      here.
-//   3. Cross-lane determinism. The 200x2000 consensus solve repeated at
+//   2. Window-QP solve growth. dspp::WindowSolver, the solver every MPC
+//      step uses (separable path first, ADMM when it does not certify;
+//      warm receding-horizon steady state, min-of-3, single lane), at
+//      100x1000 and at 200x2000. The growth exponent log2(t_B / t_A) says
+//      how the per-solve cost scales when the topology doubles in BOTH
+//      dimensions. The JSON records the active-set steps of the timed
+//      solves, the work the separable path did (deterministic, unlike the
+//      wall time).
+//   3. Cross-lane determinism. The 200x2000 window solve repeated at
 //      max_lanes 1, 4 and 7 must produce BIT-identical allocations and
 //      reconfigurations (the same contract perf_requests and perf_sweep
 //      pin for their lanes).
@@ -37,7 +36,7 @@
 #include <thread>
 
 #include "dspp/assignment.hpp"
-#include "dspp/block_window.hpp"
+#include "dspp/window_solver.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "scenario/registry.hpp"
@@ -46,9 +45,6 @@
 namespace {
 
 constexpr std::size_t kHorizon = 4;    ///< window length W
-constexpr std::size_t kBlocks = 8;     ///< consensus block count
-constexpr int kGrowthIterations = 24;  ///< fixed outer budget of the timed solves
-constexpr int kIdentityIterations = 12;  ///< outer budget of the lane-cap solves
 constexpr double kSpeedupFloor = 10.0;
 constexpr double kExponentCeiling = 2.0;
 
@@ -107,17 +103,23 @@ struct QpTiming {
   std::size_t dcs = 0;
   std::size_t ans = 0;
   std::size_t pairs = 0;
-  double wall_ms = 0.0;           ///< best fixed-budget warm solve
-  int consensus_iterations = 0;   ///< of the best-timed solve (= the budget)
-  bool ok = true;                 ///< no numerical failures
+  double wall_ms = 0.0;           ///< best warm solve
+  int active_set_steps = 0;       ///< summed over the three timed solves
+  bool ok = true;                 ///< every solve optimal
 };
 
-/// Steady-state warm solve time of the block solver at one topology scale:
+/// The window solver as MpcController configures it, capped at `lanes`.
+gp::dspp::WindowSolverSettings window_settings(std::size_t lanes) {
+  gp::dspp::WindowSolverSettings settings;
+  settings.max_lanes = lanes;
+  settings.solver.auto_warm_start = true;
+  settings.solver.cache_structure = true;
+  return settings;
+}
+
+/// Steady-state warm solve time of the window solver at one topology scale:
 /// cold solve untimed, then three timed solves alternating the demand level
-/// (so every timed solve moves from the previous solution), min-of-3. Every
-/// solve runs exactly kGrowthIterations consensus iterations — the
-/// tolerance is unreachably tight, so kMaxIterations is the expected
-/// status and only a numerical failure counts against `ok`.
+/// (so every timed solve moves from the previous solution), min-of-3.
 QpTiming time_qp(const gp::scenario::ScenarioSpec& base, std::size_t dcs, std::size_t ans) {
   gp::scenario::ScenarioSpec spec = base;
   spec.num_dcs = dcs;
@@ -125,19 +127,14 @@ QpTiming time_qp(const gp::scenario::ScenarioSpec& base, std::size_t dcs, std::s
   const gp::scenario::ScenarioBundle bundle = gp::scenario::build(spec);
   const gp::dspp::PairIndex pairs(bundle.model);
 
-  gp::dspp::BlockWindowSettings settings;
-  settings.num_blocks = kBlocks;
-  settings.max_lanes = 1;  // single lane: growth timing, not thread scaling
-  settings.max_consensus_iterations = kGrowthIterations;
-  settings.consensus_tolerance = 1e-12;  // fixed-work: never converges early
-  gp::dspp::BlockWindowSolver solver(bundle.model, pairs, settings);
+  // Single lane: growth timing, not thread scaling.
+  gp::dspp::WindowSolver solver(bundle.model, pairs, window_settings(1));
 
   QpTiming timing;
   timing.dcs = dcs;
   timing.ans = ans;
   timing.pairs = pairs.num_pairs();
-  timing.ok = solver.solve(make_inputs(bundle, pairs.num_pairs(), 1.0)).status !=
-              gp::qp::SolveStatus::kNumericalError;  // cold, untimed
+  timing.ok = solver.solve(make_inputs(bundle, pairs.num_pairs(), 1.0)).ok();  // cold, untimed
 
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -146,11 +143,9 @@ QpTiming time_qp(const gp::scenario::ScenarioSpec& base, std::size_t dcs, std::s
     const gp::dspp::WindowSolution solution =
         solver.solve(make_inputs(bundle, pairs.num_pairs(), scale));
     const double wall = span.close();
-    timing.ok = timing.ok && solution.status != gp::qp::SolveStatus::kNumericalError;
-    if (rep == 0 || wall < best) {
-      best = wall;
-      timing.consensus_iterations = solver.last_consensus_iterations();
-    }
+    timing.ok = timing.ok && solution.ok();
+    timing.active_set_steps += solution.active_set_steps;
+    if (rep == 0 || wall < best) best = wall;
   }
   timing.wall_ms = best;
   return timing;
@@ -226,30 +221,23 @@ int main() {
                               ? std::log2(qp_b.wall_ms / qp_a.wall_ms)
                               : kExponentCeiling + 1.0;
   const bool qp_ok = qp_a.ok && qp_b.ok;
-  std::printf("window QP %zux%zu:  %zu pairs, %.1f ms, %d consensus iterations\n",
-              qp_a.dcs, qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.consensus_iterations);
-  std::printf("window QP %zux%zu: %zu pairs, %.1f ms, %d consensus iterations\n",
-              qp_b.dcs, qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.consensus_iterations);
+  std::printf("window QP %zux%zu:  %zu pairs, %.1f ms, %d active-set steps\n", qp_a.dcs,
+              qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.active_set_steps);
+  std::printf("window QP %zux%zu: %zu pairs, %.1f ms, %d active-set steps\n", qp_b.dcs,
+              qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.active_set_steps);
   std::printf("growth exponent on topology doubling: %.2f (ceiling %.1f)\n", exponent,
               kExponentCeiling);
 
-  // --- 3. cross-lane bit-identity of the consensus solve ------------------
-  // A capped outer budget keeps the three cold solves cheap; every lane cap
-  // runs the identical iteration sequence, so the bitwise contract is the
-  // same one the unit tests pin at full convergence.
+  // --- 3. cross-lane bit-identity of the window solve ---------------------
   auto solve_at = [&](std::size_t lanes) {
-    gp::dspp::BlockWindowSettings settings;
-    settings.num_blocks = kBlocks;
-    settings.max_lanes = lanes;
-    settings.max_consensus_iterations = kIdentityIterations;
-    gp::dspp::BlockWindowSolver solver(bundle.model, pruned_pairs, settings);
+    gp::dspp::WindowSolver solver(bundle.model, pruned_pairs, window_settings(lanes));
     return solver.solve(make_inputs(bundle, pruned_pairs.num_pairs(), 1.0));
   };
   const gp::dspp::WindowSolution lanes1 = solve_at(1);
   const gp::dspp::WindowSolution lanes4 = solve_at(4);
   const gp::dspp::WindowSolution lanes7 = solve_at(7);  // over-subscribed on purpose
   const bool bit_identical = identical(lanes1, lanes4) && identical(lanes1, lanes7);
-  std::printf("bit-identical consensus solve across lane caps 1/4/7: %s\n",
+  std::printf("bit-identical window solve across lane caps 1/4/7: %s\n",
               bit_identical ? "yes" : "NO");
 
   const gp::obs::RunManifest manifest = gp::obs::RunManifest::capture("perf_scale");
@@ -270,11 +258,11 @@ int main() {
     std::fprintf(json, "  \"assign_speedup_min\": %.1f,\n", kSpeedupFloor);
     std::fprintf(json,
                  "  \"qp\": {\"scale_a\": {\"dcs\": %zu, \"ans\": %zu, \"pairs\": %zu, "
-                 "\"wall_ms\": %.3f, \"consensus_iterations\": %d},\n"
+                 "\"wall_ms\": %.3f, \"active_set_steps\": %d},\n"
                  "         \"scale_b\": {\"dcs\": %zu, \"ans\": %zu, \"pairs\": %zu, "
-                 "\"wall_ms\": %.3f, \"consensus_iterations\": %d}},\n",
-                 qp_a.dcs, qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.consensus_iterations,
-                 qp_b.dcs, qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.consensus_iterations);
+                 "\"wall_ms\": %.3f, \"active_set_steps\": %d}},\n",
+                 qp_a.dcs, qp_a.ans, qp_a.pairs, qp_a.wall_ms, qp_a.active_set_steps,
+                 qp_b.dcs, qp_b.ans, qp_b.pairs, qp_b.wall_ms, qp_b.active_set_steps);
     std::fprintf(json, "  \"qp_growth_exponent\": %.3f,\n", exponent);
     std::fprintf(json, "  \"qp_growth_exponent_max\": %.1f,\n", kExponentCeiling);
     std::fprintf(json, "  \"bit_identical\": %s\n}\n", bit_identical ? "true" : "false");
@@ -287,6 +275,6 @@ int main() {
               bit_identical ? "holds" : "VIOLATED",
               speedup >= kSpeedupFloor ? "meets floor" : "BELOW FLOOR",
               exponent <= kExponentCeiling ? "sub-quadratic" : "ABOVE CEILING",
-              qp_ok ? "healthy" : "NUMERICAL FAILURE", ok ? "OK" : "FAILED");
+              qp_ok ? "optimal" : "NOT OPTIMAL", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -10,8 +10,7 @@
 // With --scale, runs the synthetic continental geography instead (the
 // scale_smoke preset: 20 data centers x 120 access networks, each network
 // pruned to its 6 nearest candidates by the geo-tree placement index)
-// through SweepRunner, comparing the exact dense window QP against the
-// block-decomposed consensus solver on the same demand seeds.
+// through SweepRunner under the MPC controller, over three demand seeds.
 //
 //   $ ./geo_load_balancing --scale
 #include <cstdio>
@@ -66,22 +65,12 @@ int run_paper_day() {
 int run_scale_sweep() {
   using namespace gp;
 
-  // Continental geography through the standard sweep machinery: the same
-  // scenario and seeds under the exact dense window QP (qp_blocks = 1) and
-  // under the 4-block ADMM consensus decomposition. The cost columns of
-  // the two cells track each other to within ~10% over the simulated day
-  // (each consensus solve lands within a fraction of a percent of the
-  // exact objective; small allocation differences compound into extra
-  // reconfiguration churn across periods) while the block solver's
-  // per-period QPs are a quarter the size.
+  // Continental geography through the standard sweep machinery.
   scenario::SweepGrid grid;
   grid.scenarios = {scenario::preset("scale_smoke")};
   scenario::PolicySpec exact;
   exact.name = "mpc_exact";
-  scenario::PolicySpec blocked;
-  blocked.name = "mpc_4blocks";
-  blocked.qp_blocks = 4;
-  grid.policies = {exact, blocked};
+  grid.policies = {exact};
   grid.num_seeds = 3;
   grid.base_seed = 7;
 

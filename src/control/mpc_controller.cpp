@@ -20,9 +20,8 @@ namespace {
 /// the previous solution is always safe here and typically cuts iterations
 /// severalfold; the structure cache turns the per-step setup into a
 /// refactorization (or skips it outright when the KKT data is unchanged).
-dspp::BlockWindowSettings window_settings(const MpcSettings& settings) {
-  dspp::BlockWindowSettings window;
-  window.num_blocks = std::max<std::size_t>(settings.qp_blocks, 1);
+dspp::WindowSolverSettings window_settings(const MpcSettings& settings) {
+  dspp::WindowSolverSettings window;
   window.max_lanes = settings.qp_block_lanes;
   window.reuse_solver_state = settings.reuse_solver_state;
   window.solver = settings.solver;
@@ -45,8 +44,9 @@ MpcController::MpcController(dspp::DsppModel model, MpcSettings settings,
   require(settings_.horizon >= 1, "MpcController: horizon must be >= 1");
   require(demand_predictor_ != nullptr, "MpcController: null demand predictor");
   require(price_predictor_ != nullptr, "MpcController: null price predictor");
-  require(settings_.qp_blocks <= 1 || settings_.soft_demand_penalty == 0.0,
-          "MpcController: qp_blocks > 1 requires hard demand constraints");
+  require(settings_.qp_blocks <= 1,
+          "MpcController: qp_blocks > 1 is no longer supported: block consensus was "
+          "removed; every window is solved exactly (set qp_blocks = 1)");
 }
 
 void MpcController::set_capacity_quota(std::optional<Vector> quota) {

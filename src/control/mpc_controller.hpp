@@ -10,7 +10,7 @@
 #include <optional>
 
 #include "control/predictor.hpp"
-#include "dspp/block_window.hpp"
+#include "dspp/window_solver.hpp"
 #include "qp/admm_solver.hpp"
 
 namespace gp::control {
@@ -27,13 +27,12 @@ struct MpcSettings {
   /// warm-started, refactorization-only (often factorization-free) solve.
   /// Disable only for benchmarking cold solves.
   bool reuse_solver_state = true;
-  /// Block count of the dspp::BlockWindowSolver that solves every window.
-  /// 1 (or 0) solves the exact dense program; > 1 solves it by per-DC block
-  /// decomposition (sharing-ADMM consensus over the demand rows) and
-  /// requires soft_demand_penalty == 0.
+  /// Must be 0 or 1: the constructor rejects larger values, because per-DC
+  /// block decomposition was removed. The field remains only until
+  /// perfbench/ (the control-period benchmark) stops reading it.
   std::size_t qp_blocks = 1;
-  /// Lane cap for concurrent block solves (0 = all pool lanes); results are
-  /// bit-identical at any value.
+  /// Lane cap for the window solver's concurrent per-network solves (0 =
+  /// all pool lanes); results are bit-identical at any value.
   std::size_t qp_block_lanes = 0;
   qp::AdmmSettings solver;            ///< underlying QP solver settings
 };
@@ -81,10 +80,9 @@ class MpcController {
   const dspp::DsppModel& model() const { return model_; }
   const MpcSettings& settings() const { return settings_; }
 
-  /// Setup-reuse counters of the window solver's ADMM solver (how many
-  /// steps reused the cached KKT structure / skipped factorization
-  /// outright). Under block decomposition this reports block 0's inner
-  /// solver. provision_for's one-shot solve is not counted.
+  /// Setup-reuse counters of the window solver's ADMM fallback solver (how
+  /// many fallback steps reused the cached KKT structure / skipped
+  /// factorization outright). provision_for's one-shot solve is not counted.
   const qp::AdmmCacheStats& solver_cache_stats() const {
     return window_solver_.cache_stats();
   }
@@ -109,7 +107,7 @@ class MpcController {
   /// Solves every step's window program and keeps it warm across steps.
   /// Holds pointers into model_ / pairs_, which never move (the controller
   /// is neither copyable nor movable).
-  dspp::BlockWindowSolver window_solver_;
+  dspp::WindowSolver window_solver_;
   /// One-step-ahead demand forecast from the previous step (empty before the
   /// first step); compared against the observed demand to measure predictor
   /// error when metrics are enabled.

@@ -19,7 +19,7 @@
 // Algorithm 2 uses to negotiate quotas between providers.
 //
 // Only the capacity rows couple access networks; every other row touches
-// one network's pairs. BlockWindowSolver uses that: a window is first solved
+// one network's pairs. WindowSolver uses that: a window is first solved
 // per network by dspp::SeparableWindow without assembling this program, and
 // the program below is built and handed to ADMM only when that path does
 // not certify the window (a c = 0 pair, a binding capacity row, a soft

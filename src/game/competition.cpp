@@ -57,7 +57,7 @@ CompetitionGame::CompetitionGame(std::vector<ProviderConfig> providers, Vector c
     pair_index_.emplace_back(provider.model);
     check_window(i, provider.initial_state, provider.demand, provider.price);
   }
-  dspp::BlockWindowSettings response_settings;
+  dspp::WindowSolverSettings response_settings;
   response_settings.solver = best_response_settings(settings_);
   responders_.reserve(providers_.size());
   for (std::size_t i = 0; i < providers_.size(); ++i) {

@@ -23,7 +23,7 @@
 #include <array>
 #include <optional>
 
-#include "dspp/block_window.hpp"
+#include "dspp/window_solver.hpp"
 #include "game/provider.hpp"
 #include "qp/admm_solver.hpp"
 
@@ -143,13 +143,13 @@ class CompetitionGame {
   linalg::Vector capacity_;
   GameSettings settings_;
   std::size_t horizon_ = 0;
-  /// One exact window solver per provider, pointing into providers_ and
+  /// One window solver per provider, pointing into providers_ and
   /// pair_index_ (never resized after construction). A shared solver would
   /// see different providers' problems back to back, which defeats the
   /// structure cache and the warm start; per provider, a quota change (or
   /// a set_window() call) is a parameter update that starts from the
   /// provider's own previous solution.
-  std::vector<dspp::BlockWindowSolver> responders_;
+  std::vector<dspp::WindowSolver> responders_;
   /// Wall time (ns) of each provider's last best response in round 0 ([0])
   /// and in a later round ([1]) of run(); 0 until measured. Round 0 follows
   /// a window change, a later round only a quota change, so the two differ.

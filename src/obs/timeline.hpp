@@ -70,7 +70,7 @@ namespace gp::obs {
 // demand_total is the demand observed in period k; demand_served_total is
 // period k+1's, the demand the row's servers, cost and SLA are measured
 // against. window_fallback is 1 when the period's exact MPC window went to
-// ADMM and 0 when the separable path certified it (dspp/block_window.hpp).
+// ADMM and 0 when the separable path certified it (dspp/window_solver.hpp).
 // The pool_* columns are per-period DELTAS of the global thread pool's lane
 // telemetry (common/thread_pool): busy/idle/queue-wait milliseconds summed
 // over lanes, chunks executed, and pool_util = busy / (busy + idle) in

@@ -59,10 +59,12 @@ struct PolicySpec {
   PredictorSpec price_predictor;
   double soft_demand_penalty = 0.0;
   bool reuse_solver_state = true;
-  /// > 1 solves the MPC window by per-DC block decomposition
-  /// (control::MpcSettings::qp_blocks); 1 = the exact dense program.
+  /// control::MpcSettings::qp_blocks: make_policy rejects values > 1, since
+  /// per-DC block decomposition was removed. Kept, and serialized, only until
+  /// perfbench/ (the control-period benchmark) stops reading it.
   std::size_t qp_blocks = 1;
-  /// Lane cap for concurrent block solves (0 = all pool lanes).
+  /// Lane cap for the MPC window's concurrent per-network solves (0 = all
+  /// pool lanes; control::MpcSettings::qp_block_lanes).
   std::size_t qp_block_lanes = 0;
 
   /// Wraps the policy in the integer round-up decorator (sim::integerized).

@@ -357,8 +357,9 @@ PolicySpec policy_from_json(const std::string& json) {
   policy.price_predictor = predictor_from_json(raw_value(json, "price_predictor"));
   policy.soft_demand_penalty = get_double(json, "soft_demand_penalty");
   policy.reuse_solver_state = get_bool(json, "reuse_solver_state");
-  // Block decomposition arrived with the continental-scale work; earlier
-  // documents are all exact dense solves.
+  // Absent from documents older than the continental-scale work. A value
+  // > 1 (per-DC block decomposition, since removed) parses, and make_policy
+  // rejects it.
   if (value_position(json, "qp_blocks") != std::string::npos) {
     policy.qp_blocks = static_cast<std::size_t>(get_int(json, "qp_blocks"));
   }

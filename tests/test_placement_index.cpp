@@ -1,21 +1,22 @@
 // Property tests for the continental-scale machinery: the GeoKdTree against
 // brute-force k-NN, PlacementIndex candidate selection against a full scan,
 // incremental update() against a fresh build, pruned PairIndex consistency,
-// and the block-decomposed window solver against the exact dense program.
+// and the window solver's ADMM path against the hand-written dense program.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "control/mpc_controller.hpp"
 #include "dspp/assignment.hpp"
-#include "dspp/block_window.hpp"
 #include "dspp/placement_index.hpp"
 #include "dspp/window_program.hpp"
+#include "dspp/window_solver.hpp"
+#include "scenario/policy.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/serialize.hpp"
 #include "scenario/spec.hpp"
@@ -226,7 +227,7 @@ TEST(PairIndex, PrunedKeepsOnlyPlacementCandidates) {
   }
 }
 
-// ------------------------------------------------------------- block solver
+// ------------------------------------------------------------ window solver
 
 dspp::WindowInputs random_window_inputs(const dspp::DsppModel& model,
                                         const dspp::PairIndex& pairs, std::size_t horizon,
@@ -254,10 +255,9 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
   // otherwise solved network by network), which this test pins bitwise.
   model.reconfig_cost[pairs.datacenter_of(0)] = 0.0;
 
-  dspp::BlockWindowSettings settings;
-  settings.num_blocks = 1;
+  dspp::WindowSolverSettings settings;
   settings.solver.auto_warm_start = true;
-  dspp::BlockWindowSolver block_solver(model, pairs, settings);
+  dspp::WindowSolver window_solver(model, pairs, settings);
 
   qp::AdmmSettings solver_settings;
   solver_settings.auto_warm_start = true;
@@ -268,118 +268,23 @@ TEST(BlockWindowSolver, SingleBlockIsBitIdenticalToDenseProgram) {
   for (std::uint64_t step = 0; step < 3; ++step) {
     dspp::WindowInputs inputs = random_window_inputs(model, pairs, 4, 100 + step);
     inputs.soft_demand_penalty = 50.0;
-    const dspp::WindowSolution block = block_solver.solve(inputs);
+    const dspp::WindowSolution solution = window_solver.solve(inputs);
     if (program) {
       program->update(model, pairs, inputs);
     } else {
       program.emplace(model, pairs, std::move(inputs));
     }
     const dspp::WindowSolution exact = program->solve(reference_solver);
-    ASSERT_EQ(block.status, exact.status);
-    ASSERT_EQ(block.solver_iterations, exact.solver_iterations);
+    ASSERT_EQ(solution.status, exact.status);
+    ASSERT_EQ(solution.solver_iterations, exact.solver_iterations);
     for (std::size_t t = 0; t < 4; ++t) {
-      ASSERT_EQ(block.x[t], exact.x[t]) << "step=" << step << " t=" << t;  // bitwise
-      ASSERT_EQ(block.u[t], exact.u[t]) << "step=" << step << " t=" << t;
+      ASSERT_EQ(solution.x[t], exact.x[t]) << "step=" << step << " t=" << t;  // bitwise
+      ASSERT_EQ(solution.u[t], exact.u[t]) << "step=" << step << " t=" << t;
     }
-    EXPECT_EQ(block_solver.last_consensus_iterations(), 0) << "exact path";
-    EXPECT_GT(block.solver_iterations, 0);
+    EXPECT_GT(solution.solver_iterations, 0);
   }
-  EXPECT_EQ(block_solver.path_stats().fallback_zero_reconfig, 3);
-  EXPECT_EQ(block_solver.path_stats().separable, 0);
-}
-
-TEST(BlockWindowSolver, ConsensusServesDemandWithinTolerance) {
-  auto model = continental_model(16, 48, 11);
-  model.candidates_per_an = 4;
-  const dspp::PairIndex pairs(model);
-  dspp::BlockWindowSettings settings;
-  settings.num_blocks = 4;
-  dspp::BlockWindowSolver solver(model, pairs, settings);
-  ASSERT_EQ(solver.num_blocks(), 4u);
-
-  const dspp::WindowInputs inputs = random_window_inputs(model, pairs, 3, 7);
-  const dspp::WindowSolution solution = solver.solve(inputs);
-  ASSERT_TRUE(solution.ok()) << qp::to_string(solution.status);
-  EXPECT_GT(solver.last_consensus_iterations(), 0);
-  for (std::size_t t = 0; t < 3; ++t) {
-    // Demand rows: sum_l x/a >= D up to the (normalized) consensus tolerance.
-    Vector served(model.num_access_networks(), 0.0);
-    for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
-      served[pairs.access_network_of(p)] += solution.x[t][p] / pairs.coefficient(p);
-    }
-    for (std::size_t v = 0; v < served.size(); ++v) {
-      const double scale = std::max(inputs.demand[t][v], 1.0);
-      EXPECT_GE(served[v], inputs.demand[t][v] - 2e-2 * scale) << "t=" << t << " v=" << v;
-    }
-    // Capacity rows are hard inside each block.
-    Vector used(model.num_datacenters(), 0.0);
-    for (std::size_t p = 0; p < pairs.num_pairs(); ++p) {
-      used[pairs.datacenter_of(p)] += model.server_size * solution.x[t][p];
-    }
-    for (std::size_t l = 0; l < used.size(); ++l) {
-      EXPECT_LE(used[l], model.capacity[l] + 1e-6);
-    }
-  }
-}
-
-TEST(BlockWindowSolver, ConsensusIsBitIdenticalAcrossLaneCaps) {
-  auto model = continental_model(16, 48, 23);
-  model.candidates_per_an = 4;
-  const dspp::PairIndex pairs(model);
-  const dspp::WindowInputs inputs = random_window_inputs(model, pairs, 3, 31);
-
-  std::vector<dspp::WindowSolution> solutions;
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
-    dspp::BlockWindowSettings settings;
-    settings.num_blocks = 4;
-    settings.max_lanes = lanes;
-    dspp::BlockWindowSolver solver(model, pairs, settings);
-    solutions.push_back(solver.solve(inputs));
-  }
-  for (std::size_t i = 1; i < solutions.size(); ++i) {
-    ASSERT_EQ(solutions[i].status, solutions[0].status);
-    for (std::size_t t = 0; t < 3; ++t) {
-      ASSERT_EQ(solutions[i].x[t], solutions[0].x[t]) << "lanes variant " << i;  // bitwise
-      ASSERT_EQ(solutions[i].u[t], solutions[0].u[t]) << "lanes variant " << i;
-    }
-  }
-}
-
-TEST(MpcController, BlockDecompositionTracksExactController) {
-  // qp_blocks > 1 must stay close to the exact controller's objective on a
-  // receding-horizon run (consensus is inexact, so compare with a margin).
-  auto model = continental_model(12, 36, 53);
-  model.candidates_per_an = 4;
-  const dspp::PairIndex pairs(model);
-
-  const auto run = [&model, &pairs](std::size_t qp_blocks) {
-    control::MpcSettings settings;
-    settings.horizon = 3;
-    settings.qp_blocks = qp_blocks;
-    control::MpcController controller(
-        model, settings, std::make_unique<control::LastValuePredictor>(),
-        std::make_unique<control::LastValuePredictor>());
-    Rng rng(77);
-    Vector state(pairs.num_pairs(), 0.0);
-    double cost = 0.0;
-    for (int step = 0; step < 4; ++step) {
-      Vector demand(model.num_access_networks());
-      for (double& d : demand) d = rng.uniform(5.0, 40.0);
-      Vector price(model.num_datacenters());
-      for (double& p : price) p = rng.uniform(0.05, 0.3);
-      const auto result = controller.step(state, demand, price);
-      EXPECT_TRUE(result.solved) << "blocks=" << qp_blocks << " step=" << step;
-      state = result.next_state;
-      for (std::size_t p = 0; p < state.size(); ++p) {
-        cost += price[pairs.datacenter_of(p)] * state[p];
-      }
-    }
-    return cost;
-  };
-
-  const double exact = run(1);
-  const double blocked = run(3);
-  EXPECT_NEAR(blocked, exact, 0.15 * std::abs(exact));
+  EXPECT_EQ(window_solver.path_stats().fallback_zero_reconfig, 3);
+  EXPECT_EQ(window_solver.path_stats().separable, 0);
 }
 
 // ------------------------------------------------- scenario layer validation
@@ -448,12 +353,32 @@ TEST(ScenarioScale, SerializationRoundTripsTopologyFields) {
   EXPECT_EQ(parsed.candidates_per_an, spec.candidates_per_an);
 
   scenario::PolicySpec policy;
-  policy.qp_blocks = 8;
   policy.qp_block_lanes = 2;
   const scenario::PolicySpec parsed_policy =
       scenario::policy_from_json(scenario::to_json(policy));
-  EXPECT_EQ(parsed_policy.qp_blocks, 8u);
   EXPECT_EQ(parsed_policy.qp_block_lanes, 2u);
+}
+
+TEST(ScenarioScale, PolicyWithQpBlocksIsRejected) {
+  // A replay bundle recorded while per-DC block decomposition existed still
+  // parses, but building its controller must fail and say why.
+  std::string json = scenario::to_json(scenario::PolicySpec{});
+  const std::string exact_key = "\"qp_blocks\":1,";
+  const std::size_t at = json.find(exact_key);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.replace(at, exact_key.size(), "\"qp_blocks\":4,");
+  const scenario::PolicySpec policy = scenario::policy_from_json(json);
+  ASSERT_EQ(policy.qp_blocks, 4u);
+
+  const scenario::ScenarioSpec spec = scenario::preset("paper_full");
+  const scenario::ScenarioBundle bundle = scenario::build(spec);
+  try {
+    scenario::make_policy(bundle, spec, policy);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("block consensus was removed"), std::string::npos) << message;
+  }
 }
 
 TEST(ScenarioScale, LegacyJsonWithoutTopologyFieldsStillParses) {

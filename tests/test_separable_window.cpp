@@ -1,9 +1,8 @@
 // Differential tests of the separable window solver (dspp::SeparableWindow)
 // against the dense IPM and full ADMM on the same window program, on random
 // small windows, hard and soft, and on the degenerate inputs that stall
-// plain PDAS; plus the exact-path routing of BlockWindowSolver (certified
-// windows, capacity and slack fallbacks, relaxation reuse) and its KKT
-// certificate.
+// plain PDAS; plus the routing of WindowSolver (certified windows, capacity
+// and slack fallbacks, relaxation reuse) and its KKT certificate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +11,9 @@
 
 #include "common/rng.hpp"
 #include "control/mpc_controller.hpp"
-#include "dspp/block_window.hpp"
 #include "dspp/separable_window.hpp"
 #include "dspp/window_program.hpp"
+#include "dspp/window_solver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qp/admm_solver.hpp"
@@ -115,8 +114,8 @@ void expect_matches_ipm(const dspp::DsppModel& model, const dspp::PairIndex& pai
 
 /// Best-response solver settings of the competition game (polished ADMM,
 /// warm-started from its own last iterate).
-dspp::BlockWindowSettings game_settings() {
-  dspp::BlockWindowSettings settings;
+dspp::WindowSolverSettings game_settings() {
+  dspp::WindowSolverSettings settings;
   settings.solver.polish = true;
   settings.solver.auto_warm_start = true;
   return settings;
@@ -401,7 +400,7 @@ TEST(SeparableWindow, SoftDemandAndZeroReconfigTakeAdmm) {
   dspp::WindowInputs inputs = random_inputs(model, pairs, 3, rng);
   {
     // A soft window reaches ADMM when its quota binds.
-    dspp::BlockWindowSolver solver(model, pairs, dspp::BlockWindowSettings{});
+    dspp::WindowSolver solver(model, pairs, dspp::WindowSolverSettings{});
     dspp::WindowInputs soft = inputs;
     soft.soft_demand_penalty = 20.0;
     soft.capacity_override = binding_quota(model, pairs, soft);
@@ -413,7 +412,7 @@ TEST(SeparableWindow, SoftDemandAndZeroReconfigTakeAdmm) {
   }
   model.reconfig_cost[1] = 0.0;
   EXPECT_FALSE(dspp::SeparableWindow::applies_to(model, pairs));
-  dspp::BlockWindowSolver solver(model, pairs, dspp::BlockWindowSettings{});
+  dspp::WindowSolver solver(model, pairs, dspp::WindowSolverSettings{});
   const dspp::WindowSolution solution = solver.solve(inputs);
   EXPECT_TRUE(solution.ok());
   EXPECT_GT(solution.solver_iterations, 0);
@@ -461,7 +460,7 @@ TEST(SeparableWindow, SlackNeededFallsBackToAdmmAndMatchesIpm) {
     inputs.soft_demand_penalty = 0.5 * largest;
     EXPECT_EQ(separable.solve(inputs, false, 1), dspp::SeparableOutcome::kSlackNeeded) << label;
 
-    dspp::BlockWindowSolver solver(model, pairs, game_settings());
+    dspp::WindowSolver solver(model, pairs, game_settings());
     const dspp::WindowSolution solution = solver.solve(inputs);
     ASSERT_TRUE(solution.ok()) << label;
     EXPECT_GT(solution.solver_iterations, 0) << label;
@@ -523,7 +522,7 @@ TEST(SeparableWindow, QuotaBindingSoftWindowsFallBackWithinGap) {
                               std::to_string(num_l) + " V=" + std::to_string(num_v) +
                               " W=" + std::to_string(horizon);
 
-    dspp::BlockWindowSolver solver(model, pairs, game_settings());
+    dspp::WindowSolver solver(model, pairs, game_settings());
     const dspp::WindowSolution solution = solver.solve(inputs);
     ASSERT_TRUE(solution.ok()) << label;
     EXPECT_EQ(solver.path_stats().fallback_capacity, 1) << label;
@@ -550,7 +549,7 @@ TEST(SeparableWindow, RelaxationReuseAcrossRoundsIsBitwiseAFreshSolve) {
   const Vector tight = binding_quota(model, pairs, inputs);
   const Vector slack(model.num_datacenters(), 500.0);
 
-  dspp::BlockWindowSolver rounds(model, pairs, game_settings());
+  dspp::WindowSolver rounds(model, pairs, game_settings());
   inputs.capacity_override = tight;
   ASSERT_TRUE(rounds.solve(inputs).ok());
   EXPECT_EQ(rounds.path_stats().fallback_capacity, 1);
@@ -560,7 +559,7 @@ TEST(SeparableWindow, RelaxationReuseAcrossRoundsIsBitwiseAFreshSolve) {
   EXPECT_EQ(rounds.path_stats().relaxation_reused, 1);
   EXPECT_EQ(rounds.path_stats().separable, 1);
 
-  dspp::BlockWindowSolver fresh(model, pairs, game_settings());
+  dspp::WindowSolver fresh(model, pairs, game_settings());
   const dspp::WindowSolution reference = fresh.solve(inputs);
   EXPECT_EQ(fresh.path_stats().relaxation_reused, 0);
   ASSERT_TRUE(kept.ok());
@@ -600,7 +599,7 @@ TEST(SeparableWindow, KeptRelaxationAfterAWarmStartMatchesAColdSolve) {
   dspp::WindowInputs inputs = random_inputs(model, pairs, 5, rng);
   inputs.soft_demand_penalty = 5.0;
 
-  dspp::BlockWindowSolver rounds(model, pairs, game_settings());
+  dspp::WindowSolver rounds(model, pairs, game_settings());
   ASSERT_TRUE(rounds.solve(previous).ok());
   inputs.capacity_override = binding_quota(model, pairs, inputs);
   ASSERT_TRUE(rounds.solve(inputs).ok());
@@ -608,7 +607,7 @@ TEST(SeparableWindow, KeptRelaxationAfterAWarmStartMatchesAColdSolve) {
   const dspp::WindowSolution kept = rounds.solve(inputs);
   EXPECT_EQ(rounds.path_stats().relaxation_reused, 1);
 
-  dspp::BlockWindowSolver fresh(model, pairs, game_settings());
+  dspp::WindowSolver fresh(model, pairs, game_settings());
   const dspp::WindowSolution reference = fresh.solve(inputs);
   EXPECT_LE(relative_gap(kept.objective, reference.objective), 1e-12);
   for (std::size_t t = 0; t < inputs.demand.size(); ++t) {
