@@ -41,18 +41,4 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
   out << "\n]\n";
 }
 
-void write_jsonl_trace(std::ostream& out, std::span<const TraceEvent> events,
-                       const Registry* registry, const RunManifest* manifest) {
-  if (manifest != nullptr) out << manifest->to_jsonl_line() << "\n";
-  for (const TraceEvent& event : events) {
-    out << "{\"type\":\"span\",\"name\":\"";
-    write_escaped(out, event.name);
-    out << "\",\"ts_us\":" << event.ts_us << ",\"dur_us\":" << event.dur_us
-        << ",\"tid\":" << event.tid << ",\"depth\":" << event.depth;
-    if (event.has_arg) out << ",\"arg\":" << event.arg;
-    out << "}\n";
-  }
-  if (registry != nullptr) registry->write_jsonl(out);
-}
-
 }  // namespace gp::obs

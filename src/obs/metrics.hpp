@@ -20,7 +20,7 @@
 //     within the owning bucket, so the relative error is bounded by the
 //     bucket ratio (10^(1/buckets_per_decade) - 1, ~15% at the default 16
 //     buckets per decade). Exact percentiles belong to offline analysis of
-//     the trace (tools/trace_report); the registry answers "what order of
+//     the trace (tools/gp_report); the registry answers "what order of
 //     magnitude, live, for free".
 //
 // GEOPLACE_METRICS values: unset/"0"/"false"/"off" — disabled;
@@ -211,8 +211,8 @@ class Registry {
   /// All metrics, sorted by name (counters and gauges read at call time).
   std::vector<MetricRow> rows() const;
 
-  /// One JSON object per line per metric — the metrics half of the JSONL
-  /// export format (see obs/export.hpp for the line schema).
+  /// One JSON object per line per metric ({"type":"counter"|"gauge"|
+  /// "histogram","name":...}): the body of the GEOPLACE_METRICS dump.
   void write_jsonl(std::ostream& out) const;
 
   /// Zeroes every registered metric (the metrics keep their identity, so

@@ -4,19 +4,11 @@
 #include <fstream>
 
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace gp::obs {
 
 namespace {
-
-/// Format from path extension: Chrome for ".json", JSONL otherwise.
-TraceFormat format_from_path(const std::string& path) {
-  const auto dot = path.rfind('.');
-  if (dot != std::string::npos && path.substr(dot) == ".json") return TraceFormat::kChrome;
-  return TraceFormat::kJsonl;
-}
 
 /// Thread-local nesting depth of ACTIVE spans on this thread.
 thread_local std::int32_t t_span_depth = 0;
@@ -32,16 +24,11 @@ std::uint32_t current_thread_id() {
 // -------------------------------------------------------------------- Tracer
 
 Tracer& Tracer::global() {
-  // Touch the registry BEFORE constructing the tracer static: function-local
-  // statics are destroyed in reverse construction order, and the exit-time
-  // JSONL export in ~Tracer appends Registry::global()'s dump — the registry
-  // must therefore outlive the tracer.
-  Registry::global();
   static Tracer instance;
   static const bool initialized = [] {
     const char* raw = std::getenv("GEOPLACE_TRACE");
     if (raw != nullptr && raw[0] != '\0') {
-      instance.start(raw, format_from_path(raw));
+      instance.start(raw);
     }
     return true;
   }();
@@ -49,11 +36,10 @@ Tracer& Tracer::global() {
   return instance;
 }
 
-void Tracer::start(std::string path, TraceFormat format) {
+void Tracer::start(std::string path) {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
   path_ = std::move(path);
-  format_ = format;
   epoch_ = std::chrono::steady_clock::now();
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -70,11 +56,7 @@ void Tracer::export_locked() {
   std::ofstream out(path_);
   if (!out) return;
   const RunManifest manifest = RunManifest::capture("trace");
-  if (format_ == TraceFormat::kChrome) {
-    write_chrome_trace(out, events_, &manifest);
-  } else {
-    write_jsonl_trace(out, events_, &Registry::global(), &manifest);
-  }
+  write_chrome_trace(out, events_, &manifest);
 }
 
 double Tracer::since_epoch_us(std::chrono::steady_clock::time_point tp) const {
@@ -153,13 +135,7 @@ Span::~Span() { close(); }
 
 // ----------------------------------------------------------- free functions
 
-void start_tracing(const std::string& path) {
-  Tracer::global().start(path, format_from_path(path));
-}
-
-void start_tracing(const std::string& path, TraceFormat format) {
-  Tracer::global().start(path, format);
-}
+void start_tracing(const std::string& path) { Tracer::global().start(path); }
 
 void stop_tracing() { Tracer::global().stop(); }
 

@@ -25,10 +25,10 @@
 //
 // Enabling: set GEOPLACE_TRACE=<path> before the process starts (read once,
 // at first Tracer::global() use) or call start_tracing(). The buffered
-// events are exported at stop_tracing() or at process exit, as Chrome
-// trace-event JSON (load in chrome://tracing or https://ui.perfetto.dev)
-// when the path ends in ".json", and as a JSONL event log otherwise (the
-// input of tools/trace_report). See obs/export.hpp for both formats.
+// events are exported at stop_tracing() or at process exit as Chrome
+// trace-event JSON, whatever the path's suffix (load it in
+// https://ui.perfetto.dev or chrome://tracing; tools/gp_report prints its
+// span table). See obs/export.hpp for the format.
 #pragma once
 
 #include <atomic>
@@ -39,12 +39,6 @@
 #include <vector>
 
 namespace gp::obs {
-
-/// Output format of the trace export (see obs/export.hpp).
-enum class TraceFormat {
-  kChrome,  ///< chrome://tracing JSON array of trace events
-  kJsonl,   ///< one JSON object per line: spans, then metrics
-};
 
 /// One recorded event: a completed span.
 struct TraceEvent {
@@ -67,10 +61,10 @@ class Tracer {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Starts buffering events; they are written to `path` in `format` at
-  /// stop() (or process exit). Resets the clock epoch and drops any
-  /// previously buffered events.
-  void start(std::string path, TraceFormat format);
+  /// Starts buffering events; they are written to `path` at stop() (or
+  /// process exit). Resets the clock epoch and drops any previously
+  /// buffered events.
+  void start(std::string path);
 
   /// Disables tracing and exports the buffer to the configured path
   /// (no-op when nothing was started and no environment path is armed).
@@ -98,7 +92,6 @@ class Tracer {
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   std::string path_;
-  TraceFormat format_ = TraceFormat::kChrome;
   std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 
@@ -134,10 +127,8 @@ class Span {
   double start_us_ = 0.0;
 };
 
-/// Programmatic equivalents of GEOPLACE_TRACE (format inferred from the
-/// path when omitted: ".json" — Chrome, anything else — JSONL).
+/// Programmatic equivalents of GEOPLACE_TRACE.
 void start_tracing(const std::string& path);
-void start_tracing(const std::string& path, TraceFormat format);
 void stop_tracing();
 
 /// Shorthand for Tracer::global().enabled().

@@ -22,6 +22,10 @@ using linalg::SparseLdlt;
 using linalg::SparseMatrix;
 using linalg::Vector;
 
+constexpr double kAdmmRho = 0.1;                ///< initial step size for inequality rows
+constexpr double kAdmmRhoEqualityScale = 1e3;   ///< equality rows use rho * this
+constexpr double kAdmmAlpha = 1.6;              ///< over-relaxation in (0, 2)
+constexpr double kAdmmEpsInfeasible = 1e-7;     ///< certificate tolerance
 constexpr int kAdaptiveRhoInterval = 100;       ///< iterations between rho updates
 constexpr double kAdaptiveRhoTolerance = 5.0;   ///< refactor when rho moves this much
 constexpr int kScalingIterations = 10;          ///< Ruiz equilibration sweeps

@@ -20,13 +20,10 @@
 
 namespace gp::qp {
 
-/// ADMM step rule, fixed at OSQP's defaults. Declared here because the
-/// kernel micro-bench's reference loop runs the same iteration.
-inline constexpr double kAdmmRho = 0.1;               ///< initial step size for inequality rows
-inline constexpr double kAdmmRhoEqualityScale = 1e3;  ///< equality rows use rho * this
-inline constexpr double kAdmmSigma = 1e-6;            ///< primal regularization
-inline constexpr double kAdmmAlpha = 1.6;             ///< over-relaxation in (0, 2)
-inline constexpr double kAdmmEpsInfeasible = 1e-7;    ///< certificate tolerance
+/// Primal regularization of the KKT matrix, OSQP's default. Declared here
+/// because the kernel micro-bench factors the same KKT matrix; the rest of
+/// the step rule is local to admm_solver.cpp.
+inline constexpr double kAdmmSigma = 1e-6;
 
 /// Settings of AdmmSolver that callers choose; the defaults follow OSQP's.
 struct AdmmSettings {

@@ -625,7 +625,7 @@ TEST(SeparableWindow, MpcStepReportsPathCountersAndSpan) {
   registry.set_enabled(true);
   obs::Registry::reset_all();
   auto& tracer = obs::Tracer::global();
-  tracer.start("unused_separable_span.jsonl", obs::TraceFormat::kJsonl);
+  tracer.start("unused_separable_span.jsonl");
 
   control::MpcSettings settings;
   settings.horizon = 3;

@@ -1,14 +1,24 @@
-// gp_report: render a per-period telemetry timeline (GEOPLACE_TIMELINE,
-// obs/timeline.hpp) — or a whole sweep's timeline sidecar directory — into
-// per-period tables and anomaly summaries.
+// gp_report: render a run's artifacts — a span trace (GEOPLACE_TRACE,
+// obs/trace.hpp), a per-period telemetry timeline (GEOPLACE_TIMELINE,
+// obs/timeline.hpp), or a whole sweep's timeline sidecar directory — into
+// tables and anomaly summaries. A file is read line by line, and its lines
+// say what it is: "ph":"X" complete events make a trace, timeline lines a
+// timeline.
 //
-// Input is the columnar JSONL the TimelineWriter emits: an optional
-// {"type":"manifest",...} head, a {"type":"timeline",...} segment header,
-// then one {"type":"timeline_col","name":...,"values":[...]} line per
-// column. A file may hold several segments (one per engine run when
+// Trace input is the Chrome trace-event array the tracer exports, one
+// event per line: its span events are grouped per span name and per module
+// (the prefix before the first '.') into a latency table with exact
+// p50/p95/p99 computed from the raw durations (gp::percentile, not the
+// registry's bucketed estimate). Metadata events other than the
+// "run_manifest" provenance event, and any other line, are skipped.
+//
+// Timeline input is the columnar JSONL the TimelineWriter emits: an
+// optional {"type":"manifest",...} head, a {"type":"timeline",...} segment
+// header, then one {"type":"timeline_col","name":...,"values":[...]} line
+// per column. A file may hold several segments (one per engine run when
 // GEOPLACE_TIMELINE=<path> appends).
 //
-// Anomaly detectors, per segment:
+// Anomaly detectors, per timeline segment:
 //   - cost spikes: total period cost per unit of the demand it served
 //     (demand_served_total) above kSpikeFactor x the median of its
 //     neighbours, kSpikeHalfWindow periods on each side (needs >=
@@ -28,12 +38,17 @@
 //     above 3 x the median error.
 //
 // Usage:
-//   gp_report <timeline.jsonl | sweep-timelines-dir> [more...]
+//   gp_report [--csv] <trace.json | timeline.jsonl | sweep-timelines-dir> [more...]
 //   gp_report --self-test
 //
-// A file argument prints full per-period tables; a directory argument
-// scans its *.timeline.jsonl sidecars and prints one summary line per run
-// plus aggregate anomaly counts.
+// A trace file prints its span table, a timeline file full per-period
+// tables; a directory argument scans its *.timeline.jsonl sidecars and
+// prints one summary line per run plus aggregate anomaly counts.
+//
+// --csv writes each trace's span table as machine-readable CSV on stdout
+// instead (header `span,module,count,total_ms,mean_ms,p50_ms,p95_ms,p99_ms`,
+// rows in the same sorted-by-name order, %.10g numbers), for spreadsheet
+// import or diffing two runs' span profiles.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -41,12 +56,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
+#include "obs/export.hpp"
 #include "obs/manifest.hpp"
 #include "obs/timeline.hpp"
 
@@ -62,9 +80,9 @@ constexpr double kLatencySpikeFactor = 2.0;
 constexpr double kLatencyFloorMs = 1.0;
 constexpr double kSlaFloor = 0.5;
 
-/// Extracts the value following `"key":` in a single-line JSON object
-/// (same tolerant scanner as trace_report; both writers emit one object
-/// per line with no whitespace around the colon).
+/// Extracts the value following `"key":` in a single-line JSON object.
+/// Tolerant scanner, not a full JSON parser: the trace and timeline writers
+/// emit one object per line with no whitespace around the colon.
 std::optional<std::string> raw_value(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t at = line.find(needle);
@@ -83,6 +101,15 @@ std::optional<std::string> raw_value(const std::string& line, const std::string&
   std::size_t end = pos;
   while (end < line.size() && line[end] != ',' && line[end] != '}' && line[end] != ']') ++end;
   return line.substr(pos, end - pos);
+}
+
+std::optional<double> number_value(const std::string& line, const std::string& key) {
+  const auto raw = raw_value(line, key);
+  if (!raw) return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(raw->c_str(), &end);
+  if (end == raw->c_str()) return std::nullopt;
+  return value;
 }
 
 /// Parses the `"values":[...]` array of a timeline_col line; "null" (the
@@ -128,11 +155,31 @@ struct Segment {
 };
 
 struct ParsedFile {
-  std::vector<Segment> segments;
-  std::string manifest_tool;  ///< provenance of the first manifest line
+  std::vector<Segment> segments;  ///< timeline segments, in file order
+  /// Trace span durations in milliseconds, per span name.
+  std::map<std::string, std::vector<double>> spans;
+  std::size_t manifests = 0;  ///< manifest lines seen
+  std::string manifest_tool;  ///< provenance of the first well-formed manifest
   std::string manifest_git;
   std::size_t lines = 0;
 };
+
+/// Reads a manifest line — a timeline's {"type":"manifest",...} head or a
+/// trace's "run_manifest" metadata event: validates the fields gp_replay
+/// and humans rely on and keeps the first one's provenance.
+void read_manifest(const std::string& line, ParsedFile& file) {
+  ++file.manifests;
+  const auto tool = raw_value(line, "tool");
+  const auto git = raw_value(line, "git_sha");
+  if (!tool || !git) {
+    std::fprintf(stderr, "gp_report: malformed manifest line (no tool/git_sha)\n");
+    return;
+  }
+  if (file.manifest_tool.empty()) {
+    file.manifest_tool = *tool;
+    file.manifest_git = *git;
+  }
+}
 
 ParsedFile parse(std::istream& in) {
   ParsedFile file;
@@ -140,19 +187,20 @@ ParsedFile parse(std::istream& in) {
   while (std::getline(in, line)) {
     ++file.lines;
     const auto type = raw_value(line, "type");
-    if (!type) continue;
-    if (*type == "manifest") {
-      if (file.manifest_tool.empty()) {
-        file.manifest_tool = raw_value(line, "tool").value_or("");
-        file.manifest_git = raw_value(line, "git_sha").value_or("");
-      }
-    } else if (*type == "timeline") {
+    const auto ph = raw_value(line, "ph");
+    if (type == "manifest" || (ph == "M" && raw_value(line, "name") == "run_manifest")) {
+      read_manifest(line, file);
+    } else if (ph == "X") {
+      const auto name = raw_value(line, "name");
+      const auto dur_us = number_value(line, "dur");
+      if (name && dur_us) file.spans[*name].push_back(*dur_us / 1000.0);
+    } else if (type == "timeline") {
       Segment segment;
       if (const auto frames = raw_value(line, "frames")) {
         segment.frames = static_cast<std::size_t>(std::strtoull(frames->c_str(), nullptr, 10));
       }
       file.segments.push_back(std::move(segment));
-    } else if (*type == "timeline_col") {
+    } else if (type == "timeline_col") {
       if (file.segments.empty()) file.segments.emplace_back();  // headerless: tolerate
       const auto name = raw_value(line, "name");
       if (!name) continue;
@@ -160,6 +208,63 @@ ParsedFile parse(std::istream& in) {
     }
   }
   return file;
+}
+
+std::string module_of(const std::string& name) {
+  const std::size_t dot = name.find('.');
+  return dot == std::string::npos ? name : name.substr(0, dot);
+}
+
+/// One row of the span table.
+struct SpanStats {
+  std::size_t count = 0;
+  double total_ms = 0.0, mean_ms = 0.0, p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
+};
+
+SpanStats span_stats(const std::vector<double>& durations_ms) {
+  SpanStats stats;
+  stats.count = durations_ms.size();
+  for (double d : durations_ms) stats.total_ms += d;
+  stats.mean_ms = stats.total_ms / static_cast<double>(stats.count);
+  stats.p50_ms = gp::percentile(durations_ms, 50.0);
+  stats.p95_ms = gp::percentile(durations_ms, 95.0);
+  stats.p99_ms = gp::percentile(durations_ms, 99.0);
+  return stats;
+}
+
+void print_span_table(const ParsedFile& file) {
+  std::printf("%-28s %8s %12s %10s %10s %10s %10s\n", "span", "count", "total_ms",
+              "mean_ms", "p50_ms", "p95_ms", "p99_ms");
+  std::string module;
+  std::size_t events = 0;
+  for (const auto& [name, durations] : file.spans) {
+    const std::string m = module_of(name);
+    if (m != module) {
+      module = m;
+      std::printf("# module %s\n", module.c_str());
+    }
+    const SpanStats stats = span_stats(durations);
+    events += stats.count;
+    std::printf("%-28s %8zu %12.3f %10.4f %10.4f %10.4f %10.4f\n", name.c_str(), stats.count,
+                stats.total_ms, stats.mean_ms, stats.p50_ms, stats.p95_ms, stats.p99_ms);
+  }
+  std::printf("# %zu span events from %zu lines\n", events, file.lines);
+}
+
+/// The span table as CSV: fixed column order, one row per span name in the
+/// same sorted order as the table. Span names come from Span string
+/// literals (no commas/quotes in practice), so no quoting is needed; %.10g
+/// keeps ten significant digits through a strtod round-trip.
+void print_span_csv(const ParsedFile& file, std::ostream& out) {
+  out << "span,module,count,total_ms,mean_ms,p50_ms,p95_ms,p99_ms\n";
+  char buffer[256];
+  for (const auto& [name, durations] : file.spans) {
+    const SpanStats stats = span_stats(durations);
+    std::snprintf(buffer, sizeof(buffer), "%s,%s,%zu,%.10g,%.10g,%.10g,%.10g,%.10g\n",
+                  name.c_str(), module_of(name).c_str(), stats.count, stats.total_ms,
+                  stats.mean_ms, stats.p50_ms, stats.p95_ms, stats.p99_ms);
+    out << buffer;
+  }
 }
 
 /// Per-period total cost: resource + reconfiguration + planned SLA penalty
@@ -394,19 +499,31 @@ void print_summary_line(const std::string& name, const ParsedFile& file) {
   }
 }
 
-int report_file(const std::string& path) {
+int report_file(const std::string& path, bool csv) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "gp_report: cannot open %s\n", path.c_str());
     return 2;
   }
   const ParsedFile file = parse(in);
-  if (file.segments.empty()) {
+  if (csv) {
+    if (file.spans.empty()) {
+      std::fprintf(stderr, "gp_report: no span events in %s for --csv\n", path.c_str());
+      return 1;
+    }
+    print_span_csv(file, std::cout);
+    return 0;
+  }
+  if (file.spans.empty() && file.segments.empty()) {
     std::fprintf(stderr,
-                 "gp_report: no timeline segments in %s (is GEOPLACE_TIMELINE set when "
-                 "running the workload?)\n",
+                 "gp_report: no span events or timeline segments in %s (is GEOPLACE_TRACE "
+                 "or GEOPLACE_TIMELINE set when running the workload?)\n",
                  path.c_str());
     return 1;
+  }
+  if (!file.spans.empty()) {
+    std::printf("== %s spans\n", path.c_str());
+    print_span_table(file);
   }
   for (std::size_t s = 0; s < file.segments.size(); ++s) {
     std::printf("== %s segment %zu\n", path.c_str(), s);
@@ -444,8 +561,10 @@ int report_directory(const std::string& dir) {
   return 0;
 }
 
-/// Round-trips synthetic frames through write_timeline_jsonl and the
-/// parser, and checks every anomaly detector against planted defects.
+/// Round-trips synthetic spans through write_chrome_trace and synthetic
+/// frames through write_timeline_jsonl into the parser, and checks the span
+/// table's percentiles and CSV and every anomaly detector against planted
+/// defects.
 int self_test() {
   int failures = 0;
   auto expect = [&failures](bool ok, const char* what) {
@@ -569,6 +688,74 @@ int self_test() {
              multi_file.segments[1].frames == 48,
          "appended segments parse separately");
 
+  // A trace from the tracer's own exporter: admm.solve with durations of
+  // exactly 1..100 ms (the interpolated percentiles are easy to state in
+  // closed form) and two mpc.step spans. Its metadata events, a counter
+  // event and a registry metric line appended to it are not spans.
+  std::vector<gp::obs::TraceEvent> events;
+  for (int i = 1; i <= 100; ++i) {
+    events.push_back({"admm.solve", i * 10.0, i * 1000.0, 1, 0, 0.0, false});
+  }
+  events.push_back({"mpc.step", 0.0, 2500.0, 1, 0, 0.0, false});
+  events.push_back({"mpc.step", 9.0, 7500.0, 1, 0, 3.0, true});
+  gp::obs::RunManifest trace_manifest;
+  trace_manifest.tool = "trace";
+  trace_manifest.git_sha = "abc123def456";
+  std::ostringstream trace_out;
+  gp::obs::write_chrome_trace(trace_out, events, &trace_manifest);
+  trace_out << "{\"ph\":\"C\",\"name\":\"admm.primal_residual\",\"ts\":5,"
+               "\"args\":{\"value\":0.25}}\n";
+  trace_out << "{\"type\":\"histogram\",\"name\":\"admm.solve_ms\",\"count\":3}\n";
+  std::istringstream trace_in(trace_out.str());
+  const ParsedFile trace = parse(trace_in);
+  expect(trace.segments.empty(), "a trace holds no timeline segments");
+  expect(trace.spans.size() == 2 && trace.spans.count("admm.solve") == 1 &&
+             trace.spans.count("mpc.step") == 1,
+         "metadata, counter and metric lines are not counted as spans");
+  expect(trace.manifests == 1, "the run_manifest event is recognized");
+  expect(trace.manifest_tool == "trace" && trace.manifest_git == "abc123def456",
+         "trace manifest provenance extracted");
+  if (trace.spans.size() != 2) return 1;
+  const SpanStats admm = span_stats(trace.spans.at("admm.solve"));
+  expect(admm.count == 100, "admm.solve count == 100");
+  expect(gp::approx_equal(admm.p50_ms, 50.5, 1e-12, 1e-9), "admm.solve p50 == 50.5 ms");
+  expect(gp::approx_equal(admm.p99_ms, 99.01, 1e-12, 1e-9), "admm.solve p99 == 99.01 ms");
+  expect(gp::approx_equal(admm.total_ms, 5050.0, 1e-12, 1e-9), "admm.solve total == 5050 ms");
+  const SpanStats mpc = span_stats(trace.spans.at("mpc.step"));
+  expect(mpc.count == 2, "mpc.step count == 2");
+  expect(gp::approx_equal(mpc.total_ms, 10.0, 1e-12, 1e-9), "mpc.step total == 10 ms");
+
+  // CSV round-trip: the emitted rows must parse back to the values the
+  // table was computed from, in the same order.
+  std::ostringstream csv;
+  print_span_csv(trace, csv);
+  std::istringstream csv_in(csv.str());
+  std::string line;
+  expect(std::getline(csv_in, line) &&
+             line == "span,module,count,total_ms,mean_ms,p50_ms,p95_ms,p99_ms",
+         "CSV header is the documented column order");
+  auto group = trace.spans.begin();
+  for (; std::getline(csv_in, line) && group != trace.spans.end(); ++group) {
+    std::vector<std::string> cells;
+    std::stringstream cell_stream(line);
+    std::string cell;
+    while (std::getline(cell_stream, cell, ',')) cells.push_back(cell);
+    expect(cells.size() == 8, "CSV row has 8 cells");
+    if (cells.size() != 8) continue;
+    const SpanStats stats = span_stats(group->second);
+    auto cell_is = [&cells](std::size_t k, double value) {
+      return gp::approx_equal(std::strtod(cells[k].c_str(), nullptr), value, 1e-9, 1e-12);
+    };
+    expect(cells[0] == group->first && cells[1] == module_of(group->first),
+           "CSV rows follow the table's order and modules");
+    expect(cell_is(2, static_cast<double>(stats.count)) && cell_is(3, stats.total_ms) &&
+               cell_is(4, stats.mean_ms) && cell_is(5, stats.p50_ms) &&
+               cell_is(6, stats.p95_ms) && cell_is(7, stats.p99_ms),
+           "CSV numbers round-trip");
+  }
+  expect(group == trace.spans.end() && !std::getline(csv_in, line),
+         "CSV has one row per span name");
+
   if (failures == 0) std::printf("gp_report self-test OK\n");
   return failures == 0 ? 0 : 1;
 }
@@ -577,17 +764,20 @@ int self_test() {
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--self-test") == 0) return self_test();
-  if (argc < 2) {
+  const bool csv = argc >= 2 && std::strcmp(argv[1], "--csv") == 0;
+  const int first = csv ? 2 : 1;
+  if (first >= argc) {
     std::fprintf(stderr,
-                 "usage: gp_report <timeline.jsonl | sweep-timelines-dir> [more...]\n"
+                 "usage: gp_report [--csv] <trace.json | timeline.jsonl | "
+                 "sweep-timelines-dir> [more...]\n"
                  "       gp_report --self-test\n");
     return 2;
   }
   int worst = 0;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = first; i < argc; ++i) {
     std::error_code ec;
     const bool is_dir = std::filesystem::is_directory(argv[i], ec);
-    worst = std::max(worst, is_dir ? report_directory(argv[i]) : report_file(argv[i]));
+    worst = std::max(worst, is_dir ? report_directory(argv[i]) : report_file(argv[i], csv));
   }
   return worst;
 }
