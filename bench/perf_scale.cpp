@@ -1,12 +1,12 @@
-// Planet-scale performance study of the geo-tree placement index and the
-// window solve (BENCH_scale.json).
+// Planet-scale performance study of the pruned pair index and the window
+// solve (BENCH_scale.json).
 //
 // The continental geography at 200 data centers x 2000 access networks,
 // measured three ways:
 //
 //   1. Assignment-scan speedup. One control period's routing work —
 //      assign_demand + evaluate_sla — over the dense all-feasible-pairs
-//      index versus the PlacementIndex-pruned index (k = 8 candidates per
+//      index versus the pruned index (k = 8 nearest feasible DCs per
 //      network). Placement decisions are identical (the pruned set contains
 //      each network's nearest data center); only the pair count differs.
 //      Each index's time is the fastest of kScanPasses passes of 40 dense

@@ -9,7 +9,7 @@
 //
 // With --scale, runs the synthetic continental geography instead (the
 // scale_smoke preset: 20 data centers x 120 access networks, each network
-// pruned to its 6 nearest candidates by the geo-tree placement index)
+// pruned to its 6 nearest feasible data centers)
 // through SweepRunner under the MPC controller, over three demand seeds.
 //
 //   $ ./geo_load_balancing --scale

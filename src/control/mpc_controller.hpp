@@ -78,7 +78,6 @@ class MpcController {
 
   const dspp::PairIndex& pairs() const { return pairs_; }
   const dspp::DsppModel& model() const { return model_; }
-  const MpcSettings& settings() const { return settings_; }
 
   /// Setup-reuse counters of the window solver's ADMM fallback solver (how
   /// many fallback steps reused the cached KKT structure / skipped

@@ -1,11 +1,21 @@
 #include "dspp/model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
-#include "dspp/placement_index.hpp"
+#include "common/thread_pool.hpp"
 
 namespace gp::dspp {
+
+namespace {
+
+/// Below this many (l, v) pairs PairIndex scans on the calling thread: a
+/// pool dispatch costs more than the whole scan (paper_full is 4 x 24).
+constexpr std::size_t kMinPairsForLanes = 1024;
+
+}  // namespace
 
 void DsppModel::validate() const {
   const std::size_t num_l = network.num_datacenters();
@@ -50,70 +60,69 @@ double DsppModel::sla_coefficient(std::size_t l, std::size_t v) const {
 
 PairIndex::PairIndex(const DsppModel& model) {
   model.validate();
-  if (model.candidates_per_an > 0 &&
-      model.candidates_per_an < model.num_datacenters()) {
-    const PlacementIndex placement =
-        PlacementIndex::build(model, model.candidates_per_an);
-    init(model, &placement);
-  } else {
-    init(model, nullptr);
-  }
-}
-
-PairIndex::PairIndex(const DsppModel& model, const PlacementIndex& placement) {
-  model.validate();
-  require(placement.num_datacenters() == model.num_datacenters() &&
-              placement.num_access_networks() == model.num_access_networks(),
-          "PairIndex: placement index shape does not match the model");
-  init(model, &placement);
-}
-
-void PairIndex::init(const DsppModel& model, const PlacementIndex* placement) {
   num_l_ = model.num_datacenters();
   num_v_ = model.num_access_networks();
+  const std::size_t k = model.candidates_per_an;
+  const std::size_t keep = k > 0 && k < num_l_ ? k : num_l_;
+
+  // Per-network selection into per-v slots, so the result is bit-identical
+  // at any lane count: the `keep` feasible DCs nearest by (d_lv, l), held
+  // as a max-heap whose front is the farthest kept DC. A DC no nearer than
+  // that front cannot enter, so its a_lv is never evaluated; every other
+  // a_lv is evaluated once. The scratch rows die with this constructor.
+  struct Kept {
+    double latency;
+    double a;
+    std::uint32_t l;
+  };
+  const auto nearer = [](const Kept& x, const Kept& y) {
+    return x.latency < y.latency || (x.latency == y.latency && x.l < y.l);
+  };
+  std::vector<std::vector<Kept>> kept(num_v_);
+  parallel_for(std::size_t{0}, num_v_, [&](std::size_t v) {
+    std::vector<Kept>& row = kept[v];
+    row.reserve(keep);
+    for (std::size_t l = 0; l < num_l_; ++l) {
+      Kept dc{model.network.latency_ms(l, v), 0.0, static_cast<std::uint32_t>(l)};
+      if (row.size() == keep && !nearer(dc, row.front())) continue;
+      dc.a = model.sla_coefficient(l, v);
+      if (!std::isfinite(dc.a)) continue;
+      if (row.size() == keep) {
+        std::pop_heap(row.begin(), row.end(), nearer);
+        row.pop_back();
+      }
+      row.push_back(dc);
+      std::push_heap(row.begin(), row.end(), nearer);
+    }
+    std::sort(row.begin(), row.end(), [](const Kept& x, const Kept& y) { return x.l < y.l; });
+  }, num_l_ * num_v_ < kMinPairsForLanes ? 1 : 0);
+  for (std::size_t v = 0; v < num_v_; ++v) {
+    require(!kept[v].empty(), "PairIndex: access network " + std::to_string(v) +
+                                  " has no data center able to meet the SLA");
+  }
+
+  // l-major ids: DC l's pairs start after every pair of DCs 0..l-1, and
+  // walking networks in order fills each DC's block by ascending v.
+  std::vector<std::size_t> next_id(num_l_, 0);
+  for (const auto& row : kept) {
+    for (const Kept& dc : row) ++next_id[dc.l];
+  }
+  std::size_t num_pairs = 0;
+  for (std::size_t& id : next_id) num_pairs += std::exchange(id, num_pairs);
+  pairs_.resize(num_pairs);
+  a_.resize(num_pairs);
   pair_of_.assign(num_l_, std::vector<std::int32_t>(num_v_, -1));
   by_access_network_.assign(num_v_, {});
   by_datacenter_.assign(num_l_, {});
-  if (placement == nullptr) {
-    for (std::size_t l = 0; l < num_l_; ++l) {
-      for (std::size_t v = 0; v < num_v_; ++v) {
-        const double a = model.sla_coefficient(l, v);
-        if (!std::isfinite(a)) continue;
-        const std::size_t id = pairs_.size();
-        pairs_.emplace_back(l, v);
-        a_.push_back(a);
-        pair_of_[l][v] = static_cast<std::int32_t>(id);
-        by_access_network_[v].push_back(id);
-        by_datacenter_[l].push_back(id);
-      }
-    }
-  } else {
-    // Invert the per-network candidate sets into per-DC lists so the pruned
-    // enumeration is l-major (the dense order) in O(candidates) — coefficient
-    // evaluations happen for kept pairs only, which is the scaling win.
-    std::vector<std::vector<std::uint32_t>> networks_of(num_l_);
-    for (std::size_t v = 0; v < num_v_; ++v) {
-      for (const std::uint32_t l : placement->candidates_of(v)) {
-        networks_of[l].push_back(static_cast<std::uint32_t>(v));
-      }
-    }
-    for (std::size_t l = 0; l < num_l_; ++l) {
-      for (const std::uint32_t v : networks_of[l]) {
-        const double a = model.sla_coefficient(l, v);
-        if (!std::isfinite(a)) continue;  // candidates are feasible by construction
-        const std::size_t id = pairs_.size();
-        pairs_.emplace_back(l, v);
-        a_.push_back(a);
-        pair_of_[l][v] = static_cast<std::int32_t>(id);
-        by_access_network_[v].push_back(id);
-        by_datacenter_[l].push_back(id);
-      }
-    }
-  }
   for (std::size_t v = 0; v < num_v_; ++v) {
-    require(!by_access_network_[v].empty(),
-            "PairIndex: access network " + std::to_string(v) +
-                " has no data center able to meet the SLA");
+    for (const Kept& dc : kept[v]) {
+      const std::size_t id = next_id[dc.l]++;
+      pairs_[id] = {dc.l, v};
+      a_[id] = dc.a;
+      pair_of_[dc.l][v] = static_cast<std::int32_t>(id);
+      by_access_network_[v].push_back(id);
+      by_datacenter_[dc.l].push_back(id);
+    }
   }
 }
 

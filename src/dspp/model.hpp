@@ -45,9 +45,9 @@ struct DsppModel {
 
   /// Candidate pruning for large fleets: when in (0, L), every access
   /// network keeps only its `candidates_per_an` nearest feasible data
-  /// centers (via dspp::PlacementIndex), making PairIndex — and everything
-  /// built on it: assign_demand, evaluate_sla, the window QP — sparse.
-  /// 0 (or >= L) keeps the dense all-feasible-pairs behavior, bit-for-bit.
+  /// centers (by d_lv, ties toward the smaller l), making PairIndex — and
+  /// everything built on it: assign_demand, evaluate_sla, the window QP —
+  /// sparse. 0 (or >= L) keeps the dense all-feasible-pairs behavior.
   std::size_t candidates_per_an = 0;
 
   std::size_t num_datacenters() const { return network.num_datacenters(); }
@@ -65,8 +65,6 @@ struct DsppModel {
   double sla_coefficient(std::size_t l, std::size_t v) const;
 };
 
-class PlacementIndex;
-
 /// Index of the usable (l, v) pairs — those with finite a_lv, optionally
 /// pruned to each access network's k nearest feasible data centers. The
 /// DSPP decision vectors x and u range over these pairs only.
@@ -74,14 +72,11 @@ class PairIndex {
  public:
   /// Builds from a model; throws when some access network has NO usable
   /// data center (its demand could never be served). When
-  /// model.candidates_per_an is in (0, L) the pairs are pruned through a
-  /// PlacementIndex built on the spot; enumeration order stays l-major, so
-  /// with k >= L the result is bit-identical to the dense index.
+  /// model.candidates_per_an is in (0, L) each network keeps its k nearest
+  /// feasible data centers by (d_lv, l). Pairs are enumerated l-major
+  /// (ascending v within a data center) either way, so with k >= L the
+  /// result is the dense index.
   explicit PairIndex(const DsppModel& model);
-
-  /// Builds pruned to an explicit placement index (must have been built
-  /// from the same model).
-  PairIndex(const DsppModel& model, const PlacementIndex& placement);
 
   std::size_t num_pairs() const { return pairs_.size(); }
   std::size_t num_datacenters() const { return num_l_; }
@@ -103,8 +98,6 @@ class PairIndex {
   const std::vector<std::size_t>& pairs_of_datacenter(std::size_t l) const;
 
  private:
-  void init(const DsppModel& model, const PlacementIndex* placement);
-
   std::size_t num_l_ = 0;
   std::size_t num_v_ = 0;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // (l, v)

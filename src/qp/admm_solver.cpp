@@ -708,9 +708,4 @@ void AdmmSolver::warm_start(Vector x, Vector y) {
   warm_y_ = std::move(y);
 }
 
-void AdmmSolver::reset_warm_start() {
-  warm_x_.clear();
-  warm_y_.clear();
-}
-
 }  // namespace gp::qp

@@ -127,14 +127,9 @@ class AdmmSolver final : public QpSolver {
   /// primal x of size n and dual y of size m). Cleared after use.
   void warm_start(linalg::Vector x, linalg::Vector y);
 
-  /// Drops any cached or pending warm-start state.
-  void reset_warm_start();
-
   /// Drops the cached scaling/ordering/factorization; the next solve runs
   /// the full setup. (Also called internally when the pattern changes.)
   void invalidate_cache();
-
-  const AdmmSettings& settings() const { return settings_; }
 
   /// Setup-reuse counters since construction (see AdmmCacheStats).
   const AdmmCacheStats& cache_stats() const { return cache_stats_; }

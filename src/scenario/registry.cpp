@@ -172,7 +172,7 @@ PresetMap build_presets() {
   }
 
   // Continental scale, CI-sized: the synthetic grid small enough for smoke
-  // jobs yet large enough that geo-tree pruning changes the pair count
+  // jobs yet large enough that candidate pruning changes the pair count
   // (20 DCs x 120 access networks, 6 candidates per network). The SLA is
   // relaxed to 45 ms so random metros far from their nearest sites stay
   // feasible.

@@ -40,10 +40,9 @@ struct ScenarioSpec {
   std::size_t num_cities = 24;
   std::uint64_t topology_seed = 42;
 
-  // Geo-tree candidate pruning (dspp::PlacementIndex): > 0 restricts every
+  // Candidate pruning (DsppModel::candidates_per_an): > 0 restricts every
   // access network to its k nearest feasible data centers, making the pair
-  // index sparse; 0 (or >= num_dcs) keeps the dense all-pairs index
-  // bit-for-bit.
+  // index sparse; 0 (or >= num_dcs) keeps the dense all-pairs index.
   std::size_t candidates_per_an = 0;
 
   // Demand: population-scaled diurnal arrivals, optional flash crowds.

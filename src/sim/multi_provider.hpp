@@ -74,8 +74,6 @@ class MultiTenantSimulation {
 
   MultiTenantSummary run();
 
-  std::size_t num_tenants() const { return tenants_.size(); }
-
  private:
   std::vector<TenantConfig> tenants_;
   std::vector<dspp::PairIndex> pair_index_;

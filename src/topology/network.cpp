@@ -79,34 +79,13 @@ NetworkModel NetworkModel::from_geography(const std::vector<DataCenterSite>& sit
     latency.push_back(std::move(row));
   }
   for (const auto& city : cities) an_names.push_back(city.name);
-  NetworkModel model(std::move(dc_names), std::move(an_names), std::move(latency));
-  // Keep the positions: the placement index prunes candidates through a
-  // geo-tree over them (latency here is monotone in great-circle distance).
-  model.dc_positions_.reserve(sites.size());
-  for (const auto& site : sites) {
-    model.dc_positions_.push_back({site.location.latitude, site.location.longitude});
-  }
-  model.an_positions_.reserve(cities.size());
-  for (const auto& city : cities) {
-    model.an_positions_.push_back({city.latitude, city.longitude});
-  }
-  return model;
+  return NetworkModel(std::move(dc_names), std::move(an_names), std::move(latency));
 }
 
 double NetworkModel::latency_ms(std::size_t l, std::size_t v) const {
   require(l < dc_names_.size(), "latency_ms: data center index out of range");
   require(v < an_names_.size(), "latency_ms: access network index out of range");
   return latency_ms_[l][v];
-}
-
-const GeoPoint& NetworkModel::dc_position(std::size_t l) const {
-  require(l < dc_positions_.size(), "dc_position: no geometry or index out of range");
-  return dc_positions_[l];
-}
-
-const GeoPoint& NetworkModel::an_position(std::size_t v) const {
-  require(v < an_positions_.size(), "an_position: no geometry or index out of range");
-  return an_positions_[v];
 }
 
 }  // namespace gp::topology

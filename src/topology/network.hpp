@@ -12,12 +12,6 @@
 
 namespace gp::topology {
 
-/// A bare geographic position (degrees; negative longitude = west).
-struct GeoPoint {
-  double latitude = 0.0;
-  double longitude = 0.0;
-};
-
 /// Bipartite latency model between |L| data centers and |V| access networks.
 class NetworkModel {
  public:
@@ -50,22 +44,10 @@ class NetworkModel {
   const std::string& dc_name(std::size_t l) const { return dc_names_[l]; }
   const std::string& an_name(std::size_t v) const { return an_names_[v]; }
 
-  /// True when the model was built from geographic positions
-  /// (from_geography): the placement index can then search DCs through a
-  /// geo-tree instead of scanning latency rows. Matrix- and
-  /// transit-stub-built models have no geometry.
-  bool has_geometry() const { return !dc_positions_.empty(); }
-
-  /// Positions (valid only when has_geometry()).
-  const GeoPoint& dc_position(std::size_t l) const;
-  const GeoPoint& an_position(std::size_t v) const;
-
  private:
   std::vector<std::string> dc_names_;
   std::vector<std::string> an_names_;
   std::vector<std::vector<double>> latency_ms_;  // [l][v]
-  std::vector<GeoPoint> dc_positions_;           // empty unless from_geography
-  std::vector<GeoPoint> an_positions_;
 };
 
 }  // namespace gp::topology

@@ -1,19 +1,17 @@
-// Property tests for the continental-scale machinery: the GeoKdTree against
-// brute-force k-NN, PlacementIndex candidate selection against a full scan,
-// incremental update() against a fresh build, pruned PairIndex consistency,
-// and the window solver's ADMM path against the hand-written dense program.
+// Property tests for the continental-scale machinery: pruned PairIndex
+// candidate selection against a brute-force scan (with and without per-pair
+// latency overrides), pruned PairIndex consistency, and the window solver's
+// ADMM path against the hand-written dense program.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dspp/assignment.hpp"
-#include "dspp/placement_index.hpp"
 #include "dspp/window_program.hpp"
 #include "dspp/window_solver.hpp"
 #include "scenario/policy.hpp"
@@ -21,82 +19,13 @@
 #include "scenario/serialize.hpp"
 #include "scenario/spec.hpp"
 #include "topology/continental.hpp"
-#include "topology/geo_index.hpp"
 
 namespace gp {
 namespace {
 
 using linalg::Vector;
 
-// ----------------------------------------------------------------- GeoKdTree
-
-/// Brute-force reference: same embedding and distance expression as the
-/// tree's leaf scan, sorted by (chord^2, id).
-std::vector<std::size_t> brute_force_knn(const std::vector<double>& lats,
-                                         const std::vector<double>& lons, double qlat,
-                                         double qlon, std::size_t k) {
-  const auto embed = [](double lat_deg, double lon_deg, double* out) {
-    const double to_rad = std::numbers::pi / 180.0;
-    const double lat = lat_deg * to_rad;
-    const double lon = lon_deg * to_rad;
-    out[0] = std::cos(lat) * std::cos(lon);
-    out[1] = std::cos(lat) * std::sin(lon);
-    out[2] = std::sin(lat);
-  };
-  double qpt[3];
-  embed(qlat, qlon, qpt);
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(lats.size());
-  for (std::size_t i = 0; i < lats.size(); ++i) {
-    double p[3];
-    embed(lats[i], lons[i], p);
-    const double dx = p[0] - qpt[0];
-    const double dy = p[1] - qpt[1];
-    const double dz = p[2] - qpt[2];
-    scored.emplace_back(dx * dx + dy * dy + dz * dz, i);
-  }
-  std::sort(scored.begin(), scored.end());
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < std::min(k, scored.size()); ++i) {
-    out.push_back(scored[i].second);
-  }
-  return out;
-}
-
-class GeoKdTreeProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(GeoKdTreeProperty, MatchesBruteForceKnn) {
-  const std::size_t n = GetParam();
-  Rng rng(1000 + n);
-  std::vector<double> lats(n), lons(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lats[i] = rng.uniform(25.0, 49.0);
-    lons[i] = rng.uniform(-124.0, -67.0);
-  }
-  const topology::GeoKdTree tree = topology::GeoKdTree::build(lats, lons);
-  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}, n}) {
-    for (int q = 0; q < 16; ++q) {
-      const double qlat = rng.uniform(20.0, 55.0);
-      const double qlon = rng.uniform(-130.0, -60.0);
-      EXPECT_EQ(tree.nearest(qlat, qlon, k), brute_force_knn(lats, lons, qlat, qlon, k))
-          << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, GeoKdTreeProperty,
-                         ::testing::Values(1, 2, 3, 7, 8, 9, 17, 64, 257, 2048));
-
-TEST(GeoKdTree, DuplicatePointsTieBreakTowardSmallerId) {
-  // Five copies of the same point: the k nearest must be ids 0..k-1.
-  const std::vector<double> lats(5, 40.0);
-  const std::vector<double> lons(5, -100.0);
-  const auto tree = topology::GeoKdTree::build(lats, lons);
-  EXPECT_EQ(tree.nearest(40.0, -100.0, 3), (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(tree.nearest(10.0, -80.0, 2), (std::vector<std::size_t>{0, 1}));
-}
-
-// ------------------------------------------------------------ PlacementIndex
+// ------------------------------------------------------- candidate selection
 
 dspp::DsppModel continental_model(std::size_t num_l, std::size_t num_v,
                                   std::uint64_t seed, double max_latency_ms = 45.0) {
@@ -113,89 +42,74 @@ dspp::DsppModel continental_model(std::size_t num_l, std::size_t num_v,
   return model;
 }
 
-/// Brute-force reference selection: the k feasible DCs minimizing
-/// d_lv + bias_l (ties toward the smaller l), reported ascending by id.
-std::vector<std::uint32_t> brute_force_candidates(const dspp::DsppModel& model,
-                                                  std::size_t v, std::size_t k,
-                                                  const Vector& bias) {
-  std::vector<std::pair<std::pair<double, std::size_t>, std::uint32_t>> scored;
+/// Brute-force reference selection: the k feasible DCs nearest to v by
+/// (d_lv, l), reported ascending by id.
+std::vector<std::size_t> brute_force_candidates(const dspp::DsppModel& model,
+                                                std::size_t v, std::size_t k) {
+  std::vector<std::pair<double, std::size_t>> scored;
   for (std::size_t l = 0; l < model.num_datacenters(); ++l) {
     if (!std::isfinite(model.sla_coefficient(l, v))) continue;
-    const double latency = model.network.latency_ms(l, v);
-    const double shift = bias.empty() ? 0.0 : bias[l];
-    scored.push_back({{latency + shift, l}, static_cast<std::uint32_t>(l)});
+    scored.emplace_back(model.network.latency_ms(l, v), l);
   }
   std::sort(scored.begin(), scored.end());
   scored.resize(std::min(k, scored.size()));
-  std::vector<std::uint32_t> out;
+  std::vector<std::size_t> out;
   for (const auto& entry : scored) out.push_back(entry.second);
   std::sort(out.begin(), out.end());
   return out;
 }
 
+/// The data centers PairIndex kept for network v, in its pair order.
+std::vector<std::size_t> candidates_of(const dspp::PairIndex& pairs, std::size_t v) {
+  std::vector<std::size_t> out;
+  for (const std::size_t p : pairs.pairs_of_access_network(v)) {
+    out.push_back(pairs.datacenter_of(p));
+  }
+  return out;
+}
+
 TEST(PlacementIndex, MatchesBruteForceSelection) {
-  const auto model = continental_model(40, 160, 7);
+  auto model = continental_model(40, 160, 7);
   for (const std::size_t k : {1, 3, 8, 40}) {
-    const auto index = dspp::PlacementIndex::build(model, k);
+    model.candidates_per_an = k;
+    const dspp::PairIndex pairs(model);
     for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
-      EXPECT_EQ(index.candidates_of(v), brute_force_candidates(model, v, k, {}))
+      EXPECT_EQ(candidates_of(pairs, v), brute_force_candidates(model, v, k))
           << "k=" << k << " v=" << v;
     }
   }
 }
 
-TEST(PlacementIndex, MatchesBruteForceWithBias) {
-  const auto model = continental_model(32, 96, 21);
-  Rng rng(5);
-  Vector bias(model.num_datacenters());
-  for (double& b : bias) b = rng.uniform(-5.0, 5.0);
-  const auto index = dspp::PlacementIndex::build(model, 4, bias);
+TEST(PairIndex, PrunedKeepsNearestFeasibleUnderLatencyOverrides) {
+  auto model = continental_model(30, 90, 11);
+  model.candidates_per_an = 4;
+  // Every even network's nearest DC gets a bound below its propagation
+  // latency, so that pair is infeasible and the selection must reach past it.
+  model.max_latency_override_ms.assign(model.num_datacenters(),
+                                       std::vector<double>(model.num_access_networks(), 0.0));
+  std::vector<std::size_t> nearest(model.num_access_networks());
   for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
-    EXPECT_EQ(index.candidates_of(v), brute_force_candidates(model, v, 4, bias)) << v;
+    nearest[v] = brute_force_candidates(model, v, 1).front();
+    if (v % 2 == 0) model.max_latency_override_ms[nearest[v]][v] = 0.5;
   }
-}
+  const dspp::PairIndex pairs(model);
+  for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
+    const std::vector<std::size_t> kept = candidates_of(pairs, v);
+    EXPECT_EQ(kept, brute_force_candidates(model, v, 4)) << v;
+    EXPECT_EQ(kept.size(), 4u) << v;
+    const bool has_nearest = std::find(kept.begin(), kept.end(), nearest[v]) != kept.end();
+    EXPECT_EQ(has_nearest, v % 2 != 0) << v;
+  }
 
-TEST(PlacementIndex, IncrementalUpdateEqualsFreshBuild) {
-  const auto model = continental_model(48, 200, 13);
-  auto incremental = dspp::PlacementIndex::build(model, 6);
-  Rng rng(99);
-  for (int round = 0; round < 5; ++round) {
-    Vector bias(model.num_datacenters());
-    for (double& b : bias) b = rng.uniform(-3.0, 3.0);
-    incremental.update(bias);
-    const auto fresh = dspp::PlacementIndex::build(model, 6, bias);
-    for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
-      ASSERT_EQ(incremental.candidates_of(v), fresh.candidates_of(v))
-          << "round=" << round << " v=" << v;
-    }
-  }
-}
-
-TEST(PlacementIndex, TreePathMatchesScanPathWithoutGeometry) {
-  // Strip the geometry: the same latency matrix through a synthetic
-  // NetworkModel must select identical candidates via the O(L) scan path.
-  const auto geo_model = continental_model(30, 90, 3);
-  dspp::DsppModel flat = geo_model;
-  std::vector<std::vector<double>> matrix(geo_model.num_datacenters());
-  for (std::size_t l = 0; l < geo_model.num_datacenters(); ++l) {
-    matrix[l].resize(geo_model.num_access_networks());
-    for (std::size_t v = 0; v < geo_model.num_access_networks(); ++v) {
-      matrix[l][v] = geo_model.network.latency_ms(l, v);
-    }
-  }
-  std::vector<std::string> dc_names, an_names;
-  for (std::size_t l = 0; l < geo_model.num_datacenters(); ++l) {
-    dc_names.push_back("dc" + std::to_string(l));
-  }
-  for (std::size_t v = 0; v < geo_model.num_access_networks(); ++v) {
-    an_names.push_back("an" + std::to_string(v));
-  }
-  flat.network = topology::NetworkModel(std::move(dc_names), std::move(an_names), matrix);
-  ASSERT_FALSE(flat.network.has_geometry());
-  const auto tree_index = dspp::PlacementIndex::build(geo_model, 5);
-  const auto scan_index = dspp::PlacementIndex::build(flat, 5);
-  for (std::size_t v = 0; v < geo_model.num_access_networks(); ++v) {
-    ASSERT_EQ(tree_index.candidates_of(v), scan_index.candidates_of(v)) << v;
+  // Network 1 loses every DC: the one feasibility check names it.
+  for (auto& row : model.max_latency_override_ms) row[1] = 0.5;
+  try {
+    const dspp::PairIndex unusable(model);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("access network 1 has no data center"), std::string::npos)
+        << message;
   }
 }
 
@@ -216,15 +130,25 @@ TEST(PairIndex, PrunedKeepsOnlyPlacementCandidates) {
   auto model = continental_model(36, 120, 29);
   model.candidates_per_an = 4;
   const dspp::PairIndex pairs(model);
-  const auto index = dspp::PlacementIndex::build(model, 4);
-  for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
-    const auto& candidates = index.candidates_of(v);
-    const auto& pair_list = pairs.pairs_of_access_network(v);
-    ASSERT_EQ(pair_list.size(), candidates.size()) << v;
-    for (std::size_t i = 0; i < pair_list.size(); ++i) {
-      EXPECT_EQ(pairs.datacenter_of(pair_list[i]), candidates[i]) << v;
+  std::vector<std::vector<std::size_t>> kept(model.num_access_networks());
+  for (std::size_t v = 0; v < kept.size(); ++v) {
+    kept[v] = brute_force_candidates(model, v, 4);
+    EXPECT_EQ(candidates_of(pairs, v), kept[v]) << v;
+  }
+  std::size_t id = 0;
+  for (std::size_t l = 0; l < model.num_datacenters(); ++l) {
+    for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
+      if (std::find(kept[v].begin(), kept[v].end(), l) == kept[v].end()) {
+        EXPECT_FALSE(pairs.pair_of(l, v).has_value()) << l << "," << v;
+        continue;
+      }
+      // Kept pairs are enumerated l-major and carry their exact a_lv.
+      ASSERT_EQ(pairs.pair_of(l, v), id) << l << "," << v;
+      EXPECT_EQ(pairs.coefficient(id), model.sla_coefficient(l, v));
+      ++id;
     }
   }
+  EXPECT_EQ(pairs.num_pairs(), id);
 }
 
 // ------------------------------------------------------------ window solver
@@ -322,7 +246,6 @@ TEST(ScenarioScale, ContinentalSpecBuildsBeyondTheTables) {
   const scenario::ScenarioBundle bundle = scenario::build(spec);
   EXPECT_EQ(bundle.model.num_datacenters(), spec.num_dcs);
   EXPECT_EQ(bundle.model.num_access_networks(), spec.num_cities);
-  EXPECT_TRUE(bundle.model.network.has_geometry());
   // The pruning knob propagates into the model, so every PairIndex built
   // from this bundle is sparse.
   EXPECT_EQ(bundle.model.candidates_per_an, spec.candidates_per_an);
