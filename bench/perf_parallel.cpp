@@ -25,7 +25,7 @@
 #include "game/competition.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "scenario/policy.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/report.hpp"
@@ -216,19 +216,18 @@ int main() {
   const double obs_overhead_ratio =
       cached.wall_ms > 0.0 ? instrumented.wall_ms / cached.wall_ms : 0.0;
 
-  // Profiler-armed lane: the same cached MPC workload, plain vs with the
-  // span-stack sampling profiler armed (obs/profiler.hpp). Plain and armed
-  // samples alternate (plain, armed, plain, ...), as perf_sweep's timeline
-  // lane does, so load drifting on the host reaches both sides alike; the
-  // ratio takes the fastest sample of each side. The registry is off so the
-  // ratio isolates the profiler's own cost. Transparency means the armed
-  // run's artifacts are BIT-identical (total cost, iteration counts) —
-  // sampling must observe the solver, never steer it. Each armed sample
-  // starts and stops the profiler (a start drops the previous profile), so
-  // the sample counts add up over the armed samples and
-  // BENCH_parallel.folded holds the last one's stacks for gp_flame; the ≤5%
-  // overhead ceiling is enforced by bench_check --internal via
-  // overhead_ratio_max.
+  // Trace-armed lane: the same cached MPC workload, plain vs with the span
+  // tracer armed (obs/trace.hpp). Plain and armed samples alternate (plain,
+  // armed, plain, ...), as perf_sweep's timeline lane does, so load
+  // drifting on the host reaches both sides alike; the ratio takes the
+  // fastest sample of each side. The registry is off so the ratio isolates
+  // the tracer's own cost. Transparency means the armed run's artifacts are
+  // BIT-identical (total cost, iteration counts) — tracing must observe the
+  // solver, never steer it. Each armed sample starts and stops the tracer
+  // (a start drops the previous events; the export at stop is outside the
+  // timed runs), so BENCH_parallel.trace.json holds the last sample's spans
+  // for gp_report --flame; the <=5% overhead ceiling is enforced by
+  // bench_check --internal via overhead_ratio_max.
   //
   // One 96-step run takes a few milliseconds now that its windows are
   // solved network by network, so each timed sample chains kRunsPerSample
@@ -244,28 +243,23 @@ int main() {
   };
   const MpcRun plain = run_mpc(true);
   MpcRun armed;
-  auto& profiler = gp::obs::Profiler::global();
   double plain_best = 0.0, armed_best = 0.0;
-  unsigned long long profiler_samples = 0, profiler_torn = 0;
+  std::size_t trace_events = 0;
   for (int r = 0; r < kOverheadReps; ++r) {
     const double plain_ms = sample_ms();
     plain_best = r == 0 ? plain_ms : std::min(plain_best, plain_ms);
-    // 499 Hz: plenty of samples over ~0.5 s of armed workload, and on a
-    // single-core host the watcher's timer wakeups (each one preempts the
-    // solver) stay a small fraction of the 5% budget.
-    profiler.start("BENCH_parallel.folded", 499.0);
+    gp::obs::start_tracing("BENCH_parallel.trace.json");
     if (r == 0) armed = run_mpc(true);
     const double armed_ms = sample_ms();
     armed_best = r == 0 ? armed_ms : std::min(armed_best, armed_ms);
-    profiler.stop();
-    profiler_samples += profiler.total_samples();
-    profiler_torn += profiler.torn_samples();
+    trace_events = gp::obs::Tracer::global().events().size();
+    gp::obs::stop_tracing();
   }
   registry.set_enabled(registry_was_enabled);
-  const bool profiler_transparent = armed.total_cost == plain.total_cost &&
-                                    armed.window_iterations == plain.window_iterations &&
-                                    armed.unsolved == plain.unsolved;
-  const double profiler_overhead_ratio = plain_best > 0.0 ? armed_best / plain_best : 0.0;
+  const bool trace_transparent = armed.total_cost == plain.total_cost &&
+                                 armed.window_iterations == plain.window_iterations &&
+                                 armed.unsolved == plain.unsolved;
+  const double trace_overhead_ratio = plain_best > 0.0 ? armed_best / plain_best : 0.0;
 
   std::printf("\n# 96-step MPC (4 DCs x 24 cities, horizon 5)\n");
   gp::scenario::print_series_header(
@@ -291,11 +285,10 @@ int main() {
               cache_hit_rate, skip_rate, iters_snapshot.p50, iters_snapshot.p95,
               step_snapshot.p50, step_snapshot.p95, step_snapshot.p99,
               obs_overhead_ratio);
-  std::printf("# profiler (armed cached run): overhead x%.3f (best of %d alternating samples "
-              "of %d runs each side), %llu profiler samples (%llu torn), artifacts %s\n",
-              profiler_overhead_ratio, kOverheadReps, kRunsPerSample, profiler_samples,
-              profiler_torn,
-              profiler_transparent ? "bit-identical" : "DIVERGED");
+  std::printf("# trace (armed cached run): overhead x%.3f (best of %d alternating samples "
+              "of %d runs each side), %zu events in the last sample, artifacts %s\n",
+              trace_overhead_ratio, kOverheadReps, kRunsPerSample, trace_events,
+              trace_transparent ? "bit-identical" : "DIVERGED");
 
   std::FILE* json = std::fopen("BENCH_parallel.json", "w");
   if (json != nullptr) {
@@ -354,13 +347,12 @@ int main() {
                  "\"disabled_is_silent\": %s},\n",
                  obs_overhead_ratio, disabled_is_silent ? "true" : "false");
     // overhead_ratio_max is the bench_check --internal ceiling: an armed
-    // profiler may cost at most 5% wall time on the MPC workload.
+    // tracer may cost at most 5% wall time on the MPC workload.
     std::fprintf(json,
-                 "    \"profiler\": {\"overhead_ratio\": %.3f, "
+                 "    \"trace\": {\"overhead_ratio\": %.3f, "
                  "\"overhead_ratio_max\": 1.05,\n"
-                 "      \"samples\": %llu, \"torn\": %llu, \"transparent\": %s},\n",
-                 profiler_overhead_ratio, profiler_samples, profiler_torn,
-                 profiler_transparent ? "true" : "false");
+                 "      \"events\": %zu, \"transparent\": %s},\n",
+                 trace_overhead_ratio, trace_events, trace_transparent ? "true" : "false");
     std::fprintf(json, "    \"iteration_ratio\": %.3f,\n",
                  cold.window_iterations > 0
                      ? static_cast<double>(cached.window_iterations) /
@@ -377,13 +369,13 @@ int main() {
   // run recorded every window solve.
   const bool ok = all_identical && cached.unsolved == cold.unsolved &&
                   cached.window_iterations <= cold.window_iterations &&
-                  disabled_is_silent && obs_window_solves == static_cast<long long>(kMpcSteps) && profiler_transparent &&
-                  profiler_samples > 0;
+                  disabled_is_silent && obs_window_solves == static_cast<long long>(kMpcSteps) &&
+                  trace_transparent && trace_events > 0;
   std::printf("\n# determinism %s, cached window iterations %lld vs cold %lld, "
-              "disabled registry %s, profiler %s -- %s\n",
+              "disabled registry %s, trace %s -- %s\n",
               all_identical ? "holds" : "VIOLATED", cached.window_iterations,
               cold.window_iterations, disabled_is_silent ? "silent" : "NOT SILENT",
-              profiler_transparent ? "transparent" : "NOT TRANSPARENT",
+              trace_transparent ? "transparent" : "NOT TRANSPARENT",
               ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -49,4 +49,9 @@ std::string CsvWriter::format(double value) {
   return std::string(buffer, result.ptr);
 }
 
+std::string json_number(double value) {
+  if (!std::isfinite(value)) return "null";
+  return CsvWriter::format(value);
+}
+
 }  // namespace gp

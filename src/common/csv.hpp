@@ -38,4 +38,9 @@ class CsvWriter {
   bool wrote_header_ = false;
 };
 
+/// JSON number token: CsvWriter::format's shortest round-trip digits, or
+/// null for a non-finite value (JSON has no NaN/inf). Every JSON writer in
+/// the library (trace, timeline, sweep) formats its numbers here.
+std::string json_number(double value);
+
 }  // namespace gp

@@ -1,5 +1,7 @@
 #include "obs/export.hpp"
 
+#include "common/csv.hpp"
+
 namespace gp::obs {
 
 namespace {
@@ -31,10 +33,10 @@ void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
         dot == std::string::npos ? std::string("misc") : event.name.substr(0, dot);
     out << "{\"ph\":\"X\",\"name\":\"";
     write_escaped(out, event.name);
-    out << "\",\"cat\":\"" << category << "\",\"ts\":" << event.ts_us
-        << ",\"dur\":" << event.dur_us << ",\"pid\":0,\"tid\":" << event.tid;
+    out << "\",\"cat\":\"" << category << "\",\"ts\":" << json_number(event.ts_us)
+        << ",\"dur\":" << json_number(event.dur_us) << ",\"pid\":0,\"tid\":" << event.tid;
     if (event.has_arg) {
-      out << ",\"args\":{\"arg\":" << event.arg << "}";
+      out << ",\"args\":{\"arg\":" << json_number(event.arg) << "}";
     }
     out << "}";
   }

@@ -1,12 +1,14 @@
 // Trace exporter.
 //
 // Chrome trace-event format (load in https://ui.perfetto.dev or
-// chrome://tracing; tools/gp_report prints its span table): a JSON array
-// with one object per line — a "process_name" metadata event, the optional
-// RunManifest as a "run_manifest" metadata event (so the artifact is
-// self-describing), then one complete event ("ph":"X") per span with
-// timestamps/durations in microseconds, one process (pid 0) and the
-// library's small thread ids as tids. Registry metrics are not part of the
+// chrome://tracing; tools/gp_report prints its span table and draws its
+// flamegraph): a JSON array with one object per line — a "process_name"
+// metadata event, the optional RunManifest as a "run_manifest" metadata
+// event (so the artifact is self-describing), then one complete event
+// ("ph":"X") per span with timestamps/durations in microseconds, one
+// process (pid 0) and the library's small thread ids as tids. Numbers are
+// written shortest round-trip (gp::json_number), so ts and dur read back
+// bit-exact however long the run. Registry metrics are not part of the
 // trace; GEOPLACE_METRICS=<path> dumps them.
 #pragma once
 

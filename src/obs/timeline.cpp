@@ -16,13 +16,6 @@ std::atomic<bool>& enabled_flag() {
   return flag;
 }
 
-/// JSON number token: shortest round-trip, null for non-finite (JSON has no
-/// NaN/inf) — the same convention as the sweep exports.
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  return CsvWriter::format(value);
-}
-
 /// The frame fields in column order, by pointer-to-member — one table
 /// drives the SoA scatter/gather and the export.
 constexpr double TelemetryFrame::* kFields[] = {

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "obs/export.hpp"
-#include "obs/profiler.hpp"
 
 namespace gp::obs {
 
@@ -102,13 +101,11 @@ Span::Span(const char* name, double arg)
       arg_(arg),
       has_arg_(true),
       active_(Tracer::global().enabled()),
-      sampled_(profiling_enabled()),
       start_(std::chrono::steady_clock::now()) {
   if (active_) {
     depth_ = t_span_depth++;
     start_us_ = Tracer::global().since_epoch_us(start_);
   }
-  if (sampled_) span_stack_push(name_);
 }
 
 double Span::elapsed_ms() const {
@@ -120,9 +117,6 @@ double Span::close() {
   const double elapsed = elapsed_ms();
   if (closed_) return elapsed;
   closed_ = true;
-  // Pop before emitting: the profiler should never sample a span that is
-  // busy reporting its own end.
-  if (sampled_) span_stack_pop();
   if (active_) {
     --t_span_depth;
     Tracer::global().record_span(name_, start_us_, elapsed * 1e3, current_thread_id(),

@@ -12,11 +12,12 @@
 // sites can reuse elapsed_ms() for registry histograms and summaries
 // regardless of whether tracing is on; only the event emission is gated.
 //
-// When the sampling profiler is armed (obs/profiler.hpp), a Span also
-// pushes its name onto the thread-local SpanStack at construction and pops
-// it at close — that stack is what the profiler's watcher thread samples.
-// Both hooks are gated on one relaxed atomic load, so an unprofiled run
-// pays a single predictable branch per span.
+// The trace is the one record of span stacks: every closed span carries
+// its thread id, start and duration, so nesting is recovered offline by
+// interval containment per thread — tools/gp_report --flame folds a trace
+// into a flamegraph weighted by each span's self time. Emission is gated
+// on one relaxed atomic load, so an untraced run pays a single predictable
+// branch per span.
 //
 // The tracer records spans only. Scalar trajectories (ADMM residuals, the
 // game's per-round cost, per-period SLA and forecast error) live in the
@@ -28,7 +29,8 @@
 // events are exported at stop_tracing() or at process exit as Chrome
 // trace-event JSON, whatever the path's suffix (load it in
 // https://ui.perfetto.dev or chrome://tracing; tools/gp_report prints its
-// span table). See obs/export.hpp for the format.
+// span table or, with --flame, draws its flamegraph). See obs/export.hpp
+// for the format.
 #pragma once
 
 #include <atomic>
@@ -119,8 +121,7 @@ class Span {
   const char* name_;
   double arg_;
   bool has_arg_;
-  bool active_;   ///< tracing was on at construction: emit on close
-  bool sampled_;  ///< profiling was on at construction: pop the SpanStack on close
+  bool active_;  ///< tracing was on at construction: emit on close
   bool closed_ = false;
   std::int32_t depth_ = 0;
   std::chrono::steady_clock::time_point start_;

@@ -40,13 +40,6 @@ Aggregate aggregate_of(std::span<const double> values) {
   return agg;
 }
 
-/// JSON number token: round-trip formatting, null for non-finite values
-/// (JSON has no NaN/inf and downstream parsers choke on them).
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  return CsvWriter::format(value);
-}
-
 std::string json_string(const std::string& text) {
   std::string quoted = "\"";
   for (char c : text) {

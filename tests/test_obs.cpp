@@ -309,6 +309,30 @@ TEST(ExportTest, ChromeTraceIsWellFormedJson) {
   EXPECT_NE(text.rfind(']'), std::string::npos);
 }
 
+TEST(ExportTest, LongRunTimesReadBackBitExact) {
+  // Past 1 s of trace time, six significant digits lose the microseconds:
+  // the child 0.5 us after its parent would share the parent's ts.
+  std::vector<TraceEvent> events;
+  events.push_back({"mod.parent", 12345678.9, 2345678.25, 1, 0, 1234567.125, true});
+  events.push_back({"mod.child", 12345679.4, 1000000.0, 1, 1, 0.0, false});
+  std::ostringstream out;
+  gp::obs::write_chrome_trace(out, events);
+  const std::string text = out.str();
+  const auto read_number = [&text](const std::string& key, std::size_t occurrence) {
+    std::size_t at = 0;
+    for (std::size_t k = 0; k <= occurrence; ++k) {
+      at = text.find("\"" + key + "\":", at);
+      if (at == std::string::npos) return std::nan("");
+      at += key.size() + 3;
+    }
+    return std::strtod(text.c_str() + at, nullptr);
+  };
+  EXPECT_EQ(read_number("ts", 0), 12345678.9) << text;
+  EXPECT_EQ(read_number("dur", 0), 2345678.25) << text;
+  EXPECT_EQ(read_number("arg", 0), 1234567.125) << text;
+  EXPECT_EQ(read_number("ts", 1), 12345679.4) << text;
+}
+
 TEST(ExportTest, JsonlRoundTripsThroughTheFile) {
   // A ".jsonl" path is still a valid trace path: the spans recorded while
   // tracing come back out of the file, with the run manifest beside them.
