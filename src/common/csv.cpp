@@ -1,9 +1,9 @@
 #include "common/csv.hpp"
 
-#include <charconv>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gp {
 
@@ -44,14 +44,11 @@ std::string CsvWriter::escape(const std::string& cell) {
 std::string CsvWriter::format(double value) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  char buffer[32];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return std::string(buffer, result.ptr);
+  return json_number(value);
 }
 
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  return CsvWriter::format(value);
+std::string CsvWriter::format_or_empty(double value) {
+  return std::isfinite(value) ? format(value) : std::string();
 }
 
 }  // namespace gp

@@ -30,17 +30,17 @@ class CsvWriter {
   /// Escapes a single cell per RFC 4180 (quotes fields containing , " or \n).
   static std::string escape(const std::string& cell);
 
-  /// Formats a double compactly but losslessly.
+  /// Formats a double compactly but losslessly ("nan", "inf" and "-inf"
+  /// for non-finite values).
   static std::string format(double value);
+
+  /// format(), but an empty cell for a non-finite value: unsolved periods
+  /// carry NaN, and "nan" tokens break most CSV consumers.
+  static std::string format_or_empty(double value);
 
  private:
   std::ostream* out_;
   bool wrote_header_ = false;
 };
-
-/// JSON number token: CsvWriter::format's shortest round-trip digits, or
-/// null for a non-finite value (JSON has no NaN/inf). Every JSON writer in
-/// the library (trace, timeline, sweep) formats its numbers here.
-std::string json_number(double value);
 
 }  // namespace gp

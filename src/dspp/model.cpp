@@ -111,7 +111,6 @@ PairIndex::PairIndex(const DsppModel& model) {
   for (std::size_t& id : next_id) num_pairs += std::exchange(id, num_pairs);
   pairs_.resize(num_pairs);
   a_.resize(num_pairs);
-  pair_of_.assign(num_l_, std::vector<std::int32_t>(num_v_, -1));
   by_access_network_.assign(num_v_, {});
   by_datacenter_.assign(num_l_, {});
   for (std::size_t v = 0; v < num_v_; ++v) {
@@ -119,18 +118,10 @@ PairIndex::PairIndex(const DsppModel& model) {
       const std::size_t id = next_id[dc.l]++;
       pairs_[id] = {dc.l, v};
       a_[id] = dc.a;
-      pair_of_[dc.l][v] = static_cast<std::int32_t>(id);
       by_access_network_[v].push_back(id);
       by_datacenter_[dc.l].push_back(id);
     }
   }
-}
-
-std::optional<std::size_t> PairIndex::pair_of(std::size_t l, std::size_t v) const {
-  require(l < num_l_ && v < num_v_, "pair_of: index out of range");
-  const std::int32_t id = pair_of_[l][v];
-  if (id < 0) return std::nullopt;
-  return static_cast<std::size_t>(id);
 }
 
 const std::vector<std::size_t>& PairIndex::pairs_of_access_network(std::size_t v) const {

@@ -14,8 +14,6 @@
 //   - reconfiguration weight c^l in $ per (server change)^2 per period.
 #pragma once
 
-#include <optional>
-
 #include "queueing/mm1.hpp"
 #include "topology/network.hpp"
 
@@ -88,9 +86,6 @@ class PairIndex {
   /// a_lv for the pair (finite by construction).
   double coefficient(std::size_t pair) const { return a_[pair]; }
 
-  /// Pair id for (l, v), or nullopt when the pair is unusable.
-  std::optional<std::size_t> pair_of(std::size_t l, std::size_t v) const;
-
   /// Pairs serving access network v.
   const std::vector<std::size_t>& pairs_of_access_network(std::size_t v) const;
 
@@ -102,7 +97,6 @@ class PairIndex {
   std::size_t num_v_ = 0;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // (l, v)
   std::vector<double> a_;
-  std::vector<std::vector<std::int32_t>> pair_of_;          // [l][v] or -1
   std::vector<std::vector<std::size_t>> by_access_network_;
   std::vector<std::vector<std::size_t>> by_datacenter_;
 };

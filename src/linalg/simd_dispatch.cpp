@@ -31,11 +31,6 @@ Tier clamp_to_available(Tier request) {
   return Tier::kScalar;
 }
 
-std::string& override_storage() {
-  static std::string value;
-  return value;
-}
-
 // -1 until the first active_tier() call resolves CPUID + GEOPLACE_SIMD. The
 // first-use race is benign: every initializer computes the same value.
 std::atomic<int> g_active{-1};
@@ -43,7 +38,6 @@ std::atomic<int> g_active{-1};
 int init_active_tier() {
   Tier request = detected_tier();
   if (const char* env = std::getenv("GEOPLACE_SIMD")) {
-    override_storage() = env;
     request = tier_from_name(env);
   }
   return static_cast<int>(clamp_to_available(request));
@@ -102,11 +96,6 @@ Tier tier_from_name(std::string_view name) {
   require(false, "GEOPLACE_SIMD: unknown tier '" + std::string(name) +
                      "' (expected scalar|avx2|avx512)");
   return Tier::kScalar;
-}
-
-std::string_view env_override() {
-  active_tier();  // ensure the env var has been read
-  return override_storage();
 }
 
 const KernelTable& kernels() {

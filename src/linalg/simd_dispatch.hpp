@@ -44,8 +44,4 @@ const char* tier_name(Tier t);
 /// Inverse of tier_name; throws gp::Error on any other spelling.
 Tier tier_from_name(std::string_view name);
 
-/// Value of GEOPLACE_SIMD captured when dispatch initialized ("" if unset).
-/// Recorded in RunManifest so artifacts carry vectorization provenance.
-std::string_view env_override();
-
 }  // namespace gp::linalg::simd

@@ -10,6 +10,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/simd_dispatch.hpp"
 
@@ -29,19 +30,9 @@ namespace gp::obs {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
-void append_string_field(std::string& out, const char* key, const std::string& value) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  append_escaped(out, value);
-  out += "\"";
+/// `"key":"value"`, JSON-escaped.
+std::string string_member(std::string_view key, const std::string& value) {
+  return json_quoted(key) + ":" + json_quoted(value);
 }
 
 }  // namespace
@@ -78,40 +69,49 @@ EnvSwitch env_switch(const char* name) {
 }
 
 std::string RunManifest::to_json_object() const {
-  std::string out = "{\"schema\":" + std::to_string(schema) + ",";
-  append_string_field(out, "tool", tool);
-  out += ",";
-  append_string_field(out, "git_sha", git_sha);
-  out += ",";
-  append_string_field(out, "build", build_type);
-  out += ",";
-  append_string_field(out, "compiler", compiler);
-  out += ",";
-  append_string_field(out, "host", host);
+  std::string out = "{\"schema\":" + std::to_string(schema);
+  out += "," + string_member("tool", tool);
+  out += "," + string_member("git_sha", git_sha);
+  out += "," + string_member("build", build_type);
+  out += "," + string_member("compiler", compiler);
+  out += "," + string_member("host", host);
   out += ",\"threads\":" + std::to_string(threads) + ",\"cpus\":" + std::to_string(cpus);
-  out += ",";
-  append_string_field(out, "simd", simd);
-  out += ",\"seeds\":[";
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(seeds[i]);
-  }
-  out += "],";
-  append_string_field(out, "spec_hash", spec_hash);
-  out += ",\"trace_paths\":[";
-  for (std::size_t i = 0; i < trace_paths.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"";
-    append_escaped(out, trace_paths[i]);
-    out += "\"";
-  }
-  out += "],\"env\":{";
+  out += "," + string_member("simd", simd);
+  out += ",\"seeds\":" + json_array(seeds, [](std::uint64_t s) { return std::to_string(s); });
+  out += "," + string_member("spec_hash", spec_hash);
+  out += ",\"trace_paths\":" + json_array(trace_paths, json_quoted);
+  out += ",\"env\":{";
   for (std::size_t i = 0; i < env.size(); ++i) {
-    if (i > 0) out += ",";
-    append_string_field(out, env[i].first.c_str(), env[i].second);
+    if (i > 0) out += ',';
+    out += string_member(env[i].first, env[i].second);
   }
-  out += "}}";
-  return out;
+  return out + "}}";
+}
+
+RunManifest RunManifest::from_json(std::string_view json) {
+  const JsonValue doc(json);
+  RunManifest manifest;
+  manifest.schema = static_cast<int>(doc["schema"].as_int());
+  manifest.tool = doc["tool"].as_string();
+  manifest.git_sha = doc["git_sha"].as_string();
+  manifest.build_type = doc["build"].as_string();
+  manifest.compiler = doc["compiler"].as_string();
+  manifest.host = doc["host"].as_string();
+  manifest.threads = static_cast<std::size_t>(doc["threads"].as_uint64());
+  manifest.cpus = static_cast<unsigned>(doc["cpus"].as_uint64());
+  // "simd" arrived with schema 2; schema-1 manifests leave it empty.
+  if (const auto simd = doc.find("simd")) manifest.simd = simd->as_string();
+  for (const JsonValue& seed : doc["seeds"].elements()) {
+    manifest.seeds.push_back(seed.as_uint64());
+  }
+  manifest.spec_hash = doc["spec_hash"].as_string();
+  for (const JsonValue& path : doc["trace_paths"].elements()) {
+    manifest.trace_paths.push_back(path.as_string());
+  }
+  for (const auto& [name, value] : doc["env"].members()) {
+    manifest.env.emplace_back(name, value.as_string());
+  }
+  return manifest;
 }
 
 std::string RunManifest::to_jsonl_line() const {

@@ -18,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +51,11 @@ struct RunManifest {
 
   /// The manifest as a JSON object, no trailing newline: {"schema":1,...}.
   std::string to_json_object() const;
+
+  /// Inverse of to_json_object; also reads a to_jsonl_line (its "type" is
+  /// ignored) and schema-1 manifests (no "simd"). Throws PreconditionError
+  /// on malformed text or a missing field.
+  static RunManifest from_json(std::string_view json);
 
   /// The JSONL header line, no trailing newline: {"type":"manifest",...}.
   std::string to_jsonl_line() const;

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/manifest.hpp"
 
 namespace gp::obs {
@@ -204,56 +205,29 @@ Histogram& Registry::histogram(std::string_view name, HistogramOptions options) 
   return *it->second;
 }
 
-std::vector<MetricRow> Registry::rows() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<MetricRow> rows;
-  rows.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, counter] : counters_) {
-    MetricRow row;
-    row.kind = MetricRow::Kind::kCounter;
-    row.name = name;
-    row.value = static_cast<double>(counter->value());
-    rows.push_back(std::move(row));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    MetricRow row;
-    row.kind = MetricRow::Kind::kGauge;
-    row.name = name;
-    row.value = gauge->value();
-    rows.push_back(std::move(row));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    MetricRow row;
-    row.kind = MetricRow::Kind::kHistogram;
-    row.name = name;
-    row.histogram = histogram->snapshot();
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const MetricRow& a, const MetricRow& b) { return a.name < b.name; });
-  return rows;
-}
-
 void Registry::write_jsonl(std::ostream& out) const {
-  for (const MetricRow& row : rows()) {
-    switch (row.kind) {
-      case MetricRow::Kind::kCounter:
-        out << "{\"type\":\"counter\",\"name\":\"" << row.name << "\",\"value\":" << row.value
-            << "}\n";
-        break;
-      case MetricRow::Kind::kGauge:
-        out << "{\"type\":\"gauge\",\"name\":\"" << row.name << "\",\"value\":" << row.value
-            << "}\n";
-        break;
-      case MetricRow::Kind::kHistogram:
-        out << "{\"type\":\"histogram\",\"name\":\"" << row.name
-            << "\",\"count\":" << row.histogram.count << ",\"sum\":" << row.histogram.sum
-            << ",\"min\":" << row.histogram.min << ",\"max\":" << row.histogram.max
-            << ",\"p50\":" << row.histogram.p50 << ",\"p95\":" << row.histogram.p95
-            << ",\"p99\":" << row.histogram.p99 << "}\n";
-        break;
+  // Name order across the three kinds (a name belongs to one kind only).
+  std::map<std::string_view, std::string> lines;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, counter] : counters_) {
+      lines[name] = "{\"type\":\"counter\",\"name\":" + json_quoted(name) +
+                    ",\"value\":" + std::to_string(counter->value()) + "}";
+    }
+    for (const auto& [name, gauge] : gauges_) {
+      lines[name] = "{\"type\":\"gauge\",\"name\":" + json_quoted(name) +
+                    ",\"value\":" + json_number(gauge->value()) + "}";
+    }
+    for (const auto& [name, histogram] : histograms_) {
+      const HistogramSnapshot h = histogram->snapshot();
+      lines[name] = "{\"type\":\"histogram\",\"name\":" + json_quoted(name) +
+                    ",\"count\":" + std::to_string(h.count) + ",\"sum\":" + json_number(h.sum) +
+                    ",\"min\":" + json_number(h.min) + ",\"max\":" + json_number(h.max) +
+                    ",\"p50\":" + json_number(h.p50) + ",\"p95\":" + json_number(h.p95) +
+                    ",\"p99\":" + json_number(h.p99) + "}";
     }
   }
+  for (const auto& [name, line] : lines) out << line << "\n";
 }
 
 void Registry::reset_values() {

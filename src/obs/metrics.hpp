@@ -178,15 +178,6 @@ class Histogram {
   std::atomic<double> max_;        // -inf when empty
 };
 
-/// One row of Registry::rows() — the union of the three metric kinds.
-struct MetricRow {
-  enum class Kind { kCounter, kGauge, kHistogram };
-  Kind kind = Kind::kCounter;
-  std::string name;
-  double value = 0.0;              ///< counter/gauge value
-  HistogramSnapshot histogram;     ///< filled for kHistogram
-};
-
 /// Named metric store (see file comment). One process-wide instance via
 /// global(); tests may construct private registries.
 class Registry {
@@ -208,11 +199,9 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name, HistogramOptions options = {});
 
-  /// All metrics, sorted by name (counters and gauges read at call time).
-  std::vector<MetricRow> rows() const;
-
-  /// One JSON object per line per metric ({"type":"counter"|"gauge"|
-  /// "histogram","name":...}): the body of the GEOPLACE_METRICS dump.
+  /// One JSON object per line per metric, sorted by name
+  /// ({"type":"counter"|"gauge"|"histogram","name":...}, values read at call
+  /// time, numbers at full precision): the body of the GEOPLACE_METRICS dump.
   void write_jsonl(std::ostream& out) const;
 
   /// Zeroes every registered metric (the metrics keep their identity, so

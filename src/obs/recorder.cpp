@@ -2,8 +2,10 @@
 
 #include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/trace.hpp"  // current_thread_id for dump attribution
 
@@ -71,23 +73,26 @@ std::vector<ConvergenceSample> ConvergenceRecorder::tail(std::size_t max_samples
 
 void ConvergenceRecorder::write_jsonl(std::ostream& out) const {
   for (const ConvergenceSample& sample : tail(capacity())) {
-    out << "{\"type\":\"record\",\"stream\":\"" << sample.stream
-        << "\",\"step\":" << sample.step << ",\"a\":" << sample.a << ",\"b\":" << sample.b
-        << ",\"c\":" << sample.c << "}\n";
+    out << "{\"type\":\"record\",\"stream\":" << json_quoted(sample.stream)
+        << ",\"step\":" << sample.step << ",\"a\":" << json_number(sample.a)
+        << ",\"b\":" << json_number(sample.b) << ",\"c\":" << json_number(sample.c) << "}\n";
   }
 }
 
 void ConvergenceRecorder::dump_failure(const char* reason) {
   const std::string& path = dump_path();
   if (path.empty()) return;
+  const ConvergenceRecorder& recorder = local();
+  // The dump reaches the file in one write, so dumps that other processes
+  // append to the same file (a parallel test suite) cannot split its lines.
+  std::ostringstream dump;
+  dump << "{\"type\":\"record_dump\",\"reason\":" << json_quoted(reason)
+       << ",\"tid\":" << current_thread_id() << ",\"samples\":" << recorder.size() << "}\n";
+  recorder.write_jsonl(dump);
   static std::mutex file_mutex;
   std::lock_guard<std::mutex> lock(file_mutex);
   std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  const ConvergenceRecorder& recorder = local();
-  out << "{\"type\":\"record_dump\",\"reason\":\"" << reason
-      << "\",\"tid\":" << current_thread_id() << ",\"samples\":" << recorder.size() << "}\n";
-  recorder.write_jsonl(out);
+  if (out) out << dump.str();
 }
 
 }  // namespace gp::obs

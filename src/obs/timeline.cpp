@@ -1,10 +1,10 @@
 #include "obs/timeline.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 
-#include "common/csv.hpp"
+#include "common/json.hpp"
 #include "obs/manifest.hpp"
 
 namespace gp::obs {
@@ -42,18 +42,12 @@ void write_timeline_jsonl(std::ostream& out, std::span<const TelemetryFrame> fra
                           const RunManifest* manifest) {
   if (manifest != nullptr) out << manifest->to_jsonl_line() << "\n";
   const auto& names = timeline_column_names();
-  out << "{\"type\":\"timeline\",\"frames\":" << frames.size() << ",\"columns\":[";
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    out << (c > 0 ? ",\"" : "\"") << names[c] << "\"";
-  }
-  out << "]}\n";
+  out << "{\"type\":\"timeline\",\"frames\":" << frames.size()
+      << ",\"columns\":" << json_array(names, json_quoted) << "}\n";
   for (std::size_t c = 0; c < kNumColumns; ++c) {
-    out << "{\"type\":\"timeline_col\",\"name\":\"" << names[c] << "\",\"values\":[";
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      if (i > 0) out << ",";
-      out << json_number(frames[i].*kFields[c]);
-    }
-    out << "]}\n";
+    const auto value = [c](const TelemetryFrame& frame) { return json_number(frame.*kFields[c]); };
+    out << "{\"type\":\"timeline_col\",\"name\":" << json_quoted(names[c])
+        << ",\"values\":" << json_array(frames, value) << "}\n";
   }
 }
 
@@ -150,14 +144,17 @@ void TimelineWriter::flush() const {
   flushed_count_ = count_;
   const std::string& path = dump_path();
   if (path.empty() || size() == 0) return;
+  // Each flushed segment is self-describing (the acceptance artifact is
+  // "manifest-headed"): capture provenance once per flush, i.e. per run.
+  // The segment reaches the file in one write, so segments that other
+  // processes append to the same file cannot split its lines.
+  const RunManifest manifest = RunManifest::capture("timeline");
+  std::ostringstream segment;
+  write_jsonl(segment, &manifest);
   static std::mutex file_mutex;
   std::lock_guard<std::mutex> lock(file_mutex);
   std::ofstream out(path, std::ios::app);
-  if (!out) return;
-  // Each flushed segment is self-describing (the acceptance artifact is
-  // "manifest-headed"): capture provenance once per flush, i.e. per run.
-  const RunManifest manifest = RunManifest::capture("timeline");
-  write_jsonl(out, &manifest);
+  if (out) out << segment.str();
 }
 
 }  // namespace gp::obs

@@ -2,8 +2,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 
-#include "obs/export.hpp"
+#include "common/json.hpp"
+#include "obs/manifest.hpp"
 
 namespace gp::obs {
 
@@ -132,5 +134,28 @@ Span::~Span() { close(); }
 void start_tracing(const std::string& path) { Tracer::global().start(path); }
 
 void stop_tracing() { Tracer::global().stop(); }
+
+void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
+                        const RunManifest* manifest) {
+  out << "[\n";
+  out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,"
+         "\"args\":{\"name\":\"geoplace\"}}";
+  if (manifest != nullptr) {
+    out << ",\n{\"ph\":\"M\",\"name\":\"run_manifest\",\"pid\":0,\"args\":"
+        << manifest->to_json_object() << "}";
+  }
+  for (const TraceEvent& event : events) {
+    out << ",\n";
+    const auto dot = event.name.find('.');
+    const std::string category =
+        dot == std::string::npos ? std::string("misc") : event.name.substr(0, dot);
+    out << "{\"ph\":\"X\",\"name\":" << json_quoted(event.name)
+        << ",\"cat\":" << json_quoted(category) << ",\"ts\":" << json_number(event.ts_us)
+        << ",\"dur\":" << json_number(event.dur_us) << ",\"pid\":0,\"tid\":" << event.tid;
+    if (event.has_arg) out << ",\"args\":{\"arg\":" << json_number(event.arg) << "}";
+    out << "}";
+  }
+  out << "\n]\n";
+}
 
 }  // namespace gp::obs

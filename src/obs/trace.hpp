@@ -29,14 +29,16 @@
 // events are exported at stop_tracing() or at process exit as Chrome
 // trace-event JSON, whatever the path's suffix (load it in
 // https://ui.perfetto.dev or chrome://tracing; tools/gp_report prints its
-// span table or, with --flame, draws its flamegraph). See obs/export.hpp
-// for the format.
+// span table or, with --flame, draws its flamegraph). See
+// write_chrome_trace below for the format.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,5 +139,17 @@ inline bool tracing_enabled() { return Tracer::global().enabled(); }
 
 /// Stable small id of the calling thread (assigned on first use).
 std::uint32_t current_thread_id();
+
+struct RunManifest;
+
+/// Writes the Chrome trace-event JSON array, one object per line: a
+/// "process_name" metadata event, the optional RunManifest as a
+/// "run_manifest" metadata event (so the artifact is self-describing), then
+/// one complete event ("ph":"X") per span with ts and dur in microseconds,
+/// pid 0 and the library's small thread ids as tids. Numbers are shortest
+/// round-trip, so ts and dur read back bit-exact however long the run.
+/// Registry metrics are not part of the trace; GEOPLACE_METRICS dumps them.
+void write_chrome_trace(std::ostream& out, std::span<const TraceEvent> events,
+                        const RunManifest* manifest = nullptr);
 
 }  // namespace gp::obs

@@ -1,22 +1,24 @@
 // Spec/policy JSON serialization, spec hashing, and replay bundles.
 //
-// to_json emits a canonical single-line JSON object whose doubles use
-// shortest-round-trip formatting (std::to_chars), so parse(to_json(x))
-// rebuilds x bit-for-bit — the property gp_replay's "reproduce the failure
-// from the bundle alone" guarantee stands on. spec_hash() digests that
-// canonical form (FNV-1a 64), giving the RunManifest a stable fingerprint:
-// two runs with equal hashes ran structurally identical scenarios.
+// to_json emits a canonical single-line JSON object in common/json's
+// conventions (shortest round-trip doubles, null for a non-finite one,
+// RFC 8259 strings), so parse(to_json(x)) rebuilds x bit-for-bit (a
+// non-finite double comes back as NaN) — the property gp_replay's
+// "reproduce the failure from the bundle alone" guarantee stands on.
+// spec_hash() digests that canonical form (FNV-1a 64), giving the
+// RunManifest a stable fingerprint: two runs with equal hashes ran
+// structurally identical scenarios.
 //
 // A ReplayBundle is the failure-capture unit SweepRunner writes to its
 // failures_dir: the capturing run's manifest, the fully-resolved scenario
 // (including the derived per-run seed) and policy, what failed (unsolved
 // periods, audit violations), and the lane's ConvergenceRecorder tail.
-// The parsers accept the canonical form these writers emit; they are not a
-// general JSON library.
+// The parsers read through common/json's scanner.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,9 +35,9 @@ std::string to_json(const PolicySpec& policy);
 
 /// Inverse of the matching to_json (bit-for-bit: serializing the result
 /// reproduces the input text). Throws PreconditionError on malformed input.
-ScenarioSpec scenario_from_json(const std::string& json);
-PredictorSpec predictor_from_json(const std::string& json);
-PolicySpec policy_from_json(const std::string& json);
+ScenarioSpec scenario_from_json(std::string_view json);
+PredictorSpec predictor_from_json(std::string_view json);
+PolicySpec policy_from_json(std::string_view json);
 
 /// FNV-1a 64-bit digest as 16 hex characters.
 std::string fnv1a_hex(const std::string& text);
@@ -68,7 +70,7 @@ struct ReplayBundle {
 };
 
 std::string to_json(const ReplayBundle& bundle);
-ReplayBundle bundle_from_json(const std::string& json);
+ReplayBundle bundle_from_json(std::string_view json);
 
 /// File round-trip; write throws nothing (best-effort like other dump
 /// paths), read throws PreconditionError when the file is missing/bad.

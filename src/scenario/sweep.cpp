@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -13,12 +11,14 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/serialize.hpp"
+#include "sim/request_path.hpp"
 
 namespace gp::scenario {
 
@@ -38,34 +38,6 @@ Aggregate aggregate_of(std::span<const double> values) {
   agg.min = *std::min_element(values.begin(), values.end());
   agg.max = *std::max_element(values.begin(), values.end());
   return agg;
-}
-
-std::string json_string(const std::string& text) {
-  std::string quoted = "\"";
-  for (char c : text) {
-    if (c == '"' || c == '\\') quoted += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) quoted += c;
-  }
-  quoted += '"';
-  return quoted;
-}
-
-/// CSV cell: like CsvWriter::format but empty for non-finite values, the
-/// same convention SimulationSummary::write_csv uses.
-std::string csv_number(double value) {
-  if (!std::isfinite(value)) return "";
-  return CsvWriter::format(value);
-}
-
-/// GEOPLACE_PROGRESS parse (on/off grammar, read once).
-bool progress_env() {
-  static const bool armed = [] {
-    const char* raw = std::getenv("GEOPLACE_PROGRESS");
-    if (raw == nullptr) return false;
-    const std::string value(raw);
-    return !(value.empty() || value == "0" || value == "false" || value == "off");
-  }();
-  return armed;
 }
 
 /// Thread-safe, rate-limited sweep progress line on stderr (or an injected
@@ -150,19 +122,14 @@ std::string sweep_artifact_token(const std::string& name) {
     // Disambiguate with a digest of the ORIGINAL name: "a/b" and "a_b" both
     // sanitize to "a_b" but digest differently, so their artifacts cannot
     // collide (and an all-hostile name still yields a usable token).
-    out += "-" + fnv1a_hex(name).substr(0, 8);
+    out += '-';
+    out += fnv1a_hex(name).substr(0, 8);
   }
   return out;
 }
 
 std::uint64_t derive_run_seed(std::uint64_t base_seed, std::size_t run_index) {
-  // splitmix64 over (base, index): statistically independent per-run
-  // streams from one master seed, computable by any lane.
-  std::uint64_t z =
-      base_seed + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(run_index) + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return sim::substream_seed(base_seed, run_index);
 }
 
 SweepRunner::SweepRunner(SweepGrid grid, SweepOptions options)
@@ -220,7 +187,9 @@ SweepResult SweepRunner::run() {
   // Per-cell timeline sidecars need the frames captured lane-side (the
   // engine leaves each run's frames in the lane's thread-local ring).
   const bool capture_timeline = obs::timeline_enabled() && !options_.timelines_dir.empty();
-  ProgressMeter progress(total, options_.progress || progress_env(), options_.progress_out);
+  ProgressMeter progress(total,
+                         options_.progress || obs::env_switch("GEOPLACE_PROGRESS").enabled,
+                         options_.progress_out);
   parallel_for(
       0, total,
       [&](std::size_t index) {
@@ -304,13 +273,7 @@ SweepResult SweepRunner::run() {
       bundle.failed_periods = record.failed_periods;
       bundle.audit_violations = record.audit_violations;
       for (const obs::ConvergenceSample& sample : record.recorder_tail) {
-        RecordedSample owned;
-        owned.stream = sample.stream;
-        owned.step = sample.step;
-        owned.a = sample.a;
-        owned.b = sample.b;
-        owned.c = sample.c;
-        bundle.records.push_back(std::move(owned));
+        bundle.records.push_back({sample.stream, sample.step, sample.a, sample.b, sample.c});
       }
       const std::string file = sweep_artifact_token(record.scenario) + "_" +
                                sweep_artifact_token(record.policy) + "_seed" +
@@ -395,8 +358,8 @@ void SweepResult::write_jsonl(std::ostream& out) const {
   out << manifest.to_jsonl_line() << "\n";
   for (const RunRecord& record : runs) {
     const sim::SimulationSummary& summary = record.summary;
-    out << "{\"scenario\":" << json_string(record.scenario)
-        << ",\"policy\":" << json_string(record.policy)
+    out << "{\"scenario\":" << json_quoted(record.scenario)
+        << ",\"policy\":" << json_quoted(record.policy)
         << ",\"seed\":" << record.seed << ",\"seed_index\":" << record.seed_index
         << ",\"total_cost\":" << json_number(summary.total_cost)
         << ",\"resource_cost\":" << json_number(summary.total_resource_cost)
@@ -416,17 +379,18 @@ void SweepResult::write_csv(std::ostream& out) const {
               "mean_compliance_mean", "mean_compliance_stddev", "worst_compliance_min",
               "churn_mean", "churn_stddev", "unsolved_periods",
               "policy_wall_ms_mean", "cell_wall_ms"});
+  const auto number = &CsvWriter::format_or_empty;
   for (const SweepCell& cell : cells) {
     csv.row(std::vector<std::string>{
         cell.scenario, cell.policy, std::to_string(cell.runs),
-        csv_number(cell.total_cost.mean), csv_number(cell.total_cost.stddev),
-        csv_number(cell.total_cost.min), csv_number(cell.total_cost.max),
-        csv_number(cell.resource_cost.mean), csv_number(cell.reconfig_cost.mean),
-        csv_number(cell.mean_compliance.mean), csv_number(cell.mean_compliance.stddev),
-        csv_number(cell.worst_compliance.min),
-        csv_number(cell.churn.mean), csv_number(cell.churn.stddev),
+        number(cell.total_cost.mean), number(cell.total_cost.stddev),
+        number(cell.total_cost.min), number(cell.total_cost.max),
+        number(cell.resource_cost.mean), number(cell.reconfig_cost.mean),
+        number(cell.mean_compliance.mean), number(cell.mean_compliance.stddev),
+        number(cell.worst_compliance.min),
+        number(cell.churn.mean), number(cell.churn.stddev),
         std::to_string(cell.unsolved_periods),
-        csv_number(cell.policy_wall_ms.mean), csv_number(cell.wall_ms)});
+        number(cell.policy_wall_ms.mean), number(cell.wall_ms)});
   }
 }
 

@@ -46,11 +46,8 @@ void SimulationSummary::write_csv(std::ostream& out) const {
     }
   }
   csv.header(header);
-  // Unsolved periods carry NaN latencies/compliance; "nan" tokens break
-  // most CSV consumers, so non-finite cells are written empty instead.
-  const auto cell = [](double value) {
-    return std::isfinite(value) ? CsvWriter::format(value) : std::string();
-  };
+  // Unsolved periods carry NaN latencies/compliance, written as empty cells.
+  const auto cell = &CsvWriter::format_or_empty;
   for (const auto& period : periods) {
     std::vector<std::string> row{cell(period.utc_hour),      cell(period.total_demand),
                                  cell(period.total_servers), cell(period.resource_cost),

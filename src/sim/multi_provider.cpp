@@ -100,12 +100,11 @@ MultiTenantSummary MultiTenantSimulation::run() {
       first_period.num_threads = 1;
       game.emplace(std::move(providers), capacity_, first_period);
     }
-    const game::GameResult result =
-        game->run(config_.warm_start_quotas ? quotas : std::nullopt);
+    const game::GameResult result = game->run(quotas);
     game->set_num_threads(config_.game.num_threads);
     summary.game_iterations.push_back(result.iterations);
     summary.game_converged.push_back(result.converged);
-    if (config_.warm_start_quotas) quotas = result.quotas;
+    quotas = result.quotas;
 
     for (std::size_t i = 0; i < n; ++i) {
       const auto& solution = result.solutions[i];

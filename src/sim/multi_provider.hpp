@@ -42,7 +42,6 @@ struct MultiTenantConfig {
   bool noisy_demand = false;
   std::uint64_t seed = 1;
   game::GameSettings game;       ///< Algorithm-2 settings per period
-  bool warm_start_quotas = true;
 };
 
 /// Per-tenant, per-period record.

@@ -1,5 +1,5 @@
 // Tests for the common substrate: RNG determinism and distribution
-// statistics, CSV formatting, descriptive statistics.
+// statistics, CSV formatting, the JSON module, descriptive statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -164,6 +165,100 @@ TEST(Csv, FormatsSpecialDoubles) {
   EXPECT_EQ(CsvWriter::format(std::nan("")), "nan");
   EXPECT_EQ(CsvWriter::format(INFINITY), "inf");
   EXPECT_EQ(CsvWriter::format(-INFINITY), "-inf");
+}
+
+TEST(Csv, FormatOrEmptyBlanksNonFiniteCells) {
+  EXPECT_EQ(CsvWriter::format_or_empty(1.5), "1.5");
+  EXPECT_EQ(CsvWriter::format_or_empty(std::nan("")), "");
+  EXPECT_EQ(CsvWriter::format_or_empty(-INFINITY), "");
+}
+
+// ---------------------------------------------------------------------- JSON
+
+TEST(Json, EveryAsciiByteAndUtf8RoundTrip) {
+  std::string all;
+  for (int byte = 0x01; byte <= 0x7F; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    all += text;
+    const std::string quoted = json_quoted(text);
+    for (const char c : quoted) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte for " << byte;
+    }
+    EXPECT_EQ(JsonValue(quoted).as_string(), text) << byte;
+  }
+  EXPECT_EQ(JsonValue(json_quoted(all)).as_string(), all);
+  const std::string utf8 = "Z\xc3\xbcrich \xe6\x9d\xb1\xe4\xba\xac \xf0\x9f\x8c\x8d";
+  EXPECT_EQ(json_quoted(utf8), "\"" + utf8 + "\"");  // non-ASCII bytes pass through
+  EXPECT_EQ(JsonValue(json_quoted(utf8)).as_string(), utf8);
+  EXPECT_EQ(json_quoted("a\tb\n\x01\"\\"), "\"a\\tb\\n\\u0001\\\"\\\\\"");
+  // \uXXXX escapes another writer may use decode to UTF-8.
+  EXPECT_EQ(JsonValue("\"\\u00fc\\ud83c\\udf0d\"").as_string(), "\xc3\xbc\xf0\x9f\x8c\x8d");
+}
+
+TEST(Json, KeysMatchAtDepthOneOnly) {
+  const JsonValue nested(R"({"a":{"key":1},"b":[{"key":2}],"s":"\"key\":3"})");
+  EXPECT_FALSE(nested.find("key").has_value());
+  EXPECT_THROW(nested["key"], PreconditionError);
+  const JsonValue top(R"({"a":{"key":1}, "key" : 4})");
+  ASSERT_TRUE(top.find("key").has_value());
+  EXPECT_EQ(top["key"].as_int(), 4);
+  EXPECT_EQ(top["a"]["key"].as_int(), 1);
+}
+
+TEST(Json, NumbersAreShortestRoundTripAndNullForNonFinite) {
+  EXPECT_EQ(json_number(123456789.0), "123456789");
+  EXPECT_EQ(json_number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(json_number(std::nan("")), "null");
+  EXPECT_EQ(json_number(INFINITY), "null");
+  EXPECT_EQ(json_number(-INFINITY), "null");
+  for (const double value : {1234567.891, -2.5e-300, 6.34235123e6, 9007199254740991.0}) {
+    EXPECT_EQ(JsonValue(json_number(value)).as_number(), value);
+  }
+  EXPECT_TRUE(std::isnan(JsonValue("null").as_number()));
+  EXPECT_EQ(JsonValue("18446744073709551615").as_uint64(), 18446744073709551615ULL);
+  EXPECT_EQ(JsonValue("-7").as_int(), -7);
+  EXPECT_TRUE(JsonValue("true").as_bool());
+  EXPECT_FALSE(JsonValue("false").as_bool());
+}
+
+TEST(Json, ArraysAndObjectsSplitIntoTheirParts) {
+  const JsonValue array(R"([1, "a,b", [2,3], {"k":"}"}, null])");
+  const auto elements = array.elements();
+  ASSERT_EQ(elements.size(), 5u);
+  EXPECT_EQ(elements[1].as_string(), "a,b");
+  EXPECT_EQ(elements[2].elements().size(), 2u);
+  EXPECT_EQ(elements[3]["k"].as_string(), "}");
+  EXPECT_TRUE(JsonValue("[]").elements().empty());
+  const auto members = JsonValue(R"({"x\ty":"1","z":"2"})").members();
+  ASSERT_EQ(members.size(), 2u);
+  EXPECT_EQ(members[0].first, "x\ty");
+  EXPECT_EQ(members[1].second.as_string(), "2");
+  EXPECT_TRUE(JsonValue("{}").members().empty());
+}
+
+TEST(Json, MalformedTextThrows) {
+  EXPECT_THROW(JsonValue(R"({"a":"open})").find("a"), PreconditionError);
+  EXPECT_THROW(JsonValue(R"({"a" 1})").find("a"), PreconditionError);
+  EXPECT_THROW(JsonValue(R"({"a":1}x)").find("a"), PreconditionError);
+  EXPECT_THROW(JsonValue(R"({"a":[1,2})").find("a"), PreconditionError);
+  EXPECT_THROW(JsonValue("[1 2]").elements(), PreconditionError);
+  EXPECT_THROW(JsonValue("nan").as_number(), PreconditionError);
+  EXPECT_THROW(JsonValue("inf").as_number(), PreconditionError);
+  EXPECT_THROW(JsonValue("1.5").as_int(), PreconditionError);
+  EXPECT_THROW(JsonValue("-1").as_uint64(), PreconditionError);
+  EXPECT_THROW(JsonValue("yes").as_bool(), PreconditionError);
+  EXPECT_THROW(JsonValue(R"("bad \q")").as_string(), PreconditionError);
+  EXPECT_THROW(JsonValue(R"("\u12")").as_string(), PreconditionError);
+  EXPECT_THROW(JsonValue("[1]").find("a"), PreconditionError);
+}
+
+TEST(Json, LinesOfAChromeTraceArrayReadAsObjects) {
+  const auto event = json_line(R"(  {"ph":"X","dur":2.5},  )");
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ((*event)["dur"].as_number(), 2.5);
+  EXPECT_FALSE(json_line("[").has_value());
+  EXPECT_FALSE(json_line("]").has_value());
+  EXPECT_FALSE(json_line("   ").has_value());
 }
 
 TEST(Stats, MeanVarianceStddev) {

@@ -13,12 +13,14 @@
 #include "control/baselines.hpp"
 #include "control/mpc_controller.hpp"
 #include "workload/diurnal.hpp"
+#include "pair_lookup.hpp"
 
 namespace gp::control {
 namespace {
 
 using dspp::DsppModel;
 using linalg::Vector;
+using test_util::find_pair;
 
 // The controller's window solver points into its own model and pair index,
 // so a copied or moved controller would dangle: both must not compile.
@@ -310,8 +312,8 @@ TEST(MpcController, MovesLoadToCheaperDatacenter) {
                            std::make_unique<OraclePredictor>(demand_trace),
                            std::make_unique<OraclePredictor>(price_trace));
   const auto& pairs = controller.pairs();
-  const std::size_t p0 = *pairs.pair_of(0, 0);
-  const std::size_t p1 = *pairs.pair_of(1, 0);
+  const std::size_t p0 = *find_pair(pairs, 0, 0);
+  const std::size_t p1 = *find_pair(pairs, 1, 0);
   Vector state(pairs.num_pairs(), 0.0);
   Vector mid_state, end_state;
   for (int k = 0; k < 39; ++k) {

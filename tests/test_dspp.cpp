@@ -10,11 +10,13 @@
 #include "dspp/window_program.hpp"
 #include "qp/admm_solver.hpp"
 #include "qp/ipm_solver.hpp"
+#include "pair_lookup.hpp"
 
 namespace gp::dspp {
 namespace {
 
 using linalg::Vector;
+using test_util::find_pair;
 
 /// Two data centers, two access networks. DC0 is close to AN0 and far from
 /// AN1 beyond SLA reach; DC1 reaches both.
@@ -64,9 +66,9 @@ TEST(PairIndex, ExcludesInfeasiblePairs) {
   const DsppModel model = two_dc_model();
   const PairIndex pairs(model);
   EXPECT_EQ(pairs.num_pairs(), 3u);  // (0,0), (1,0), (1,1)
-  EXPECT_TRUE(pairs.pair_of(0, 0).has_value());
-  EXPECT_FALSE(pairs.pair_of(0, 1).has_value());
-  EXPECT_TRUE(pairs.pair_of(1, 1).has_value());
+  EXPECT_TRUE(find_pair(pairs, 0, 0).has_value());
+  EXPECT_FALSE(find_pair(pairs, 0, 1).has_value());
+  EXPECT_TRUE(find_pair(pairs, 1, 1).has_value());
   EXPECT_EQ(pairs.pairs_of_access_network(1).size(), 1u);
   EXPECT_EQ(pairs.pairs_of_datacenter(1).size(), 2u);
 }
@@ -91,7 +93,7 @@ TEST(DsppModel, PerPairLatencyOverride) {
   // index.
   model.max_latency_override_ms[0][0] = 10.0;  // equals the network latency
   const PairIndex pairs(model);
-  EXPECT_FALSE(pairs.pair_of(0, 0).has_value());
+  EXPECT_FALSE(find_pair(pairs, 0, 0).has_value());
   // Malformed override shapes are rejected.
   model.max_latency_override_ms = {{40.0}};
   EXPECT_THROW(model.validate(), PreconditionError);
@@ -157,8 +159,8 @@ TEST(WindowProgram, PriceDifferenceShiftsAllocation) {
   qp::AdmmSolver solver;
   const WindowSolution solution = program.solve(solver);
   ASSERT_TRUE(solution.ok());
-  const std::size_t pair_00 = *pairs.pair_of(0, 0);
-  const std::size_t pair_10 = *pairs.pair_of(1, 0);
+  const std::size_t pair_00 = *find_pair(pairs, 0, 0);
+  const std::size_t pair_10 = *find_pair(pairs, 1, 0);
   EXPECT_LT(solution.x[0][pair_00], 0.05 * solution.x[0][pair_10]);
 }
 
@@ -258,9 +260,9 @@ TEST(Assignment, SplitsProportionallyToXOverA) {
   const DsppModel model = two_dc_model();
   const PairIndex pairs(model);
   Vector allocation(pairs.num_pairs(), 0.0);
-  const std::size_t p00 = *pairs.pair_of(0, 0);
-  const std::size_t p10 = *pairs.pair_of(1, 0);
-  const std::size_t p11 = *pairs.pair_of(1, 1);
+  const std::size_t p00 = *find_pair(pairs, 0, 0);
+  const std::size_t p10 = *find_pair(pairs, 1, 0);
+  const std::size_t p11 = *find_pair(pairs, 1, 1);
   allocation[p00] = 6.0;
   allocation[p10] = 3.0;
   allocation[p11] = 2.0;
@@ -292,7 +294,7 @@ TEST(Assignment, SparseUnservedMixedNetworks) {
   const DsppModel model = two_dc_model();
   const PairIndex pairs(model);
   Vector allocation(pairs.num_pairs(), 0.0);
-  allocation[*pairs.pair_of(1, 1)] = 2.0;  // AN1 served, AN0 starved
+  allocation[*find_pair(pairs, 1, 1)] = 2.0;  // AN1 served, AN0 starved
   const Assignment assignment = assign_demand(pairs, allocation, Vector{50.0, 70.0});
   ASSERT_EQ(assignment.unserved.size(), 1u);
   EXPECT_EQ(assignment.unserved.front().first, 0u);
@@ -313,9 +315,9 @@ TEST(Assignment, SlaMetWhenConstraint12Holds) {
   const Vector demand{800.0, 400.0};
   Vector allocation(pairs.num_pairs(), 0.0);
   // Serve AN0 from both DCs (half each), AN1 from DC1.
-  const std::size_t p00 = *pairs.pair_of(0, 0);
-  const std::size_t p10 = *pairs.pair_of(1, 0);
-  const std::size_t p11 = *pairs.pair_of(1, 1);
+  const std::size_t p00 = *find_pair(pairs, 0, 0);
+  const std::size_t p10 = *find_pair(pairs, 1, 0);
+  const std::size_t p11 = *find_pair(pairs, 1, 1);
   allocation[p00] = pairs.coefficient(p00) * 400.0;
   allocation[p10] = pairs.coefficient(p10) * 400.0;
   allocation[p11] = pairs.coefficient(p11) * 400.0;

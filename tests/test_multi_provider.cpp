@@ -103,7 +103,6 @@ TEST(MultiTenant, WarmStartedQuotasSettle) {
   tenants.push_back(make_tenant(400.0, 1.0, -5));
   MultiTenantConfig config = default_config(10);
   config.utc_start_hour = 10.0;  // inside the busy plateau: stable demand
-  config.warm_start_quotas = true;
   const int floor_iterations = 1 + game::kStableIterationsRequired;
   MultiTenantSimulation simulation(std::move(tenants), shared_prices(),
                                    Vector{60.0, 60.0}, std::move(config));

@@ -17,15 +17,19 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/export.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "qp/admm_solver.hpp"
 #include "qp/problem.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/serialize.hpp"
 
 namespace {
 
@@ -207,11 +211,13 @@ TEST(RegistryTest, RowsAndJsonlExport) {
   registry.counter("x.solves").add(3);
   registry.gauge("x.converged").set(1.0);
   registry.histogram("x.ms").record(2.0);
-  const auto rows = registry.rows();
-  ASSERT_EQ(rows.size(), 3u);  // sorted by name within each kind group
   std::ostringstream out;
   registry.write_jsonl(out);
   const std::string text = out.str();
+  // One line per metric, sorted by name across the kinds.
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  EXPECT_LT(text.find("x.converged"), text.find("x.ms"));
+  EXPECT_LT(text.find("x.ms"), text.find("x.solves"));
   EXPECT_NE(text.find("\"type\":\"counter\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"x.solves\""), std::string::npos);
   EXPECT_NE(text.find("\"value\":3"), std::string::npos);
@@ -222,6 +228,79 @@ TEST(RegistryTest, RowsAndJsonlExport) {
   registry.reset_values();
   EXPECT_EQ(registry.counter("x.solves").value(), 0);
   EXPECT_EQ(registry.histogram("x.ms").count(), 0);
+}
+
+/// The dump line whose "name" is `name`, parsed.
+std::string dump_line(const std::string& jsonl, const std::string& name) {
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (gp::JsonValue(line)["name"].as_string() == name) return line;
+  }
+  return {};
+}
+
+TEST(RegistryTest, DumpReadsBackBitExact) {
+  Registry registry;
+  registry.counter("big.count").add(123456789);
+  registry.histogram("big.ms").record(1234567.891);
+  registry.gauge("bad.gauge").set(std::numeric_limits<double>::quiet_NaN());
+  std::ostringstream out;
+  registry.write_jsonl(out);
+  const std::string counter = dump_line(out.str(), "big.count");
+  ASSERT_FALSE(counter.empty()) << out.str();
+  EXPECT_EQ(gp::JsonValue(counter)["value"].as_number(), 123456789.0) << counter;
+  const std::string histogram = dump_line(out.str(), "big.ms");
+  ASSERT_FALSE(histogram.empty()) << out.str();
+  EXPECT_EQ(gp::JsonValue(histogram)["sum"].as_number(), 1234567.891) << histogram;
+  EXPECT_EQ(gp::JsonValue(histogram)["max"].as_number(), 1234567.891) << histogram;
+  EXPECT_EQ(dump_line(out.str(), "bad.gauge"),
+            "{\"type\":\"gauge\",\"name\":\"bad.gauge\",\"value\":null}");
+}
+
+TEST(RecorderTest, DumpWritesNullForNonFiniteSamples) {
+  gp::obs::ConvergenceRecorder recorder(4);
+  recorder.push("admm.residual", 7, std::numeric_limits<double>::quiet_NaN(),
+                std::numeric_limits<double>::infinity(), 0.1 + 0.2);
+  std::ostringstream out;
+  recorder.write_jsonl(out);
+  const std::string line = out.str();
+  EXPECT_EQ(line,
+            "{\"type\":\"record\",\"stream\":\"admm.residual\",\"step\":7,"
+            "\"a\":null,\"b\":null,\"c\":0.30000000000000004}\n");
+  const gp::JsonValue sample(line);
+  EXPECT_TRUE(std::isnan(sample["a"].as_number()));
+  EXPECT_EQ(sample["c"].as_number(), 0.1 + 0.2);
+}
+
+TEST(SerializeTest, ReplayBundleRoundTripsNonFiniteSamplesPathsAndControlBytes) {
+  gp::scenario::ReplayBundle bundle;
+  bundle.manifest = gp::obs::RunManifest::capture("test");
+  bundle.manifest.trace_paths = {"C:\\runs\\t.json"};
+  bundle.manifest.env.emplace_back("GEOPLACE_FAKE", "a\tb");
+  bundle.scenario = gp::scenario::preset("paper_full");
+  bundle.records.push_back({"admm.residual", 3, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 1.0 / 3.0});
+  bundle.records.push_back({"admm.residual", 4, -std::numeric_limits<double>::infinity(),
+                            123456789.0, 1e-310});
+
+  const std::string json = gp::scenario::to_json(bundle);
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+  for (const char* token : {":nan", ":inf", ":-inf"}) {
+    EXPECT_EQ(json.find(token), std::string::npos) << token << " in " << json;
+  }
+  const gp::scenario::ReplayBundle parsed = gp::scenario::bundle_from_json(json);
+  EXPECT_EQ(gp::scenario::to_json(parsed), json);
+  EXPECT_EQ(parsed.manifest.trace_paths, bundle.manifest.trace_paths);
+  EXPECT_EQ(parsed.manifest.env, bundle.manifest.env);
+  ASSERT_EQ(parsed.records.size(), 2u);
+  // JSON has no inf: every non-finite sample reads back as NaN.
+  EXPECT_TRUE(std::isnan(parsed.records[0].a));
+  EXPECT_TRUE(std::isnan(parsed.records[0].b));
+  EXPECT_TRUE(std::isnan(parsed.records[1].a));
+  EXPECT_EQ(parsed.records[0].c, 1.0 / 3.0);
+  EXPECT_EQ(parsed.records[1].b, 123456789.0);
+  EXPECT_EQ(parsed.records[1].c, 1e-310);
 }
 
 TEST(SpanTest, MeasuresTimeWithTracingDisabled) {
@@ -406,6 +485,25 @@ TEST(ManifestTest, CaptureCarriesProvenanceAndEscapes) {
   EXPECT_NE(line.find("\"spec_hash\":\"00ff\""), std::string::npos);
   EXPECT_NE(line.find("a\\\"b"), std::string::npos);  // quote escaping
   EXPECT_EQ(gp::obs::strip_manifest_lines(line + "\n{\"x\":1}\n"), "{\"x\":1}\n");
+}
+
+TEST(ManifestTest, FromJsonInvertsToJsonObject) {
+  gp::obs::RunManifest manifest = gp::obs::RunManifest::capture("test");
+  manifest.seeds = {1, 18446744073709551615ULL};
+  manifest.spec_hash = "00ff";
+  manifest.trace_paths = {"a\"b", "C:\\t.csv"};
+  manifest.env.emplace_back("GEOPLACE_X", "line\nbreak");
+  const std::string object = manifest.to_json_object();
+  EXPECT_EQ(gp::obs::RunManifest::from_json(object).to_json_object(), object);
+  EXPECT_EQ(gp::obs::RunManifest::from_json(manifest.to_jsonl_line()).to_json_object(), object);
+
+  // Schema 1 had no "simd".
+  std::string schema1 = object;
+  const std::string simd = ",\"simd\":" + gp::json_quoted(manifest.simd);
+  ASSERT_NE(schema1.find(simd), std::string::npos);
+  schema1.erase(schema1.find(simd), simd.size());
+  EXPECT_TRUE(gp::obs::RunManifest::from_json(schema1).simd.empty());
+  EXPECT_THROW(gp::obs::RunManifest::from_json("{\"schema\":2}"), gp::PreconditionError);
 }
 
 TEST(ManifestTest, EnvSwitchGrammar) {

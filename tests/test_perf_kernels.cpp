@@ -33,6 +33,7 @@
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/sparse_simd.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/trace.hpp"
 #include "qp/admm_solver.hpp"
 #include "scenario/registry.hpp"
 
@@ -284,7 +285,10 @@ TEST(AdmmHotLoop, WarmResolveMakesZeroHeapAllocations) {
 
 TEST(SeparableWindowHotLoop, WarmSolveMakesZeroHeapAllocations) {
   // paper_full's MPC window: after the sizing solve, a warm separable solve
-  // (shifted active sets, per-network workspaces) allocates nothing.
+  // (shifted active sets, per-network workspaces) allocates nothing. An
+  // armed tracer (GEOPLACE_TRACE, as in CI's obs-on job) appends every
+  // closed span to its buffer, which is not the solver's allocation.
+  if (obs::tracing_enabled()) obs::stop_tracing();
   const scenario::ScenarioBundle bundle = scenario::build(scenario::preset("paper_full"));
   const dspp::PairIndex pairs(bundle.model);
   dspp::WindowInputs inputs;

@@ -19,11 +19,13 @@
 #include "scenario/serialize.hpp"
 #include "scenario/spec.hpp"
 #include "topology/continental.hpp"
+#include "pair_lookup.hpp"
 
 namespace gp {
 namespace {
 
 using linalg::Vector;
+using test_util::find_pair;
 
 // ------------------------------------------------------- candidate selection
 
@@ -139,11 +141,11 @@ TEST(PairIndex, PrunedKeepsOnlyPlacementCandidates) {
   for (std::size_t l = 0; l < model.num_datacenters(); ++l) {
     for (std::size_t v = 0; v < model.num_access_networks(); ++v) {
       if (std::find(kept[v].begin(), kept[v].end(), l) == kept[v].end()) {
-        EXPECT_FALSE(pairs.pair_of(l, v).has_value()) << l << "," << v;
+        EXPECT_FALSE(find_pair(pairs, l, v).has_value()) << l << "," << v;
         continue;
       }
       // Kept pairs are enumerated l-major and carry their exact a_lv.
-      ASSERT_EQ(pairs.pair_of(l, v), id) << l << "," << v;
+      ASSERT_EQ(find_pair(pairs, l, v), id) << l << "," << v;
       EXPECT_EQ(pairs.coefficient(id), model.sla_coefficient(l, v));
       ++id;
     }

@@ -23,11 +23,13 @@
 #include "sim/request_path.hpp"
 #include "sim/request_sim.hpp"
 #include "workload/demand.hpp"
+#include "pair_lookup.hpp"
 
 namespace gp::sim {
 namespace {
 
 using linalg::Vector;
+using test_util::find_pair;
 
 /// One data center, one access network, zero network latency, loose bound:
 /// the simulated pair is a textbook split-M/M/1 group.
@@ -297,7 +299,7 @@ TEST(RequestPath, PairSubstreamsAreIndependent) {
   };
   const auto a = run_with(80.0);
   const auto b = run_with(240.0);
-  const std::size_t p0 = *pairs.pair_of(0, 0);
+  const std::size_t p0 = *find_pair(pairs, 0, 0);
   ASSERT_GT(a.pairs[p0].requests, 1000u);
   EXPECT_EQ(a.pairs[p0].requests, b.pairs[p0].requests);
   EXPECT_EQ(a.pairs[p0].violations, b.pairs[p0].violations);
@@ -305,7 +307,7 @@ TEST(RequestPath, PairSubstreamsAreIndependent) {
   EXPECT_EQ(a.pairs[p0].p95_ms, b.pairs[p0].p95_ms);
   EXPECT_EQ(a.pairs[p0].utilization, b.pairs[p0].utilization);
   // ...while the changed pair did change.
-  const std::size_t p1 = *pairs.pair_of(0, 1);
+  const std::size_t p1 = *find_pair(pairs, 0, 1);
   EXPECT_NE(a.pairs[p1].requests, b.pairs[p1].requests);
 }
 

@@ -10,11 +10,13 @@
 #include "control/autoscaler.hpp"
 #include "sim/engine.hpp"
 #include "workload/trace_io.hpp"
+#include "pair_lookup.hpp"
 
 namespace gp {
 namespace {
 
 using linalg::Vector;
+using test_util::find_pair;
 
 // --- trace_io ---
 
@@ -170,7 +172,7 @@ TEST(Autoscaler, BootstrapsColdAccessNetwork) {
   const auto result = scaler.step(state, {300.0}, {0.09, 0.04});
   // Bootstrapped at the CHEAPER dc1 pair with ~a*D servers.
   const auto& pairs = scaler.pairs();
-  const std::size_t p1 = *pairs.pair_of(1, 0);
+  const std::size_t p1 = *find_pair(pairs, 1, 0);
   const double bootstrap = pairs.coefficient(p1) * 300.0;
   // The threshold loop may already scale the fresh bootstrap out once
   // (utilization at the SLA-minimal allocation sits above the watermark).

@@ -61,23 +61,21 @@ ReplayOutcome replay(const scenario::ReplayBundle& bundle) {
   return outcome;
 }
 
-std::string join_ints(const std::vector<int>& values) {
+/// The items formatted and comma-joined, "-" when there are none.
+template <typename T, typename Format>
+std::string join(const std::vector<T>& items, Format format) {
   std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(values[i]);
+  for (const T& item : items) {
+    if (!out.empty()) out += ',';
+    out += format(item);
   }
   return out.empty() ? "-" : out;
 }
 
-std::string join_violations(
-    const std::vector<std::pair<std::string, long long>>& counts) {
-  std::string out;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (i > 0) out += ",";
-    out += counts[i].first + "=" + std::to_string(counts[i].second);
-  }
-  return out.empty() ? "-" : out;
+std::string period_text(int period) { return std::to_string(period); }
+
+std::string violation_text(const std::pair<std::string, long long>& count) {
+  return count.first + "=" + std::to_string(count.second);
 }
 
 /// Replays the bundle at `path` and reports; returns the process exit code.
@@ -107,12 +105,12 @@ int replay_file(const std::string& path) {
   std::printf("unsolved  captured %d  replayed %d  %s\n", bundle.unsolved_periods,
               outcome.unsolved_periods, unsolved_match ? "MATCH" : "DIVERGED");
   std::printf("periods   captured %s  replayed %s  %s\n",
-              join_ints(bundle.failed_periods).c_str(),
-              join_ints(outcome.failed_periods).c_str(),
+              join(bundle.failed_periods, period_text).c_str(),
+              join(outcome.failed_periods, period_text).c_str(),
               periods_match ? "MATCH" : "DIVERGED");
   std::printf("audits    captured %s  replayed %s  %s\n",
-              join_violations(bundle.audit_violations).c_str(),
-              join_violations(outcome.audit_violations).c_str(),
+              join(bundle.audit_violations, violation_text).c_str(),
+              join(outcome.audit_violations, violation_text).c_str(),
               audits_match ? "MATCH" : "DIVERGED");
 
   const bool reproduced = unsolved_match && periods_match && audits_match;

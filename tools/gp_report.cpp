@@ -78,13 +78,16 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
-#include "obs/export.hpp"
 #include "obs/manifest.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -97,65 +100,6 @@ constexpr double kForecastFloor = 0.02;
 constexpr double kLatencySpikeFactor = 2.0;
 constexpr double kLatencyFloorMs = 1.0;
 constexpr double kSlaFloor = 0.5;
-
-/// Extracts the value following `"key":` in a single-line JSON object.
-/// Tolerant scanner, not a full JSON parser: the trace and timeline writers
-/// emit one object per line with no whitespace around the colon.
-std::optional<std::string> raw_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  std::size_t pos = at + needle.size();
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  if (pos >= line.size()) return std::nullopt;
-  if (line[pos] == '"') {
-    std::string out;
-    for (++pos; pos < line.size() && line[pos] != '"'; ++pos) {
-      if (line[pos] == '\\' && pos + 1 < line.size()) ++pos;
-      out.push_back(line[pos]);
-    }
-    return out;
-  }
-  std::size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' && line[end] != ']') ++end;
-  return line.substr(pos, end - pos);
-}
-
-std::optional<double> number_value(const std::string& line, const std::string& key) {
-  const auto raw = raw_value(line, key);
-  if (!raw) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str()) return std::nullopt;
-  return value;
-}
-
-/// Parses the `"values":[...]` array of a timeline_col line; "null" (the
-/// non-finite encoding) becomes NaN.
-std::vector<double> parse_values(const std::string& line) {
-  std::vector<double> out;
-  const std::string needle = "\"values\":[";
-  std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return out;
-  pos += needle.size();
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == ',' || line[pos] == ' ') {
-      ++pos;
-      continue;
-    }
-    if (line.compare(pos, 4, "null") == 0) {
-      out.push_back(std::nan(""));
-      pos += 4;
-      continue;
-    }
-    char* end = nullptr;
-    const double value = std::strtod(line.c_str() + pos, &end);
-    if (end == line.c_str() + pos) break;  // malformed token: stop the array
-    out.push_back(value);
-    pos = static_cast<std::size_t>(end - line.c_str());
-  }
-  return out;
-}
 
 /// One parsed timeline segment: column name -> values.
 struct Segment {
@@ -177,58 +121,67 @@ struct ParsedFile {
   /// Trace span events, in file order (depth and arg are not read).
   std::vector<gp::obs::TraceEvent> spans;
   std::size_t manifests = 0;  ///< manifest lines seen
-  std::string manifest_tool;  ///< provenance of the first well-formed manifest
-  std::string manifest_git;
+  std::optional<gp::obs::RunManifest> manifest;  ///< the first well-formed one
   std::size_t lines = 0;
 };
 
-/// Reads a manifest line — a timeline's {"type":"manifest",...} head or a
-/// trace's "run_manifest" metadata event: validates the fields gp_replay
-/// and humans rely on and keeps the first one's provenance.
-void read_manifest(const std::string& line, ParsedFile& file) {
+/// Keeps the provenance of the first manifest — a timeline's
+/// {"type":"manifest",...} head or the args of a trace's "run_manifest"
+/// metadata event.
+void read_manifest(const gp::JsonValue& object, ParsedFile& file) {
   ++file.manifests;
-  const auto tool = raw_value(line, "tool");
-  const auto git = raw_value(line, "git_sha");
-  if (!tool || !git) {
-    std::fprintf(stderr, "gp_report: malformed manifest line (no tool/git_sha)\n");
-    return;
-  }
-  if (file.manifest_tool.empty()) {
-    file.manifest_tool = *tool;
-    file.manifest_git = *git;
+  gp::obs::RunManifest manifest = gp::obs::RunManifest::from_json(object.text());
+  if (!file.manifest) file.manifest = std::move(manifest);
+}
+
+/// The string member `key` of an object, or "" when it is absent.
+std::string string_member(const gp::JsonValue& object, std::string_view key) {
+  const auto value = object.find(key);
+  return value ? value->as_string() : std::string();
+}
+
+void parse_line(const gp::JsonValue& object, ParsedFile& file) {
+  const std::string type = string_member(object, "type");
+  const std::string ph = string_member(object, "ph");
+  if (type == "manifest") {
+    read_manifest(object, file);
+  } else if (ph == "M" && string_member(object, "name") == "run_manifest") {
+    read_manifest(object["args"], file);
+  } else if (ph == "X") {
+    gp::obs::TraceEvent event;
+    event.name = object["name"].as_string();
+    event.ts_us = object["ts"].as_number();
+    event.dur_us = object["dur"].as_number();
+    event.tid = static_cast<std::uint32_t>(object["tid"].as_uint64());
+    file.spans.push_back(std::move(event));
+  } else if (type == "timeline") {
+    Segment segment;
+    segment.frames = static_cast<std::size_t>(object["frames"].as_uint64());
+    file.segments.push_back(std::move(segment));
+  } else if (type == "timeline_col") {
+    std::vector<double> values;
+    for (const gp::JsonValue& value : object["values"].elements()) {
+      values.push_back(value.as_number());
+    }
+    if (file.segments.empty()) file.segments.emplace_back();  // headerless: tolerate
+    file.segments.back().columns[object["name"].as_string()] = std::move(values);
   }
 }
 
+/// Reads a file line by line; a line that holds no object ("[", "]") or
+/// another kind of object is skipped, and a malformed one is reported on
+/// stderr and skipped.
 ParsedFile parse(std::istream& in) {
   ParsedFile file;
   std::string line;
   while (std::getline(in, line)) {
     ++file.lines;
-    const auto type = raw_value(line, "type");
-    const auto ph = raw_value(line, "ph");
-    if (type == "manifest" || (ph == "M" && raw_value(line, "name") == "run_manifest")) {
-      read_manifest(line, file);
-    } else if (ph == "X") {
-      const auto name = raw_value(line, "name");
-      const auto dur_us = number_value(line, "dur");
-      if (!name || !dur_us) continue;
-      gp::obs::TraceEvent event;
-      event.name = *name;
-      event.ts_us = number_value(line, "ts").value_or(0.0);
-      event.dur_us = *dur_us;
-      event.tid = static_cast<std::uint32_t>(number_value(line, "tid").value_or(0.0));
-      file.spans.push_back(std::move(event));
-    } else if (type == "timeline") {
-      Segment segment;
-      if (const auto frames = raw_value(line, "frames")) {
-        segment.frames = static_cast<std::size_t>(std::strtoull(frames->c_str(), nullptr, 10));
-      }
-      file.segments.push_back(std::move(segment));
-    } else if (type == "timeline_col") {
-      if (file.segments.empty()) file.segments.emplace_back();  // headerless: tolerate
-      const auto name = raw_value(line, "name");
-      if (!name) continue;
-      file.segments.back().columns[*name] = parse_values(line);
+    const auto object = gp::json_line(line);
+    if (!object) continue;
+    try {
+      parse_line(*object, file);
+    } catch (const gp::PreconditionError& error) {
+      std::fprintf(stderr, "gp_report: line %zu skipped: %s\n", file.lines, error.what());
     }
   }
   return file;
@@ -562,9 +515,9 @@ int report_file(const std::string& path, bool csv) {
     std::printf("== %s segment %zu\n", path.c_str(), s);
     print_table(file.segments[s]);
   }
-  if (!file.manifest_tool.empty()) {
-    std::printf("# recorded by %s at git %s\n", file.manifest_tool.c_str(),
-                file.manifest_git.c_str());
+  if (file.manifest) {
+    std::printf("# recorded by %s at git %s\n", file.manifest->tool.c_str(),
+                file.manifest->git_sha.c_str());
   }
   return 0;
 }
@@ -887,7 +840,8 @@ int self_test() {
   std::istringstream in(out.str());
   const ParsedFile file = parse(in);
   expect(file.segments.size() == 1, "one segment parsed");
-  expect(file.manifest_tool == "timeline" && file.manifest_git == "abc123def456",
+  expect(file.manifest && file.manifest->tool == "timeline" &&
+             file.manifest->git_sha == "abc123def456",
          "manifest provenance extracted");
   if (file.segments.empty()) return 1;
   const Segment& segment = file.segments[0];
@@ -990,7 +944,8 @@ int self_test() {
              trace_spans.count("mpc.step") == 1,
          "metadata, counter and metric lines are not counted as spans");
   expect(trace.manifests == 1, "the run_manifest event is recognized");
-  expect(trace.manifest_tool == "trace" && trace.manifest_git == "abc123def456",
+  expect(trace.manifest && trace.manifest->tool == "trace" &&
+             trace.manifest->git_sha == "abc123def456",
          "trace manifest provenance extracted");
   if (trace_spans.size() != 2) return 1;
   const SpanStats admm = span_stats(trace_spans.at("admm.solve"));
